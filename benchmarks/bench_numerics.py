@@ -1,19 +1,12 @@
-"""Benchmark NUM: the numeric core at paper scale (backends + early stopping).
+"""Benchmark NUM: adaptive early stopping of label-model EM at paper scale.
 
-Two claims of the pluggable-backend work are pinned here on a paper-scale
-synthetic label matrix (8192 instances x 40 LFs by default):
+On a paper-scale synthetic label matrix (8192 instances x 40 LFs by
+default), a warm-started refit with ``early_stop=True`` converges in a
+handful of EM iterations where the fixed-budget comparator (``tol=0``: the
+historical criterion disabled, the full ``max_iter`` spent) burns its whole
+budget, at identical headline accuracy.
 
-1. **Backend equivalence** — fitting either EM label model on the JAX
-   backend produces the same parameters and posteriors as the numpy
-   reference to float64 tolerance (skipped when jax is not installed; the
-   numpy path needs nothing).
-2. **Adaptive early stopping** — with ``early_stop=True`` a warm-started
-   refit converges in a handful of EM iterations where the fixed-budget
-   comparator (``tol=0``: the historical criterion disabled, the full
-   ``max_iter`` spent) burns its whole budget, at identical headline
-   accuracy.
-
-Headline numbers (iteration counts, wall-clock, agreement) are merged into
+Headline numbers (iteration counts, wall-clock, accuracy) are merged into
 the repo-root ``BENCH_core.json`` via ``benchmarks/record.py``.  Environment
 knobs:
 
@@ -23,7 +16,6 @@ knobs:
 
 from __future__ import annotations
 
-import importlib.util
 import os
 import time
 
@@ -36,8 +28,6 @@ from repro.labeling.lf import ABSTAIN
 N_INSTANCES = int(os.environ.get("REPRO_NUMERICS_BENCH_INSTANCES", 8192))
 N_LFS = int(os.environ.get("REPRO_NUMERICS_BENCH_LFS", 40))
 N_CLASSES = 2
-
-HAS_JAX = importlib.util.find_spec("jax") is not None
 
 MODELS = {
     "generative": GenerativeLabelModel,
@@ -69,41 +59,6 @@ def corpus() -> tuple[np.ndarray, np.ndarray]:
 def _accuracy(model, matrix: np.ndarray, labels: np.ndarray) -> float:
     predictions = np.argmax(model.predict_proba(matrix), axis=1)
     return float(np.mean(predictions == labels))
-
-
-@pytest.mark.skipif(not HAS_JAX, reason="jax not installed (numpy path needs nothing)")
-@pytest.mark.parametrize("name", sorted(MODELS))
-def test_numpy_vs_jax_equivalence_at_paper_scale(corpus, name):
-    """The jit-compiled JAX fit agrees with the numpy reference at float64."""
-    matrix, _ = corpus
-    fits = {}
-    for backend in ("numpy", "jax"):
-        model = MODELS[name](n_classes=N_CLASSES, backend=backend)
-        start = time.perf_counter()
-        model.fit(matrix)
-        seconds = time.perf_counter() - start
-        fits[backend] = (model, seconds)
-        print(f"\n{name} on {backend}: n_iter={model.n_iter_} wall={seconds:.2f}s")
-
-    reference, _ = fits["numpy"]
-    candidate, _ = fits["jax"]
-    np.testing.assert_allclose(
-        candidate.predict_proba(matrix),
-        reference.predict_proba(matrix),
-        rtol=1e-7,
-        atol=1e-9,
-    )
-    if name == "generative":
-        np.testing.assert_allclose(
-            candidate.cpts_, reference.cpts_, rtol=1e-7, atol=1e-9
-        )
-    else:
-        np.testing.assert_allclose(
-            candidate.accuracies_, reference.accuracies_, rtol=1e-7, atol=1e-9
-        )
-        np.testing.assert_allclose(
-            candidate.propensities_, reference.propensities_, rtol=1e-7, atol=1e-9
-        )
 
 
 def test_early_stop_cuts_warm_refit_iterations(corpus, bench_record):

@@ -67,13 +67,6 @@ class ActiveDPConfig:
         Minimum number of pseudo-labelled query instances before the
         graphical-lasso structure learning is attempted (before that, only
         the accuracy pruning step of LabelPick applies).
-    backend:
-        Array-backend name for the numeric core (label-model EM, glasso
-        sweeps, LabelPick scoring): ``"numpy"`` (the reference), ``"jax"``
-        (jit-compiled, requires the jax package), or ``None`` to resolve
-        through the ``REPRO_BACKEND`` environment variable.  See
-        :mod:`repro.numerics`.  Note the environment-variable route does
-        *not* re-key the result cache — prefer setting this field.
     adaptive_early_stop:
         Stop label-model EM and glasso sweeps on the *relative* change of
         their loss/iterate instead of the historical fixed absolute
@@ -96,19 +89,10 @@ class ActiveDPConfig:
     warm_start_labelpick: bool = True
     warm_start_al_model: bool = True
     min_labelpick_queries: int = 8
-    backend: str | None = None
     adaptive_early_stop: bool = True
     sampler_kwargs: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.backend is not None:
-            from repro.numerics import KNOWN_BACKENDS, available_backends
-
-            known = set(KNOWN_BACKENDS) | set(available_backends())
-            if self.backend not in known:
-                raise ValueError(
-                    f"unknown backend {self.backend!r}; choose from {sorted(known)}"
-                )
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
         if self.glasso_alpha < 0:

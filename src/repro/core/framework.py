@@ -73,7 +73,6 @@ class ActiveDP:
             glasso_alpha=self.config.glasso_alpha,
             min_queries=self.config.min_labelpick_queries,
             accuracy_threshold=self.config.accuracy_threshold,
-            backend=self.config.backend,
             early_stop=self.config.adaptive_early_stop,
         )
         self.confusion = ConFusion()
@@ -458,10 +457,7 @@ class ActiveDP:
             warm_start = self._label_model_warm_start(selected)
             kwargs = {}
             if self.config.label_model in EM_LABEL_MODELS:
-                kwargs = {
-                    "backend": self.config.backend,
-                    "early_stop": self.config.adaptive_early_stop,
-                }
+                kwargs = {"early_stop": self.config.adaptive_early_stop}
             model = get_label_model(
                 self.config.label_model, n_classes=self.n_classes, **kwargs
             )

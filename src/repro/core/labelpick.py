@@ -34,8 +34,6 @@ from repro.graphical.covariance import RunningCovariance, shrink_covariance
 from repro.graphical.glasso import GraphicalLassoResult, graphical_lasso
 from repro.graphical.markov_blanket import markov_blanket
 from repro.labeling.lf import ABSTAIN, LabelFunction
-from repro.numerics import get_backend
-from repro.numerics.scores import labelpick_score_fn
 
 
 @dataclass
@@ -119,10 +117,6 @@ class LabelPick:
     accuracy_threshold:
         Validation accuracy below which an LF is pruned.  ``None`` uses the
         better-than-random bound ``1 / n_classes``.
-    backend:
-        Array-backend name for the scoring reductions and glasso sweeps
-        (``None`` resolves through ``REPRO_BACKEND`` to the numpy reference
-        backend; see :mod:`repro.numerics`).
     early_stop:
         Judge glasso convergence relative to the covariance iterate's own
         scale (threshold :attr:`GLASSO_EARLY_STOP_RTOL`) instead of the
@@ -135,7 +129,6 @@ class LabelPick:
         glasso_alpha: float = 0.01,
         min_queries: int = 8,
         accuracy_threshold: float | None = None,
-        backend: str | None = None,
         early_stop: bool = False,
     ):
         if glasso_alpha < 0:
@@ -145,7 +138,6 @@ class LabelPick:
         self.glasso_alpha = glasso_alpha
         self.min_queries = min_queries
         self.accuracy_threshold = accuracy_threshold
-        self.backend = backend
         self.early_stop = early_stop
 
     # ---------------------------------------------------------------- select
@@ -238,18 +230,14 @@ class LabelPick:
         """Drop LFs whose validation accuracy is at or below *threshold*.
 
         Fully vectorised: one masked reduction over the ``(n_valid, n_lfs)``
-        matrix instead of a Python loop over columns, expressed as a
-        backend-pure statistic (jit-compiled on capable backends).
+        matrix instead of a Python loop over columns.
         """
-        backend = get_backend(self.backend)
-        scores = labelpick_score_fn(backend)
-        n_fired, accuracy = scores(
-            backend.asarray(valid_label_matrix, dtype=int),
-            backend.asarray(np.asarray(valid_labels, dtype=int), dtype=int),
-            ABSTAIN,
-        )
-        n_fired = backend.to_numpy(n_fired)
-        accuracy = backend.to_numpy(accuracy)
+        matrix = np.asarray(valid_label_matrix, dtype=int)
+        labels = np.asarray(valid_labels, dtype=int)
+        fired = matrix != ABSTAIN
+        n_fired = fired.sum(axis=0)
+        n_correct = (fired & (matrix == labels[:, None])).sum(axis=0)
+        accuracy = n_correct / np.maximum(n_fired, 1)
         # An LF that never fires on the validation set provides no evidence
         # either way; keep it (the structure step can still drop it).
         pruned_mask = (n_fired > 0) & (accuracy <= threshold)
@@ -293,7 +281,6 @@ class LabelPick:
                 shrinkage=self.COV_SHRINKAGE,
                 max_iter=self.GLASSO_MAX_ITER,
                 tol=self._glasso_tol(),
-                backend=self.backend,
                 early_stop=self.early_stop,
             )
         else:
@@ -359,7 +346,6 @@ class LabelPick:
             tol=self._glasso_tol(),
             warm_start=state.glasso_result,
             warm_start_map=warm_start_map,
-            backend=self.backend,
             early_stop=self.early_stop,
         )
         state.glasso_result = result

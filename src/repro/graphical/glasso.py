@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graphical.covariance import empirical_covariance
-from repro.numerics import get_backend
 from repro.numerics.glasso import glasso_block_sweeps
 
 
@@ -57,7 +56,6 @@ def graphical_lasso(
     shrinkage: float = 0.05,
     warm_start: GraphicalLassoResult | None = None,
     warm_start_map: np.ndarray | None = None,
-    backend: str | None = None,
     early_stop: bool = False,
 ) -> GraphicalLassoResult:
     """Estimate a sparse precision matrix with an L1 penalty *alpha*.
@@ -93,10 +91,6 @@ def graphical_lasso(
         entries from the previous estimate; pairs involving a new variable
         keep the cold initialisation.  An inapplicable payload (wrong
         dimensions, out-of-range map) degrades to a cold start, never raises.
-    backend:
-        Array-backend name for the block coordinate-descent sweeps (``None``
-        resolves through ``REPRO_BACKEND`` to the numpy reference backend;
-        see :mod:`repro.numerics`).
     early_stop:
         Judge the mean absolute covariance change against ``tol`` *relative
         to the iterate's own scale* instead of as an absolute threshold,
@@ -134,9 +128,7 @@ def graphical_lasso(
             warm_started = False
     precision = np.linalg.pinv(covariance)
 
-    resolved = get_backend(backend)
     covariance, precision, n_iter, converged, final_change = glasso_block_sweeps(
-        resolved,
         covariance,
         precision,
         emp_cov,
@@ -145,8 +137,6 @@ def graphical_lasso(
         tol=tol,
         early_stop=early_stop,
     )
-    covariance = resolved.to_numpy(covariance)
-    precision = resolved.to_numpy(precision)
 
     precision = 0.5 * (precision + precision.T)
     return GraphicalLassoResult(

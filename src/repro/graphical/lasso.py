@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.numerics import get_backend
 from repro.numerics.glasso import lasso_cd
 
 
@@ -48,12 +47,4 @@ def lasso_coordinate_descent(
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
 
-    return lasso_cd(
-        get_backend("numpy"),
-        gram,
-        linear,
-        alpha,
-        max_iter=max_iter,
-        tol=tol,
-        initial=initial,
-    )
+    return lasso_cd(gram, linear, alpha, max_iter=max_iter, tol=tol, initial=initial)

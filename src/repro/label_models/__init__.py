@@ -28,8 +28,8 @@ _REGISTRY = {
 }
 
 #: Registry names of the EM-fitted models — the ones that accept the
-#: ``backend`` / ``early_stop`` numeric-core knobs (majority vote has no
-#: numeric inner loop to configure).
+#: ``early_stop`` knob (majority vote has no numeric inner loop to
+#: configure).
 EM_LABEL_MODELS = frozenset({"generative", "metal"})
 
 

@@ -25,14 +25,8 @@ import numpy as np
 
 from repro.label_models.base import BaseLabelModel, LabelModelWarmStart
 from repro.labeling.lf import ABSTAIN
-from repro.numerics import RelativeLossStop, get_backend
-from repro.numerics.em import (
-    column_bucket,
-    generative_masks,
-    generative_posterior,
-    generative_step_fn,
-    pad_columns,
-)
+from repro.numerics import RelativeLossStop
+from repro.numerics.em import generative_masks, generative_posterior, generative_step
 from repro.utils.rng import RandomState, ensure_rng
 
 
@@ -55,10 +49,6 @@ class GenerativeLabelModel(BaseLabelModel):
         Fixed class prior; ``None`` means uniform.
     random_state:
         Seed for the small responsibility jitter used at initialisation.
-    backend:
-        Array-backend name for the EM inner loop (``None`` resolves through
-        ``REPRO_BACKEND`` to the numpy reference backend; see
-        :mod:`repro.numerics`).
     early_stop:
         Replace the absolute responsibility-change criterion with adaptive
         early stopping on the *relative* change of the mean per-instance
@@ -77,7 +67,6 @@ class GenerativeLabelModel(BaseLabelModel):
         smoothing: float = 1.0,
         class_balance: np.ndarray | None = None,
         random_state: RandomState = 0,
-        backend: str | None = None,
         early_stop: bool = False,
         early_stop_rtol: float = 1e-5,
     ):
@@ -86,7 +75,6 @@ class GenerativeLabelModel(BaseLabelModel):
         self.tol = tol
         self.smoothing = smoothing
         self.random_state = random_state
-        self.backend = backend
         self.early_stop = early_stop
         self.early_stop_rtol = early_stop_rtol
         if class_balance is not None:
@@ -153,20 +141,8 @@ class GenerativeLabelModel(BaseLabelModel):
         else:
             warm_reference = True
 
-        backend = get_backend(self.backend)
-        n_outcomes = self.n_classes + 1
-        masks = generative_masks(outcomes, n_outcomes)
-        if backend.jit_enabled:
-            # Pad the LF axis to a power-of-two bucket so the jitted step
-            # keeps its compiled trace as the refit loop adds columns; the
-            # padded columns are all-zero in every mask and contribute
-            # nothing to either EM step.
-            masks = pad_columns(masks, column_bucket(n_lfs))
-        step = generative_step_fn(backend, n_outcomes)
-        xp = backend.xp
-        masks = backend.asarray(masks)
-        responsibilities = backend.asarray(responsibilities)
-        log_priors = backend.asarray(np.log(np.clip(self.class_priors_, 1e-12, 1.0)))
+        masks = generative_masks(outcomes, self.n_classes + 1)
+        log_priors = np.log(np.clip(self.class_priors_, 1e-12, 1.0))
 
         # A warm initialisation is already a model posterior, so it is a valid
         # convergence reference: a refit of an (almost) converged model can
@@ -180,7 +156,7 @@ class GenerativeLabelModel(BaseLabelModel):
         self.converged_ = False
         self.final_loss_ = None
         for iteration in range(1, self.max_iter + 1):
-            cpts, responsibilities, loss = step(
+            cpts, responsibilities, loss = generative_step(
                 masks, responsibilities, log_priors, self.smoothing
             )
             self.n_iter_ = iteration
@@ -191,12 +167,12 @@ class GenerativeLabelModel(BaseLabelModel):
                     break
             else:
                 if previous is not None:
-                    change = float(xp.mean(xp.abs(responsibilities - previous)))
+                    change = float(np.mean(np.abs(responsibilities - previous)))
                     if change < self.tol:
                         self.converged_ = True
                         break
                 previous = responsibilities
-        self.cpts_ = backend.to_numpy(cpts)[:n_lfs]
+        self.cpts_ = cpts
         return self
 
     # -------------------------------------------------------------- predict

@@ -36,14 +36,8 @@ import numpy as np
 
 from repro.label_models.base import BaseLabelModel, LabelModelWarmStart
 from repro.labeling.lf import ABSTAIN
-from repro.numerics import RelativeLossStop, get_backend
-from repro.numerics.em import (
-    column_bucket,
-    metal_masks,
-    metal_posterior,
-    metal_step_fn,
-    pad_columns,
-)
+from repro.numerics import RelativeLossStop
+from repro.numerics.em import metal_masks, metal_posterior, metal_step
 from repro.utils.rng import RandomState, ensure_rng
 
 
@@ -71,10 +65,6 @@ class MeTaLLabelModel(BaseLabelModel):
         balance is unknown).
     random_state:
         Seed for the initialisation jitter.
-    backend:
-        Array-backend name for the EM inner loop (``None`` resolves through
-        ``REPRO_BACKEND`` to the numpy reference backend; see
-        :mod:`repro.numerics`).
     early_stop:
         Replace the absolute responsibility-change criterion with adaptive
         early stopping on the *relative* change of the mean per-instance
@@ -94,7 +84,6 @@ class MeTaLLabelModel(BaseLabelModel):
         accuracy_bounds: tuple[float, float] = (0.55, 0.98),
         class_balance: np.ndarray | None = None,
         random_state: RandomState = 0,
-        backend: str | None = None,
         early_stop: bool = False,
         early_stop_rtol: float = 1e-5,
     ):
@@ -110,7 +99,6 @@ class MeTaLLabelModel(BaseLabelModel):
         self.prior_accuracy = prior_accuracy
         self.accuracy_bounds = (float(low), float(high))
         self.random_state = random_state
-        self.backend = backend
         self.early_stop = early_stop
         self.early_stop_rtol = early_stop_rtol
         if class_balance is not None:
@@ -181,35 +169,11 @@ class MeTaLLabelModel(BaseLabelModel):
             rng = ensure_rng(self.random_state)
             responsibilities = self._initial_responsibilities(matrix, rng)
 
-        backend = get_backend(self.backend)
         fired, not_fired, vote_masks, vote_index = metal_masks(
             matrix, self.n_classes, ABSTAIN
         )
         never_fired = ~(matrix != ABSTAIN).any(axis=0)
-        if backend.jit_enabled:
-            # Pad the LF axis to a power-of-two bucket so the jitted step
-            # keeps its compiled trace as the refit loop adds columns.
-            # Padded columns never fire and never vote: their fired/vote
-            # masks are zero, not_fired must be zero too (an all-ones pad
-            # would inject phantom propensity mass into the E-step), and
-            # never_fired=True pins their accuracy at the prior.
-            bucket = column_bucket(n_lfs)
-            fired = pad_columns(fired, bucket)
-            not_fired = pad_columns(not_fired, bucket)
-            vote_masks = pad_columns(vote_masks, bucket)
-            vote_index = pad_columns(vote_index, bucket)
-            never_fired = np.pad(
-                never_fired, (0, bucket - n_lfs), constant_values=True
-            )
-        step = metal_step_fn(backend, self.n_classes)
-        xp = backend.xp
-        fired = backend.asarray(fired)
-        not_fired = backend.asarray(not_fired)
-        vote_masks = backend.asarray(vote_masks)
-        vote_index = backend.asarray(vote_index, dtype=int)
-        never_fired = backend.asarray(never_fired, dtype=bool)
-        responsibilities = backend.asarray(responsibilities)
-        log_priors = backend.asarray(np.log(np.clip(self.class_priors_, 1e-12, 1.0)))
+        log_priors = np.log(np.clip(self.class_priors_, 1e-12, 1.0))
         low, high = self.accuracy_bounds
 
         # A warm initialisation is already a model posterior, so it is a valid
@@ -224,7 +188,7 @@ class MeTaLLabelModel(BaseLabelModel):
         self.converged_ = False
         self.final_loss_ = None
         for iteration in range(1, self.max_iter + 1):
-            accuracies, propensities, responsibilities, loss = step(
+            accuracies, propensities, responsibilities, loss = metal_step(
                 fired, not_fired, vote_masks, vote_index, never_fired,
                 responsibilities, log_priors, self.smoothing,
                 self.prior_accuracy, low, high,
@@ -237,13 +201,13 @@ class MeTaLLabelModel(BaseLabelModel):
                     break
             else:
                 if previous is not None:
-                    change = float(xp.mean(xp.abs(responsibilities - previous)))
+                    change = float(np.mean(np.abs(responsibilities - previous)))
                     if change < self.tol:
                         self.converged_ = True
                         break
                 previous = responsibilities
-        self.accuracies_ = backend.to_numpy(accuracies)[:n_lfs]
-        self.propensities_ = backend.to_numpy(propensities)[:n_lfs]
+        self.accuracies_ = accuracies
+        self.propensities_ = propensities
         return self
 
     # -------------------------------------------------------------- predict

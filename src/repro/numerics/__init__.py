@@ -1,42 +1,10 @@
-"""Pluggable array backends for the numeric core.
+"""The numeric core as plain numpy functions.
 
-The numeric hot paths of the reproduction — label-model EM, graphical-lasso
-block updates, LabelPick scoring — are written against a thin backend seam
-(:func:`get_backend`).  The numpy backend is the default and the reference:
-no new dependencies, bit-identical to the historical code.  The JAX backend
-(``pip install jax``) mirrors it with jit-compiled, shape-bucketed EM steps
-and enforced float64, selected per run via ``ActiveDPConfig.backend`` or the
-``REPRO_BACKEND`` environment variable.
-
-See ``docs/numerics.md`` for the seam contract, how to add a backend, and
-the adaptive early-stopping semantics layered on top.
+Label-model EM steps (:mod:`repro.numerics.em`), graphical-lasso block
+sweeps (:mod:`repro.numerics.glasso`) and the relative-loss early-stopping
+rule (:mod:`repro.numerics.convergence`).  See ``docs/numerics.md``.
 """
 
-from repro.numerics.backend import (
-    BACKEND_ENV_VAR,
-    KNOWN_BACKENDS,
-    ArrayBackend,
-    BackendUnavailableError,
-    JaxBackend,
-    NumpyBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-    resolve_backend_name,
-)
 from repro.numerics.convergence import RelativeLossStop, relative_change
 
-__all__ = [
-    "ArrayBackend",
-    "BACKEND_ENV_VAR",
-    "BackendUnavailableError",
-    "JaxBackend",
-    "KNOWN_BACKENDS",
-    "NumpyBackend",
-    "RelativeLossStop",
-    "available_backends",
-    "get_backend",
-    "register_backend",
-    "relative_change",
-    "resolve_backend_name",
-]
+__all__ = ["RelativeLossStop", "relative_change"]

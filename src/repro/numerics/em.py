@@ -1,19 +1,8 @@
-"""Backend-pure EM step functions for the label models.
+"""EM step functions for the label models.
 
-One EM iteration of either label model is expressed here as a pure function
-of arrays — no ``self``, no Python-side state — so the JAX backend can
-``jit``-compile it while the numpy backend runs the exact historical
-sequence of operations (the functions mirror the pre-seam model internals
-operation for operation, so the numpy path is bit-identical to the code it
-replaced).
-
-Compiled steps are cached per ``(backend, model family, class count)`` and,
-on jit-enabled backends, label matrices are padded to power-of-two *column
-buckets* (:func:`column_bucket`): an interactive refit loop adds one LF per
-iteration, and without bucketing every added column would change the traced
-shapes and force a full recompilation.  Padded columns are all-zero in
-every mask, so they contribute nothing to either EM step; callers slice
-the returned parameters back to the real column count.
+One EM iteration of either label model is expressed here as a pure numpy
+function of arrays — no ``self``, no Python-side state — mirroring the
+models' reference M-steps operation for operation.
 
 The E-steps are shared with the models' ``predict_proba`` paths
 (:func:`generative_posterior`, :func:`metal_posterior`) so the fit loop and
@@ -22,38 +11,7 @@ prediction can never drift apart.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
-
-from repro.numerics.backend import ArrayBackend
-
-#: Smallest column bucket on jit-enabled backends.
-MIN_COLUMN_BUCKET = 8
-
-_STEP_FNS: dict[tuple, Callable] = {}
-
-
-def column_bucket(n_columns: int, floor: int = MIN_COLUMN_BUCKET) -> int:
-    """Smallest power of two >= ``max(n_columns, floor)``.
-
-    Bucketing the LF-column dimension means a refit loop that adds one LF at
-    a time retraces a jitted step O(log k) times over a whole run instead of
-    every iteration.
-    """
-    bucket = max(int(floor), 1)
-    while bucket < n_columns:
-        bucket *= 2
-    return bucket
-
-
-def pad_columns(array: np.ndarray, n_columns: int) -> np.ndarray:
-    """Zero-pad the trailing axis of *array* out to *n_columns* columns."""
-    deficit = n_columns - array.shape[-1]
-    if deficit <= 0:
-        return array
-    widths = [(0, 0)] * (array.ndim - 1) + [(0, deficit)]
-    return np.pad(array, widths)
 
 
 # --------------------------------------------------------------- generative
@@ -70,58 +28,45 @@ def generative_masks(outcomes: np.ndarray, n_outcomes: int) -> np.ndarray:
     )
 
 
-def _generative_e_step(xp, masks, log_priors, log_cpts, n_outcomes: int):
+def _generative_e_step(masks, log_priors, log_cpts):
     """Shared E-step: responsibilities and mean negative log-likelihood."""
-    n_instances = masks.shape[1]
-    log_proba = xp.tile(log_priors, (n_instances, 1))
+    n_outcomes, n_instances = masks.shape[:2]
+    log_proba = np.tile(log_priors, (n_instances, 1))
     for outcome in range(n_outcomes):
         log_proba = log_proba + masks[outcome] @ log_cpts[:, :, outcome]
     shift = log_proba.max(axis=1, keepdims=True)
-    proba = xp.exp(log_proba - shift)
+    proba = np.exp(log_proba - shift)
     norm = proba.sum(axis=1, keepdims=True)
-    loss = -xp.mean(shift[:, 0] + xp.log(norm[:, 0]))
+    loss = -np.mean(shift[:, 0] + np.log(norm[:, 0]))
     return proba / norm, loss
 
 
-def generative_step_fn(backend: ArrayBackend, n_outcomes: int) -> Callable:
-    """One generative-model EM iteration (M-step then E-step), compiled.
+def generative_step(masks, responsibilities, log_priors, smoothing):
+    """One generative-model EM iteration: M-step, then E-step.
 
-    Returns ``step(masks, responsibilities, log_priors, smoothing) ->
-    (cpts, responsibilities, loss)`` where ``loss`` is the mean per-instance
-    negative log-likelihood *under the new CPTs*.
+    Returns ``(cpts, responsibilities, loss)`` where ``loss`` is the mean
+    per-instance negative log-likelihood *under the new CPTs*.
     """
-    key = (backend.name, "generative", n_outcomes)
-    if key in _STEP_FNS:
-        return _STEP_FNS[key]
-    xp = backend.xp
-
-    def step(masks, responsibilities, log_priors, smoothing):
-        cpts = xp.stack(
-            [masks[outcome].T @ responsibilities for outcome in range(n_outcomes)],
-            axis=2,
-        )
-        cpts = cpts + smoothing
-        cpts = cpts / cpts.sum(axis=2, keepdims=True)
-        log_cpts = xp.log(xp.clip(cpts, 1e-12, 1.0))
-        responsibilities, loss = _generative_e_step(
-            xp, masks, log_priors, log_cpts, n_outcomes
-        )
-        return cpts, responsibilities, loss
-
-    compiled = backend.jit(step)
-    _STEP_FNS[key] = compiled
-    return compiled
+    n_outcomes = masks.shape[0]
+    cpts = np.stack(
+        [masks[outcome].T @ responsibilities for outcome in range(n_outcomes)],
+        axis=2,
+    )
+    cpts = cpts + smoothing
+    cpts = cpts / cpts.sum(axis=2, keepdims=True)
+    log_cpts = np.log(np.clip(cpts, 1e-12, 1.0))
+    responsibilities, loss = _generative_e_step(masks, log_priors, log_cpts)
+    return cpts, responsibilities, loss
 
 
 def generative_posterior(
     outcomes: np.ndarray, cpts: np.ndarray, class_priors: np.ndarray
 ) -> np.ndarray:
-    """Posterior responsibilities under fixed CPTs (numpy, prediction path)."""
-    n_outcomes = cpts.shape[2]
-    masks = generative_masks(outcomes, n_outcomes)
+    """Posterior responsibilities under fixed CPTs (prediction path)."""
+    masks = generative_masks(outcomes, cpts.shape[2])
     log_priors = np.log(np.clip(class_priors, 1e-12, 1.0))
     log_cpts = np.log(np.clip(cpts, 1e-12, 1.0))
-    proba, _ = _generative_e_step(np, masks, log_priors, log_cpts, n_outcomes)
+    proba, _ = _generative_e_step(masks, log_priors, log_cpts)
     return proba
 
 
@@ -143,75 +88,60 @@ def metal_masks(
     return fired, 1.0 - fired, vote_masks, vote_index
 
 
-def _metal_e_step(
-    xp, fired, not_fired, vote_masks, log_priors,
-    accuracies, propensities, n_classes: int,
-):
+def _metal_e_step(fired, not_fired, vote_masks, log_priors, accuracies, propensities):
     """Shared E-step: posterior over Y given votes, accuracies, propensities."""
+    n_classes = vote_masks.shape[0]
     wrong_share = 1.0 / max(n_classes - 1, 1)
-    acc = xp.clip(accuracies, 1e-6, 1 - 1e-6)
-    propensity = xp.clip(propensities, 1e-6, 1 - 1e-6)
-    log_acc = xp.log(acc)
-    log_wrong = xp.log((1.0 - acc) * wrong_share)
+    acc = np.clip(accuracies, 1e-6, 1 - 1e-6)
+    propensity = np.clip(propensities, 1e-6, 1 - 1e-6)
+    log_acc = np.log(acc)
+    log_wrong = np.log((1.0 - acc) * wrong_share)
 
     n_instances = fired.shape[0]
-    log_proba = xp.tile(log_priors, (n_instances, 1))
-    log_proba = log_proba + not_fired @ xp.log(1.0 - propensity)
-    log_proba = log_proba + fired @ (xp.log(propensity) + log_wrong[:, None])
+    log_proba = np.tile(log_priors, (n_instances, 1))
+    log_proba = log_proba + not_fired @ np.log(1.0 - propensity)
+    log_proba = log_proba + fired @ (np.log(propensity) + log_wrong[:, None])
     agree_minus_wrong = log_acc - log_wrong
-    agree = xp.stack(
+    agree = np.stack(
         [vote_masks[cls] @ agree_minus_wrong for cls in range(n_classes)], axis=1
     )
     log_proba = log_proba + agree
     shift = log_proba.max(axis=1, keepdims=True)
-    proba = xp.exp(log_proba - shift)
+    proba = np.exp(log_proba - shift)
     norm = proba.sum(axis=1, keepdims=True)
-    loss = -xp.mean(shift[:, 0] + xp.log(norm[:, 0]))
+    loss = -np.mean(shift[:, 0] + np.log(norm[:, 0]))
     return proba / norm, loss
 
 
-def metal_step_fn(backend: ArrayBackend, n_classes: int) -> Callable:
-    """One MeTaL-model EM iteration (M-step then E-step), compiled.
+def metal_step(
+    fired, not_fired, vote_masks, vote_index, never_fired,
+    responsibilities, log_priors, smoothing, prior_accuracy, low, high,
+):
+    """One MeTaL-model EM iteration: M-step, then E-step.
 
-    Returns ``step(fired, not_fired, vote_masks, vote_index, never_fired,
-    responsibilities, log_priors, smoothing, prior_accuracy, low, high) ->
-    (accuracies, propensities, responsibilities, loss)``.
+    Returns ``(accuracies, propensities, responsibilities, loss)``.
     """
-    key = (backend.name, "metal", n_classes)
-    if key in _STEP_FNS:
-        return _STEP_FNS[key]
-    xp = backend.xp
-
-    def step(
-        fired, not_fired, vote_masks, vote_index, never_fired,
-        responsibilities, log_priors, smoothing, prior_accuracy, low, high,
-    ):
-        class_mass = responsibilities.sum(axis=0) + 1e-12
-        fired_mass = fired.T @ responsibilities
-        propensities = xp.clip(
-            (fired_mass + smoothing * 0.1) / (class_mass[None, :] + smoothing * 0.2),
-            1e-4,
-            1.0 - 1e-4,
-        )
-        agree_weight = xp.take_along_axis(responsibilities, vote_index, axis=1)
-        expected_correct = (fired * agree_weight).sum(axis=0)
-        total = fired_mass.sum(axis=1)
-        accuracies = xp.clip(
-            (expected_correct + smoothing * prior_accuracy) / (total + smoothing),
-            low,
-            high,
-        )
-        # LFs that never fire carry no evidence; keep the prior accuracy.
-        accuracies = xp.where(never_fired, prior_accuracy, accuracies)
-        responsibilities, loss = _metal_e_step(
-            xp, fired, not_fired, vote_masks, log_priors,
-            accuracies, propensities, n_classes,
-        )
-        return accuracies, propensities, responsibilities, loss
-
-    compiled = backend.jit(step)
-    _STEP_FNS[key] = compiled
-    return compiled
+    class_mass = responsibilities.sum(axis=0) + 1e-12
+    fired_mass = fired.T @ responsibilities
+    propensities = np.clip(
+        (fired_mass + smoothing * 0.1) / (class_mass[None, :] + smoothing * 0.2),
+        1e-4,
+        1.0 - 1e-4,
+    )
+    agree_weight = np.take_along_axis(responsibilities, vote_index, axis=1)
+    expected_correct = (fired * agree_weight).sum(axis=0)
+    total = fired_mass.sum(axis=1)
+    accuracies = np.clip(
+        (expected_correct + smoothing * prior_accuracy) / (total + smoothing),
+        low,
+        high,
+    )
+    # LFs that never fire carry no evidence; keep the prior accuracy.
+    accuracies = np.where(never_fired, prior_accuracy, accuracies)
+    responsibilities, loss = _metal_e_step(
+        fired, not_fired, vote_masks, log_priors, accuracies, propensities
+    )
+    return accuracies, propensities, responsibilities, loss
 
 
 def metal_posterior(
@@ -222,11 +152,10 @@ def metal_posterior(
     class_priors: np.ndarray,
     n_classes: int,
 ) -> np.ndarray:
-    """Posterior responsibilities under fixed parameters (numpy, prediction path)."""
+    """Posterior responsibilities under fixed parameters (prediction path)."""
     fired, not_fired, vote_masks, _ = metal_masks(matrix, n_classes, abstain)
     log_priors = np.log(np.clip(class_priors, 1e-12, 1.0))
     proba, _ = _metal_e_step(
-        np, fired, not_fired, vote_masks, log_priors,
-        accuracies, propensities, n_classes,
+        fired, not_fired, vote_masks, log_priors, accuracies, propensities
     )
     return proba

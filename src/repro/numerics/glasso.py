@@ -1,23 +1,13 @@
-"""Backend-pure graphical-lasso block updates and the inner lasso solver.
+"""Graphical-lasso block updates and the inner lasso solver.
 
 The numeric body of :func:`repro.graphical.glasso.graphical_lasso` — the
-block coordinate-descent sweeps and the per-column lasso regressions — lives
-here, written against an :class:`~repro.numerics.backend.ArrayBackend`.  The
-numpy path performs the exact historical sequence of operations; other
-backends substitute their array namespace and functional index updates
-(:meth:`~repro.numerics.backend.ArrayBackend.set_at`).
-
-Unlike the EM steps, these loops are *not* jit-compiled: coordinate descent
-is inherently sequential with data-dependent sweep counts, and at LabelPick
-problem sizes (tens of variables) tracing overhead would dwarf the compute.
-The seam still buys portability and a single implementation to test.
+block coordinate-descent sweeps and the per-column lasso regressions — as
+plain numpy functions.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.numerics.backend import ArrayBackend
 
 
 def _soft_threshold(value, threshold):
@@ -29,7 +19,6 @@ def _soft_threshold(value, threshold):
 
 
 def lasso_cd(
-    backend: ArrayBackend,
     gram,
     linear,
     alpha: float,
@@ -39,21 +28,18 @@ def lasso_cd(
 ):
     """Minimise ``0.5 w^T Q w - b^T w + alpha * ||w||_1`` by coordinate descent.
 
-    Arguments mirror :func:`repro.graphical.lasso.lasso_coordinate_descent`
-    (which validates its inputs and then delegates here with the numpy
-    backend); *gram* and *linear* must already be backend arrays or
-    convertibles.
+    Arguments mirror :func:`repro.graphical.lasso.lasso_coordinate_descent`,
+    which validates its inputs and then delegates here.
     """
-    xp = backend.xp
-    gram = backend.asarray(gram, dtype=float)
-    linear = backend.asarray(linear, dtype=float)
+    gram = np.asarray(gram, dtype=float)
+    linear = np.asarray(linear, dtype=float)
     p = int(gram.shape[0])
     if initial is None:
-        weights = xp.zeros(p)
+        weights = np.zeros(p)
     else:
-        weights = backend.asarray(initial, dtype=float).copy()
-    diag = xp.diagonal(gram)
-    diagonal = xp.where(diag <= 0.0, 1e-12, diag)
+        weights = np.asarray(initial, dtype=float).copy()
+    diag = np.diagonal(gram)
+    diagonal = np.where(diag <= 0.0, 1e-12, diag)
 
     for _ in range(max_iter):
         max_update = 0.0
@@ -61,7 +47,7 @@ def lasso_cd(
             residual = linear[j] - gram[j] @ weights + gram[j, j] * weights[j]
             new_weight = _soft_threshold(residual, alpha) / diagonal[j]
             update = abs(new_weight - weights[j])
-            weights = backend.set_at(weights, j, new_weight)
+            weights[j] = new_weight
             if update > max_update:
                 max_update = update
         if max_update < tol:
@@ -70,7 +56,6 @@ def lasso_cd(
 
 
 def glasso_block_sweeps(
-    backend: ArrayBackend,
     covariance,
     precision,
     emp_cov,
@@ -96,10 +81,9 @@ def glasso_block_sweeps(
     ``final_change`` is the last sweep's mean absolute covariance change
     (``None`` when ``max_iter == 0``).
     """
-    covariance = backend.asarray(covariance, dtype=float)
-    precision = backend.asarray(precision, dtype=float)
-    emp_cov = backend.asarray(emp_cov, dtype=float)
-    xp = backend.xp
+    covariance = np.asarray(covariance, dtype=float)
+    precision = np.asarray(precision, dtype=float)
+    emp_cov = np.asarray(emp_cov, dtype=float)
     p = int(covariance.shape[0])
     rest_indices = [np.delete(np.arange(p), j) for j in range(p)]
 
@@ -113,25 +97,24 @@ def glasso_block_sweeps(
             sub_cov = covariance[rest[:, None], rest[None, :]]
             target = emp_cov[rest, j]
             beta = lasso_cd(
-                backend, sub_cov, target, alpha,
-                max_iter=lasso_max_iter, tol=lasso_tol,
+                sub_cov, target, alpha, max_iter=lasso_max_iter, tol=lasso_tol,
             )
             column = sub_cov @ beta
-            covariance = backend.set_at(covariance, (rest, j), column)
-            covariance = backend.set_at(covariance, (j, rest), column)
+            covariance[rest, j] = column
+            covariance[j, rest] = column
 
             # Recover the corresponding precision entries (standard glasso
             # update): theta_jj = 1 / (w_jj - w_12^T beta).
             denom = covariance[j, j] - covariance[rest, j] @ beta
             denom = max(denom, 1e-12)
-            precision = backend.set_at(precision, (j, j), 1.0 / denom)
-            precision = backend.set_at(precision, (rest, j), -beta / denom)
-            precision = backend.set_at(precision, (j, rest), precision[rest, j])
-        change = xp.mean(xp.abs(covariance - previous))
+            precision[j, j] = 1.0 / denom
+            precision[rest, j] = -beta / denom
+            precision[j, rest] = precision[rest, j]
+        change = np.mean(np.abs(covariance - previous))
         final_change = float(change)
         threshold = tol
         if early_stop:
-            threshold = tol * max(float(xp.mean(xp.abs(previous))), 1e-12)
+            threshold = tol * max(float(np.mean(np.abs(previous))), 1e-12)
         if change < threshold:
             converged = True
             break

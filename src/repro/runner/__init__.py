@@ -5,8 +5,7 @@ One orchestration path for every experiment grid in the reproduction:
 * :mod:`repro.runner.spec` — frozen, content-hashed trial descriptions;
 * :mod:`repro.runner.results` — pluggable result persistence behind the
   abstract :class:`ResultStore` protocol: the content-addressed
-  pickle-shard blob store (also importable as :mod:`repro.runner.cache`,
-  its pre-package name) and the SQLite-indexed store whose
+  pickle-shard blob store and the SQLite-indexed store whose
   ``results.sqlite3`` run-history database is queryable via
   :class:`RunHistoryDB` and ``python -m repro.runner.query`` (the query
   CLI is imported lazily — not re-exported here — for the same ``-m``
@@ -17,8 +16,7 @@ One orchestration path for every experiment grid in the reproduction:
   distributing trials across machines (abstract :class:`Broker` with
   TTL + heartbeat crash recovery and failure logs), with two backends:
   the filesystem spool (dataset-sharded task layout, atomic rename
-  leases claimed in batches — also importable as
-  :mod:`repro.runner.broker`, its pre-package name) and a WAL-mode
+  leases claimed in batches) and a WAL-mode
   SQLite queue with transactional claims;
 * :mod:`repro.runner.worker` — the worker daemon
   (``python -m repro.runner.worker``) that leases and executes brokered

@@ -1,6 +1,6 @@
 """Pluggable trial-distribution backends behind one :class:`Broker` protocol.
 
-The package splits the former ``repro.runner.broker`` module into:
+The package holds:
 
 * :mod:`~repro.runner.brokers.base` — the abstract :class:`Broker`
   protocol (enqueue / lease / heartbeat / complete / release / expire /
@@ -15,8 +15,6 @@ Backends are selected by name through :func:`create_broker` (the string
 comes from ``ExecutionConfig.broker``, the ``REPRO_BROKER`` environment
 variable, or a ``--broker`` flag); everything above the broker — the
 engine, the worker daemon, the supervisor — talks only to the protocol.
-``repro.runner.broker`` remains importable and *is* the spool module, so
-pre-split imports and monkeypatches keep working unchanged.
 """
 
 from __future__ import annotations

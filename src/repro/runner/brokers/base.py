@@ -4,8 +4,8 @@ A *broker* is the coordination layer of distributed execution: submitters
 offer :class:`~repro.runner.spec.TrialSpec`s to it, worker daemons claim
 them under revocable leases, heartbeat while executing, and publish results
 through the shared content-addressed
-:class:`~repro.runner.cache.ResultCache` — the cache, not the broker, is the
-result channel.  The engine, the worker daemon and the supervisor talk only
+:class:`~repro.runner.results.pickle_store.ResultCache` — the cache, not the
+broker, is the result channel.  The engine, the worker daemon and the supervisor talk only
 to this protocol, so backends are interchangeable:
 
 * :class:`~repro.runner.brokers.spool.SpoolBroker` — the reference
@@ -65,7 +65,7 @@ from repro.core.results import RunHistory
 from repro.runner.spec import TrialSpec
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.runner.cache import ResultCache
+    from repro.runner.results.pickle_store import ResultCache
 
 #: Default lease time-to-live in seconds: a lease whose heartbeat is older
 #: than this is considered abandoned and may be re-offered.  Workers

@@ -47,10 +47,11 @@ Protocol mapping (see :mod:`repro.runner.brokers.base` for the contract):
 * **heartbeat** — while executing, the worker periodically touches its lease
   file; the mtime is the liveness signal.
 * **complete** — the worker writes the result through the shared
-  :class:`~repro.runner.cache.ResultCache` *first*, then unlinks the lease.
-  Completion is therefore observable before the lease disappears; a crash
-  between the two steps only leaves a lease that expires and a cached
-  result the next leaseholder discovers and serves without re-executing.
+  :class:`~repro.runner.results.pickle_store.ResultCache` *first*, then
+  unlinks the lease.  Completion is therefore observable before the lease
+  disappears; a crash between the two steps only leaves a lease that
+  expires and a cached result the next leaseholder discovers and serves
+  without re-executing.
 * **release** — anyone (the polling submitter, typically) may rename a lease
   whose mtime is older than the TTL back into ``tasks/`` (into the shard the
   claim name records, so re-offers keep their dataset affinity), re-offering
@@ -121,7 +122,7 @@ from repro.runner.brokers.base import (
     SpoolTimeout,
     sanitize_token,
 )
-from repro.runner.cache import atomic_write_bytes
+from repro.runner.results.pickle_store import atomic_write_bytes
 from repro.runner.spec import TrialSpec
 
 __all__ = [
@@ -135,10 +136,6 @@ __all__ = [
     "SpoolStats",
     "SpoolTimeout",
 ]
-
-# Historical module-local name for the shared shard/lease-component
-# normaliser (kept: this module is also importable as repro.runner.broker).
-_sanitize = sanitize_token
 
 
 @dataclass
@@ -347,14 +344,16 @@ class SpoolBroker(Broker):
         payload = pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL)
         written = False
         for _ in range(10):
-            task.parent.mkdir(parents=True, exist_ok=True)
             try:
+                task.parent.mkdir(parents=True, exist_ok=True)
                 atomic_write_bytes(task, payload)
                 written = True
                 break
-            except FileNotFoundError:
-                # A worker rmdir'ed the just-drained shard between our
-                # mkdir and the tempfile creation; recreate and retry.
+            except (FileNotFoundError, FileExistsError):
+                # A worker rmdir'ed the just-drained shard under us: before
+                # the tempfile creation, or inside mkdir itself (pathlib
+                # re-raises FileExistsError when the directory vanishes
+                # between its mkdir and is_dir probes).  Recreate and retry.
                 continue
         if not written:
             raise OSError(f"shard directory for {task} keeps vanishing")
@@ -526,7 +525,7 @@ class SpoolBroker(Broker):
             return []
         if not self.tasks_dir.is_dir():
             return []
-        holder = _sanitize(worker_id) or "anon"
+        holder = sanitize_token(worker_id) or "anon"
         self.stats.batches += 1
         if self.scan_order == "random" and self._affinity_shard:
             # Fast path: as long as the previously fruitful shard keeps

@@ -33,9 +33,9 @@ re-offered, re-claimed under a new token) can neither drop the new holder's
 lease nor record a failure log for it.
 
 Results never touch the database: workers publish through the shared
-content-addressed :class:`~repro.runner.cache.ResultCache` exactly as under
-the spool, so distributed runs stay byte-identical to serial regardless of
-backend.
+content-addressed :class:`~repro.runner.results.pickle_store.ResultCache`
+exactly as under the spool, so distributed runs stay byte-identical to
+serial regardless of backend.
 
 Concurrency: one connection per broker instance, opened lazily (safe to
 construct before forking worker subprocesses) with

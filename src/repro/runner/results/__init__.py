@@ -1,6 +1,6 @@
 """Pluggable trial-result persistence behind one :class:`ResultStore` protocol.
 
-The package splits the former ``repro.runner.cache`` module into:
+The package holds:
 
 * :mod:`~repro.runner.results.base` — the abstract :class:`ResultStore`
   protocol (get / put / keys_present / contains / len / clear + quarantine
@@ -18,8 +18,7 @@ Backends are selected by name through :func:`create_result_store` (the
 string comes from ``ExecutionConfig.results``, the ``REPRO_RESULTS``
 environment variable, or a ``--results`` flag); everything above the store —
 the engine, the brokers' polling loop, the worker daemon — talks only to the
-protocol.  ``repro.runner.cache`` remains importable and *is* the pickle
-store module, so pre-split imports and monkeypatches keep working unchanged.
+protocol.
 """
 
 from __future__ import annotations

@@ -9,10 +9,6 @@ executes trials whose spec changed; everything else is served from disk.
 Writes are atomic (tempfile + ``os.replace``) so concurrent grid runs and
 interrupted processes never leave half-written entries, and unreadable
 entries are treated as misses rather than errors.
-
-This module is also importable as ``repro.runner.cache``, its pre-package
-name (the alias module replaces itself in ``sys.modules``, so module-level
-monkeypatching keeps working).
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ freezes that description so trials can be hashed, deduplicated, shipped to
 worker processes — pool workers on this machine, or pickled onto a spool
 directory for :mod:`repro.runner.worker` daemons on other machines — and
 used as content addresses for the on-disk result cache
-(:mod:`repro.runner.cache`).
+(:mod:`repro.runner.results`).
 
 The hash covers every input that determines the trial's outcome — framework,
 dataset, seed, protocol parameters and pipeline keyword arguments (configs

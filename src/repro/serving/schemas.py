@@ -12,8 +12,10 @@ spec would produce (:func:`canonical_json` pins the encoding).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
+from repro.core.config import ActiveDPConfig
 from repro.core.results import RunHistory
 from repro.experiments.protocol import EvaluationProtocol
 from repro.labeling.wire import WireFormatError, canonical_wire_lfs
@@ -22,6 +24,26 @@ from repro.runner.spec import TrialSpec
 
 class RequestError(ValueError):
     """A request body the service must reject (rendered as HTTP 400)."""
+
+
+def check_config_overrides(config_overrides) -> None:
+    """Reject ``config_overrides`` that are not an object of ActiveDP config fields.
+
+    Shared by ``POST /label`` and ``POST /sessions``, so an unknown key (a
+    typo, or a field the config no longer has) is a 400 at the door rather
+    than a ``TypeError`` from ``dataclasses.replace`` on a worker.
+    """
+    if config_overrides is None:
+        return
+    if not isinstance(config_overrides, dict):
+        raise RequestError("'config_overrides' must be an object when given")
+    fields = {field.name for field in dataclasses.fields(ActiveDPConfig)}
+    unknown = sorted(set(config_overrides) - fields)
+    if unknown:
+        raise RequestError(
+            f"unknown config_overrides field(s): {unknown}; "
+            f"valid fields: {sorted(fields)}"
+        )
 
 
 def parse_label_request(body: dict) -> TrialSpec:
@@ -59,8 +81,7 @@ def parse_label_request(body: dict) -> TrialSpec:
     except (TypeError, ValueError) as error:
         raise RequestError(f"invalid numeric field: {error}") from error
     config_overrides = body.get("config_overrides")
-    if config_overrides is not None and not isinstance(config_overrides, dict):
-        raise RequestError("'config_overrides' must be an object when given")
+    check_config_overrides(config_overrides)
     known = {
         "dataset", "lfs", "seed", "scale", "eval_every", "end_model_C",
         "config_overrides",

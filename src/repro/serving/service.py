@@ -39,7 +39,12 @@ from repro.runner.brokers import DEFAULT_LEASE_TTL, create_broker
 from repro.runner.results import create_result_store
 from repro.runner.spec import TrialSpec
 from repro.serving.admission import AdmissionController
-from repro.serving.schemas import RequestError, label_payload, parse_label_request
+from repro.serving.schemas import (
+    RequestError,
+    check_config_overrides,
+    label_payload,
+    parse_label_request,
+)
 from repro.serving.sessions import (
     SessionBusyError,
     SessionManager,
@@ -134,6 +139,7 @@ class LabelingService:
             "requeues": 0,
             "completed": 0,
             "failed": 0,
+            "watch_errors": 0,
         }
         self._tick = 0
         self._draining = False
@@ -223,6 +229,7 @@ class LabelingService:
         history = self.store.get(job.spec)
         if history is None:
             return 202, {"key": key, "status": "pending"}, {}
+        self._finish(key, "done")
         return 200, label_payload(job.spec, history), {}
 
     # -- sessions ----------------------------------------------------------
@@ -244,8 +251,10 @@ class LabelingService:
         if unknown:
             return 400, {"error": f"unknown session field(s): {sorted(unknown)}"}, {}
         config_overrides = body.get("config_overrides")
-        if config_overrides is not None and not isinstance(config_overrides, dict):
-            return 400, {"error": "'config_overrides' must be an object when given"}, {}
+        try:
+            check_config_overrides(config_overrides)
+        except RequestError as error:
+            return 400, {"error": str(error)}, {}
         try:
             info = self.sessions.create(
                 dataset,
@@ -297,10 +306,13 @@ class LabelingService:
             jobs = {"pending": 0, "done": 0, "failed": 0}
             for job in self._jobs.values():
                 jobs[job.status] += 1
+            # Taken under the service lock, which `_finish` holds while it
+            # releases capacity: a job and its admission slot read as one.
+            admission = self.admission.snapshot()
         payload = {
             "requests": counters,
             "jobs": jobs,
-            "admission": self.admission.snapshot(),
+            "admission": admission,
             "sessions": self.sessions.stats(),
             "broker": self.broker.counts(),
             "results_stored": len(self.store),
@@ -407,7 +419,9 @@ class LabelingService:
             except Exception:  # noqa: BLE001 - the watcher must survive ticks
                 # A transient backend error (e.g. a locked SQLite file)
                 # must not kill job completion; the next tick retries.
-                continue
+                # Counted, so `/stats` shows what the watcher swallowed.
+                with self._lock:
+                    self._counters["watch_errors"] += 1
 
     def _watch_once(self) -> None:
         """One watcher tick: complete, police leases, surface failures, heal."""
@@ -453,7 +467,11 @@ class LabelingService:
                     self._counters["requeues"] += 1
 
     def _finish(self, key: str, status: str, error: dict | None = None) -> None:
-        """Move one job to a terminal state exactly once."""
+        """Move one job to a terminal state exactly once.
+
+        The admission slot is released inside the same critical section, so
+        ``/stats`` never shows a finished job still holding capacity.
+        """
         with self._lock:
             job = self._jobs.get(key)
             if job is None or job.status != "pending":
@@ -461,6 +479,6 @@ class LabelingService:
             job.status = status
             job.error = error
             self._counters["completed" if status == "done" else "failed"] += 1
-            admitted, job.admitted = job.admitted, False
-        if admitted:
-            self.admission.release()
+            if job.admitted:
+                job.admitted = False
+                self.admission.release()

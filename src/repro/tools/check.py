@@ -186,12 +186,10 @@ def all_checkers() -> list[Checker]:
     from repro.tools.determinism import DeterminismChecker
     from repro.tools.locks import LockDisciplineChecker
     from repro.tools.protocols import ProtocolConformanceChecker
-    from repro.tools.purity import BackendPurityChecker
     from repro.tools.schema_version import SchemaVersionChecker
 
     return [
         DeterminismChecker(),
-        BackendPurityChecker(),
         SchemaVersionChecker(),
         LockDisciplineChecker(),
         ProtocolConformanceChecker(),
@@ -322,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--rules",
         default=None,
         help="comma-separated rule selectors: family names (determinism, "
-        "purity, schema, locks, protocols), exact ids (REPRO103) or id "
+        "schema, locks, protocols), exact ids (REPRO103) or id "
         "prefixes (REPRO1); default: all rules",
     )
     parser.add_argument(

@@ -1,10 +1,10 @@
 """Protocol-conformance checker for the pluggable backends (REPRO50x).
 
-Three seams are pluggable by registry: :class:`~repro.runner.brokers.base.Broker`
-(spool/sqlite), :class:`~repro.runner.results.base.ResultStore`
-(pickle/indexed) and :class:`~repro.numerics.backend.ArrayBackend`
-(numpy/jax).  The contract suites exercise behaviour, but structural drift —
-a renamed parameter, a default dropped on one backend, a new abstract method
+Two seams are pluggable by registry:
+:class:`~repro.runner.brokers.base.Broker` (spool/sqlite) and
+:class:`~repro.runner.results.base.ResultStore` (pickle/indexed).  The
+contract suites exercise behaviour, but structural drift — a renamed
+parameter, a default dropped on one backend, a new abstract method
 implemented on one side of the seam only — surfaces there as obscure
 failures deep in a scenario.  This checker catches the drift statically, at
 the class definition.
@@ -38,7 +38,6 @@ from repro.tools.check import Checker, Finding, dotted_name, parse_scoped_source
 PROTOCOL_SURFACES: tuple[tuple[str, str, tuple[str, ...]], ...] = (
     ("runner/brokers/base.py", "Broker", ("runner/brokers/*.py",)),
     ("runner/results/base.py", "ResultStore", ("runner/results/*.py",)),
-    ("numerics/backend.py", "ArrayBackend", ("numerics/backend.py",)),
 )
 
 

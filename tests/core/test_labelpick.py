@@ -53,6 +53,31 @@ class TestAccuracyPruning:
         # claiming nothing was pruned when everything was is a reporting bug.
         assert result.pruned_low_accuracy == [0, 1]
 
+    @pytest.mark.parametrize("threshold", [0.0, 0.5, 0.7, 1.0])
+    def test_accuracy_prune_matches_per_column_reference(self, rng, threshold):
+        n_valid, n_lfs = 60, 9
+        y_valid = rng.integers(0, 2, n_valid)
+        fire_rate = np.linspace(0.0, 0.9, n_lfs)
+        accuracy = np.linspace(0.1, 1.0, n_lfs)[::-1]
+        fired = rng.random((n_valid, n_lfs)) < fire_rate
+        correct = rng.random((n_valid, n_lfs)) < accuracy
+        votes = np.where(correct, y_valid[:, None], 1 - y_valid[:, None])
+        valid_matrix = np.where(fired, votes, ABSTAIN)
+
+        survivors, pruned = LabelPick()._accuracy_prune(valid_matrix, y_valid, threshold)
+
+        expected_pruned = []
+        for j in range(n_lfs):
+            votes_j = valid_matrix[:, j]
+            on = votes_j != ABSTAIN
+            # A never-firing LF carries no evidence and is always kept.
+            if on.any() and np.mean(votes_j[on] == y_valid[on]) <= threshold:
+                expected_pruned.append(j)
+        assert pruned == expected_pruned
+        assert survivors == [j for j in range(n_lfs) if j not in expected_pruned]
+        assert valid_matrix[:, 0].tolist() == [ABSTAIN] * n_valid
+        assert 0 in survivors
+
 
 class TestStructureSelection:
     def test_redundant_lf_is_pruned_by_markov_blanket(self, rng):

@@ -53,7 +53,6 @@ class TestWarmColdEquivalence:
         reference = get_label_model(
             framework.config.label_model,
             n_classes=framework.n_classes,
-            backend=framework.config.backend,
             early_stop=framework.config.adaptive_early_stop,
         )
         reference.fit(state.train_matrix.columns(selected))

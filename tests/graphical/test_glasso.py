@@ -280,8 +280,8 @@ class TestEmpiricalCovariance:
 
 class TestRelativeStoppingCriterion:
     """``early_stop=True`` switches the sweep criterion from an absolute mean
-    precision-change threshold to one relative to the precision's own scale,
-    so the sweep count no longer depends on the units of the data."""
+    covariance-change threshold to one relative to the covariance's own
+    scale, so the sweep count no longer depends on the units of the data."""
 
     def _scaled_runs(self, rng, **kwargs):
         data = rng.multivariate_normal(

@@ -1,23 +1,19 @@
-"""Tests for the backend-pure EM steps, padding, scoring and stopping rules."""
+"""Tests for the EM step functions and the relative-loss stopping rule."""
 
 import numpy as np
 import pytest
 
 from repro.label_models import GenerativeLabelModel, MeTaLLabelModel
 from repro.labeling.lf import ABSTAIN
-from repro.numerics import RelativeLossStop, get_backend, relative_change
+from repro.numerics import RelativeLossStop, relative_change
 from repro.numerics.em import (
-    MIN_COLUMN_BUCKET,
-    column_bucket,
     generative_masks,
     generative_posterior,
-    generative_step_fn,
+    generative_step,
     metal_masks,
     metal_posterior,
-    metal_step_fn,
-    pad_columns,
+    metal_step,
 )
-from repro.numerics.scores import labelpick_score_fn
 
 N_CLASSES = 2
 
@@ -30,77 +26,6 @@ def matrix():
     correct = rng.random((60, 7)) < 0.75
     votes = np.where(correct, labels[:, None], 1 - labels[:, None])
     return np.where(fired, votes, ABSTAIN)
-
-
-class TestBucketsAndPadding:
-    def test_column_bucket_is_next_power_of_two_with_floor(self):
-        assert column_bucket(1) == MIN_COLUMN_BUCKET
-        assert column_bucket(8) == 8
-        assert column_bucket(9) == 16
-        assert column_bucket(40) == 64
-        assert column_bucket(64) == 64
-
-    def test_pad_columns_zero_pads_trailing_axis_only(self):
-        array = np.ones((3, 4, 5))
-        padded = pad_columns(array, 8)
-        assert padded.shape == (3, 4, 8)
-        np.testing.assert_array_equal(padded[..., :5], array)
-        np.testing.assert_array_equal(padded[..., 5:], 0.0)
-
-    def test_pad_columns_noop_when_already_wide_enough(self):
-        array = np.ones((2, 5))
-        assert pad_columns(array, 5) is array
-        assert pad_columns(array, 3) is array
-
-    def test_padded_generative_step_matches_unpadded_after_slice(self, matrix):
-        """All-zero padded columns must not perturb either EM step."""
-        model = GenerativeLabelModel(n_classes=N_CLASSES)
-        outcomes = np.where(matrix == ABSTAIN, 0, matrix + 1)
-        masks = generative_masks(outcomes, N_CLASSES + 1)
-        resp = np.full((matrix.shape[0], N_CLASSES), 0.5)
-        log_priors = np.log(np.full(N_CLASSES, 0.5))
-        step = generative_step_fn(get_backend("numpy"), N_CLASSES + 1)
-
-        cpts, out_resp, loss = step(masks, resp, log_priors, 1.0)
-        padded_cpts, padded_resp, padded_loss = step(
-            pad_columns(masks, 16), resp, log_priors, 1.0
-        )
-        np.testing.assert_allclose(padded_cpts[: matrix.shape[1]], cpts, atol=1e-15)
-        np.testing.assert_allclose(padded_resp, out_resp, atol=1e-15)
-        assert padded_loss == pytest.approx(loss, abs=1e-12)
-
-    def test_padded_metal_step_matches_unpadded_after_slice(self, matrix):
-        n, k = matrix.shape
-        fired, not_fired, vote_masks, vote_index = metal_masks(
-            matrix, N_CLASSES, ABSTAIN
-        )
-        never_fired = ~(matrix != ABSTAIN).any(axis=0)
-        resp = np.full((n, N_CLASSES), 0.5)
-        log_priors = np.log(np.full(N_CLASSES, 0.5))
-        step = metal_step_fn(get_backend("numpy"), N_CLASSES)
-        args = dict(smoothing=1.0, prior_accuracy=0.7, low=0.55, high=0.98)
-
-        acc, prop, out_resp, loss = step(
-            fired, not_fired, vote_masks, vote_index, never_fired,
-            resp, log_priors, args["smoothing"], args["prior_accuracy"],
-            args["low"], args["high"],
-        )
-        bucket = 16
-        p_acc, p_prop, p_resp, p_loss = step(
-            pad_columns(fired, bucket),
-            pad_columns(not_fired, bucket),
-            pad_columns(vote_masks, bucket),
-            pad_columns(vote_index, bucket),
-            np.pad(never_fired, (0, bucket - k), constant_values=True),
-            resp, log_priors, args["smoothing"], args["prior_accuracy"],
-            args["low"], args["high"],
-        )
-        np.testing.assert_allclose(p_acc[:k], acc, atol=1e-15)
-        np.testing.assert_allclose(p_prop[:k], prop, atol=1e-15)
-        np.testing.assert_allclose(p_resp, out_resp, atol=1e-15)
-        assert p_loss == pytest.approx(loss, abs=1e-12)
-        # Padded columns carry the prior accuracy (never fired) and no votes.
-        np.testing.assert_array_equal(p_acc[k:], args["prior_accuracy"])
 
 
 class TestStepsMatchModels:
@@ -118,10 +43,9 @@ class TestStepsMatchModels:
         model = GenerativeLabelModel(n_classes=N_CLASSES).fit(matrix)
         outcomes = np.where(matrix == ABSTAIN, 0, matrix + 1)
         resp = model._posterior(outcomes, model.cpts_)
-        step = generative_step_fn(get_backend("numpy"), N_CLASSES + 1)
         log_priors = np.log(np.clip(model.class_priors_, 1e-12, 1.0))
 
-        cpts, new_resp, _ = step(
+        cpts, new_resp, _ = generative_step(
             generative_masks(outcomes, N_CLASSES + 1), resp, log_priors, model.smoothing
         )
         expected_cpts = model._m_step(outcomes, resp)
@@ -147,10 +71,9 @@ class TestStepsMatchModels:
             matrix, N_CLASSES, ABSTAIN
         )
         never_fired = ~(matrix != ABSTAIN).any(axis=0)
-        step = metal_step_fn(get_backend("numpy"), N_CLASSES)
         low, high = model.accuracy_bounds
 
-        acc, prop, new_resp, _ = step(
+        acc, prop, new_resp, _ = metal_step(
             fired, not_fired, vote_masks, vote_index, never_fired,
             resp, np.log(np.clip(model.class_priors_, 1e-12, 1.0)),
             model.smoothing, model.prior_accuracy, low, high,
@@ -161,25 +84,6 @@ class TestStepsMatchModels:
         np.testing.assert_allclose(acc, reference.accuracies_, atol=1e-15)
         np.testing.assert_allclose(prop, reference.propensities_, atol=1e-15)
         np.testing.assert_allclose(new_resp, reference._posterior(matrix), atol=1e-15)
-
-
-class TestLabelPickScores:
-    def test_scores_match_reference_reductions(self, matrix):
-        labels = np.random.default_rng(5).integers(0, N_CLASSES, size=matrix.shape[0])
-        backend = get_backend("numpy")
-        n_fired, accuracy = labelpick_score_fn(backend)(matrix, labels, ABSTAIN)
-
-        fired = matrix != ABSTAIN
-        expected_fired = fired.sum(axis=0)
-        expected_correct = (fired & (matrix == labels[:, None])).sum(axis=0)
-        np.testing.assert_array_equal(n_fired, expected_fired)
-        np.testing.assert_array_equal(
-            accuracy, expected_correct / np.maximum(expected_fired, 1)
-        )
-
-    def test_score_fn_cached_per_backend(self):
-        backend = get_backend("numpy")
-        assert labelpick_score_fn(backend) is labelpick_score_fn(backend)
 
 
 class TestRelativeLossStop:

@@ -187,7 +187,7 @@ class TestLeaseProtocol:
         def failing_write(path, data):
             raise OSError("disk full")
 
-        monkeypatch.setattr("repro.runner.broker.atomic_write_bytes", failing_write)
+        monkeypatch.setattr("repro.runner.brokers.spool.atomic_write_bytes", failing_write)
         with pytest.raises(OSError):
             broker.enqueue(spec)
         assert broker.failure_for(spec.key) is not None  # evidence preserved
@@ -277,6 +277,28 @@ class TestShardedSpool:
         # ...and an enqueue simply recreates the shard.
         assert broker.enqueue(spec) is True
         assert broker.task_path(spec).exists()
+
+    def test_enqueue_survives_a_shard_pruned_inside_mkdir(self, tmp_path, monkeypatch):
+        """pathlib's ``mkdir(exist_ok=True)`` raises ``FileExistsError`` when
+        the directory exists at its mkdir but a worker's prune removes it
+        before its is_dir probe; enqueue must retry, not fail the request."""
+        from pathlib import Path
+
+        broker = SpoolBroker(tmp_path)
+        broker._ensure_dirs()
+        spec = _spec()
+        real_mkdir = Path.mkdir
+        raced = []
+
+        def racing_mkdir(self, *args, **kwargs):
+            if not raced and self == broker.task_path(spec).parent:
+                raced.append(True)
+                raise FileExistsError(17, "File exists", str(self))
+            return real_mkdir(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", racing_mkdir)
+        assert broker.enqueue(spec) is True
+        assert raced and broker.task_path(spec).exists()
 
     def test_consecutive_batches_prefer_the_same_shard(self, tmp_path):
         """Dataset affinity: a worker that claimed from one shard keeps

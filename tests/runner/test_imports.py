@@ -18,7 +18,7 @@ import pytest
 ENTRY_MODULES = [
     "repro.runner",
     "repro.runner.spec",
-    "repro.runner.cache",
+    "repro.runner.results.pickle_store",
     "repro.runner.results",
     "repro.runner.query",
     "repro.runner.executor",

@@ -45,7 +45,7 @@ class TestParseLabelRequest:
             {"end_model_C": 2.0},
             {"eval_every": 1},
             {"lfs": LFS[:1]},
-            {"config_overrides": {"lm_threshold_grid": 11}},
+            {"config_overrides": {"glasso_alpha": 0.02}},
         ):
             varied = parse_label_request({"dataset": "youtube", "lfs": LFS, **variation})
             assert varied.key != base.key, variation
@@ -74,6 +74,7 @@ class TestParseLabelRequest:
             {"dataset": "youtube", "lfs": [{"type": "nope"}]},
             {"dataset": "youtube", "lfs": LFS, "seed": "many"},
             {"dataset": "youtube", "lfs": LFS, "config_overrides": [1]},
+            {"dataset": "youtube", "lfs": LFS, "config_overrides": {"backend": "numpy"}},
             {"dataset": "youtube", "lfs": LFS, "surprise": True},
         ],
     )

@@ -1,0 +1,125 @@
+"""Service bookkeeping without HTTP: request validation, admission release,
+and the watcher's swallowed-error counter.
+
+These drive :class:`~repro.serving.LabelingService` directly (its request
+methods return ``(status, payload, headers)``), with a watcher that never
+ticks on its own unless a test asks for it, so every assertion is about one
+known sequence of calls.
+"""
+
+from __future__ import annotations
+
+import threading
+
+import pytest
+
+from repro.runner import run_trial
+from repro.serving import LabelingService
+from repro.serving.schemas import parse_label_request
+
+LFS = [
+    {"type": "keyword", "keyword": "check", "label": 1},
+    {"type": "keyword", "keyword": "song", "label": 0},
+]
+BODY = {"dataset": "youtube", "lfs": LFS, "scale": 0.15}
+
+#: A watcher period no test outlives: the watcher thread never ticks.
+NEVER = 3600.0
+
+
+@pytest.fixture()
+def make_service(tmp_path):
+    built = []
+
+    def factory(**kwargs):
+        kwargs.setdefault("poll_interval", NEVER)
+        service = LabelingService(
+            tmp_path / f"spool{len(built)}", tmp_path / f"cache{len(built)}", **kwargs
+        )
+        built.append(service)
+        return service
+
+    yield factory
+    for service in built:
+        service.close()
+
+
+def _counters(service):
+    _, stats, _ = service.stats()
+    return stats["requests"], stats["admission"], stats["broker"]
+
+
+class TestConfigOverrides:
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"backend": "numpy"}, {"glasso_alpah": 0.02}],
+        ids=["removed-field", "misspelled-field"],
+    )
+    def test_label_request_with_unknown_key_is_rejected_before_admission(
+        self, make_service, overrides
+    ):
+        service = make_service()
+        before = _counters(service)
+        status, payload, _ = service.submit({**BODY, "config_overrides": overrides})
+        assert status == 400
+        assert sorted(overrides)[0] in payload["error"]
+        assert _counters(service) == before
+
+    def test_session_with_unknown_key_is_rejected(self, make_service):
+        service = make_service()
+        status, payload, _ = service.create_session(
+            {"dataset": "youtube", "scale": 0.15, "config_overrides": {"backend": "numpy"}}
+        )
+        assert status == 400
+        assert "backend" in payload["error"]
+        assert service.list_sessions()[1]["sessions"] == []
+
+
+class TestAdmissionRelease:
+    def test_status_of_a_landed_result_releases_capacity(self, make_service):
+        service = make_service(max_inflight=1)
+        status, payload, _ = service.submit(BODY)
+        assert status == 202
+        assert service.stats()[1]["admission"]["inflight"] == 1
+
+        spec = parse_label_request(BODY)
+        service.store.put(spec, run_trial(spec))
+        status, _, _ = service.status(payload["key"])
+        assert status == 200
+
+        _, stats, _ = service.stats()
+        assert stats["admission"]["inflight"] == 0
+        assert stats["admission"]["completed"] == 1
+        assert stats["jobs"] == {"pending": 0, "done": 1, "failed": 0}
+        # The released slot is usable at once.
+        status, _, _ = service.submit({**BODY, "seed": 1})
+        assert status == 202
+
+
+class TestWatcherErrors:
+    def test_swallowed_tick_error_is_counted_and_the_job_completes(self, make_service):
+        service = make_service(poll_interval=0.01)
+        real_keys_present = service.store.keys_present
+        calls = []
+
+        def flaky_keys_present(specs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise OSError("database is locked")
+            return real_keys_present(specs)
+
+        service.store.keys_present = flaky_keys_present
+        status, payload, _ = service.submit(BODY)
+        assert status == 202
+        spec = parse_label_request(BODY)
+        service.store.put(spec, run_trial(spec))
+
+        wait = threading.Event()
+        for _ in range(1000):
+            _, stats, _ = service.stats()
+            if stats["jobs"]["done"] == 1:
+                break
+            wait.wait(0.01)
+        assert stats["jobs"] == {"pending": 0, "done": 1, "failed": 0}
+        assert stats["requests"]["watch_errors"] == 1
+        assert stats["admission"]["inflight"] == 0

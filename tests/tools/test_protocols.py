@@ -207,8 +207,8 @@ class TestSignatureDrift:
 
 class TestRealSeams:
     def test_all_registered_backends_conform(self):
-        # Spool/sqlite brokers, pickle/indexed stores and numpy/jax array
-        # backends all hold their protocol surfaces with no suppressions.
+        # Spool/sqlite brokers and pickle/indexed stores all hold their
+        # protocol surfaces with no suppressions.
         report = run_checks(
             root=default_root(), checkers=[ProtocolConformanceChecker()]
         )
@@ -226,7 +226,7 @@ class TestRealSeams:
         with tempfile.TemporaryDirectory() as scratch:
             root = Path(scratch) / "repro"
             src = default_root()
-            for rel in ("runner/brokers", "runner/results", "numerics"):
+            for rel in ("runner/brokers", "runner/results"):
                 shutil.copytree(src / rel, root / rel)
             sqlite_path = root / "runner/brokers/sqlite.py"
             text = sqlite_path.read_text()

@@ -19,10 +19,10 @@ class TestRepoIsClean:
         report = run_checks()
         assert report.findings == [], report.to_text()
 
-    def test_all_five_rule_families_were_enabled(self):
+    def test_all_four_rule_families_were_enabled(self):
         report = run_checks()
         families = {rule[: len("REPROx")] for rule in report.rules}
-        assert {"REPRO1", "REPRO2", "REPRO3", "REPRO4", "REPRO5"} <= families
+        assert families == {"REPRO1", "REPRO3", "REPRO4", "REPRO5"}
 
     def test_cli_exits_zero_on_the_real_tree(self, capsys):
         assert main([]) == 0
@@ -70,4 +70,4 @@ class TestRepoIsClean:
                     f"{rule} declared by both {seen[rule]} and {checker.name}"
                 )
                 seen[rule] = checker.name
-        assert len(seen) == 13
+        assert len(seen) == 11
