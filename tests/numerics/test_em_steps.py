@@ -106,3 +106,239 @@ class TestRelativeLossStop:
     def test_relative_change_guards_zero_previous(self):
         assert relative_change(1.0, 0.0) == 1e12
         assert relative_change(5.0, 10.0) == pytest.approx(0.5)
+
+
+def _noisy_matrix(rng, n_instances, n_lfs, n_classes, fire_rate=0.5, accuracy=0.75):
+    """Votes of *n_lfs* noisy LFs on *n_instances* items with *n_classes* labels."""
+    labels = rng.integers(0, n_classes, size=n_instances)
+    fired = rng.random((n_instances, n_lfs)) < fire_rate
+    correct = rng.random((n_instances, n_lfs)) < accuracy
+    wrong = (labels[:, None] + rng.integers(1, max(n_classes, 2), (n_instances, n_lfs))) % n_classes
+    votes = np.where(correct, labels[:, None], wrong)
+    return np.where(fired, votes, ABSTAIN)
+
+
+def _generative_inputs(rng, matrix, n_classes):
+    outcomes = np.where(matrix == ABSTAIN, 0, matrix + 1)
+    masks = generative_masks(outcomes, n_classes + 1)
+    responsibilities = rng.dirichlet(np.ones(n_classes), size=matrix.shape[0])
+    log_priors = np.log(np.full(n_classes, 1.0 / n_classes))
+    return outcomes, masks, responsibilities, log_priors
+
+
+def _metal_inputs(rng, matrix, n_classes):
+    fired, not_fired, vote_masks, vote_index = metal_masks(matrix, n_classes, ABSTAIN)
+    never_fired = ~(matrix != ABSTAIN).any(axis=0)
+    responsibilities = rng.dirichlet(np.ones(n_classes), size=matrix.shape[0])
+    log_priors = np.log(np.full(n_classes, 1.0 / n_classes))
+    return (fired, not_fired, vote_masks, vote_index, never_fired), responsibilities, log_priors
+
+
+def _logsumexp_rows(values):
+    shift = values.max(axis=1, keepdims=True)
+    return shift[:, 0] + np.log(np.exp(values - shift).sum(axis=1))
+
+
+class TestMasks:
+    def test_generative_masks_partition_every_cell(self, matrix):
+        outcomes = np.where(matrix == ABSTAIN, 0, matrix + 1)
+        masks = generative_masks(outcomes, N_CLASSES + 1)
+        assert masks.shape == (N_CLASSES + 1,) + matrix.shape
+        np.testing.assert_array_equal(masks.sum(axis=0), np.ones(matrix.shape))
+        np.testing.assert_array_equal(masks[0], (matrix == ABSTAIN).astype(float))
+
+    def test_metal_masks_split_fired_from_abstained(self, matrix):
+        fired, not_fired, vote_masks, vote_index = metal_masks(matrix, N_CLASSES, ABSTAIN)
+        np.testing.assert_array_equal(fired + not_fired, np.ones(matrix.shape))
+        np.testing.assert_array_equal(vote_masks.sum(axis=0), fired)
+        assert vote_index.min() >= 0
+        on = matrix != ABSTAIN
+        np.testing.assert_array_equal(vote_index[on], matrix[on])
+
+
+class TestGenerativeStepProperties:
+    @pytest.mark.parametrize("n_classes", [2, 3, 4])
+    def test_outputs_are_distributions(self, n_classes):
+        rng = np.random.default_rng(n_classes)
+        matrix = _noisy_matrix(rng, 80, 6, n_classes)
+        _, masks, resp, log_priors = _generative_inputs(rng, matrix, n_classes)
+
+        cpts, new_resp, loss = generative_step(masks, resp, log_priors, 1.0)
+
+        assert cpts.shape == (6, n_classes, n_classes + 1)
+        assert (cpts > 0).all()
+        np.testing.assert_allclose(cpts.sum(axis=2), 1.0, atol=1e-12)
+        assert (new_resp >= 0).all()
+        np.testing.assert_allclose(new_resp.sum(axis=1), 1.0, atol=1e-12)
+        assert np.isfinite(loss) and loss > 0
+
+    def test_loss_is_mean_negative_log_marginal_likelihood(self):
+        rng = np.random.default_rng(11)
+        matrix = _noisy_matrix(rng, 40, 5, 3)
+        outcomes, masks, resp, log_priors = _generative_inputs(rng, matrix, 3)
+
+        cpts, new_resp, loss = generative_step(masks, resp, log_priors, 0.5)
+
+        # Brute force: log p(x_i) = logsumexp_c [log pi_c + sum_j log cpt[j, c, x_ij]].
+        lfs = np.arange(matrix.shape[1])
+        joint = np.stack(
+            [
+                log_priors[c] + np.log(cpts[lfs, c, outcomes]).sum(axis=1)
+                for c in range(3)
+            ],
+            axis=1,
+        )
+        marginal = _logsumexp_rows(joint)
+        assert loss == pytest.approx(-marginal.mean(), rel=1e-12)
+        np.testing.assert_allclose(new_resp, np.exp(joint - marginal[:, None]), atol=1e-12)
+
+    def test_unsmoothed_iterations_never_increase_the_loss(self):
+        rng = np.random.default_rng(5)
+        matrix = _noisy_matrix(rng, 120, 8, 2)
+        _, masks, resp, log_priors = _generative_inputs(rng, matrix, 2)
+
+        losses = []
+        for _ in range(25):
+            _, resp, loss = generative_step(masks, resp, log_priors, 0.0)
+            losses.append(loss)
+        assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:])), losses
+
+    def test_class_blind_cpts_leave_the_posterior_at_the_priors(self):
+        rng = np.random.default_rng(2)
+        matrix = _noisy_matrix(rng, 30, 4, 3)
+        outcomes = np.where(matrix == ABSTAIN, 0, matrix + 1)
+        per_lf = rng.dirichlet(np.ones(4), size=4)
+        cpts = np.repeat(per_lf[:, None, :], 3, axis=1)
+        priors = np.array([0.2, 0.3, 0.5])
+
+        proba = generative_posterior(outcomes, cpts, priors)
+
+        np.testing.assert_allclose(proba, np.tile(priors, (30, 1)), atol=1e-12)
+
+    def test_relabelling_classes_permutes_the_posterior(self):
+        rng = np.random.default_rng(8)
+        matrix = _noisy_matrix(rng, 50, 6, 2)
+        outcomes = np.where(matrix == ABSTAIN, 0, matrix + 1)
+        cpts = rng.dirichlet(np.ones(3), size=(6, 2))
+        priors = np.array([0.35, 0.65])
+
+        swapped_outcomes = np.where(outcomes == 0, 0, 3 - outcomes)
+        swapped_cpts = cpts[:, ::-1, :][:, :, [0, 2, 1]]
+
+        np.testing.assert_allclose(
+            generative_posterior(swapped_outcomes, swapped_cpts, priors[::-1]),
+            generative_posterior(outcomes, cpts, priors)[:, ::-1],
+            atol=1e-12,
+        )
+
+    def test_inputs_are_not_mutated(self, matrix):
+        rng = np.random.default_rng(0)
+        _, masks, resp, log_priors = _generative_inputs(rng, matrix, N_CLASSES)
+        before = (masks.copy(), resp.copy(), log_priors.copy())
+
+        generative_step(masks, resp, log_priors, 1.0)
+
+        for original, after in zip(before, (masks, resp, log_priors)):
+            np.testing.assert_array_equal(original, after)
+
+
+class TestMetalStepProperties:
+    LOW, HIGH, PRIOR = 0.55, 0.98, 0.7
+
+    def _step(self, rng, matrix, n_classes, smoothing=1.0):
+        masks, resp, log_priors = _metal_inputs(rng, matrix, n_classes)
+        return metal_step(
+            *masks, resp, log_priors, smoothing, self.PRIOR, self.LOW, self.HIGH
+        )
+
+    @pytest.mark.parametrize("n_classes", [2, 3, 4])
+    def test_outputs_are_distributions_within_bounds(self, n_classes):
+        rng = np.random.default_rng(10 + n_classes)
+        matrix = _noisy_matrix(rng, 80, 6, n_classes)
+
+        acc, prop, resp, loss = self._step(rng, matrix, n_classes)
+
+        assert acc.shape == (6,) and prop.shape == (6, n_classes)
+        assert ((acc >= self.LOW) & (acc <= self.HIGH)).all()
+        assert ((prop > 0) & (prop < 1)).all()
+        assert (resp >= 0).all()
+        np.testing.assert_allclose(resp.sum(axis=1), 1.0, atol=1e-12)
+        assert np.isfinite(loss) and loss > 0
+
+    @pytest.mark.parametrize("smoothing", [0.0, 1.0])
+    def test_never_fired_lfs_keep_the_prior_accuracy(self, smoothing):
+        rng = np.random.default_rng(4)
+        matrix = _noisy_matrix(rng, 60, 5, 2)
+        matrix[:, [1, 3]] = ABSTAIN
+
+        # Unsmoothed, a silent LF's accuracy estimate is 0 / 0.
+        with np.errstate(invalid="ignore"):
+            acc, _, _, _ = self._step(rng, matrix, 2, smoothing=smoothing)
+
+        assert acc[1] == self.PRIOR and acc[3] == self.PRIOR
+
+    def test_loss_is_mean_negative_log_marginal_likelihood(self):
+        rng = np.random.default_rng(12)
+        n_classes = 3
+        matrix = _noisy_matrix(rng, 40, 5, n_classes)
+        masks, resp, log_priors = _metal_inputs(rng, matrix, n_classes)
+
+        acc, prop, new_resp, loss = metal_step(
+            *masks, resp, log_priors, 1.0, self.PRIOR, self.LOW, self.HIGH
+        )
+
+        # Brute force: an abstain costs 1 - propensity, an agreeing vote
+        # propensity * accuracy, a disagreeing one propensity * the wrong share.
+        joint = np.zeros((40, n_classes))
+        for c in range(n_classes):
+            per_lf = np.where(
+                matrix == ABSTAIN,
+                np.log(1 - prop[:, c]),
+                np.log(prop[:, c])
+                + np.where(
+                    matrix == c, np.log(acc), np.log((1 - acc) / (n_classes - 1))
+                ),
+            )
+            joint[:, c] = log_priors[c] + per_lf.sum(axis=1)
+        marginal = _logsumexp_rows(joint)
+        assert loss == pytest.approx(-marginal.mean(), rel=1e-12)
+        np.testing.assert_allclose(new_resp, np.exp(joint - marginal[:, None]), atol=1e-12)
+
+    def test_all_abstain_rows_keep_the_priors_under_class_blind_propensities(self):
+        rng = np.random.default_rng(6)
+        matrix = _noisy_matrix(rng, 20, 4, 2)
+        matrix[:5] = ABSTAIN
+        propensities = np.repeat(rng.uniform(0.2, 0.8, size=(4, 1)), 2, axis=1)
+        priors = np.array([0.3, 0.7])
+
+        proba = metal_posterior(
+            matrix, ABSTAIN, np.full(4, 0.8), propensities, priors, 2
+        )
+
+        np.testing.assert_allclose(proba[:5], np.tile(priors, (5, 1)), atol=1e-12)
+
+    def test_relabelling_classes_permutes_the_posterior(self):
+        rng = np.random.default_rng(9)
+        matrix = _noisy_matrix(rng, 50, 6, 2)
+        accuracies = rng.uniform(0.6, 0.95, size=6)
+        propensities = rng.uniform(0.2, 0.8, size=(6, 2))
+        priors = np.array([0.4, 0.6])
+        swapped = np.where(matrix == ABSTAIN, ABSTAIN, 1 - matrix)
+
+        np.testing.assert_allclose(
+            metal_posterior(
+                swapped, ABSTAIN, accuracies, propensities[:, ::-1], priors[::-1], 2
+            ),
+            metal_posterior(matrix, ABSTAIN, accuracies, propensities, priors, 2)[:, ::-1],
+            atol=1e-12,
+        )
+
+    def test_inputs_are_not_mutated(self, matrix):
+        rng = np.random.default_rng(1)
+        masks, resp, log_priors = _metal_inputs(rng, matrix, N_CLASSES)
+        before = [array.copy() for array in (*masks, resp, log_priors)]
+
+        metal_step(*masks, resp, log_priors, 1.0, self.PRIOR, self.LOW, self.HIGH)
+
+        for original, after in zip(before, (*masks, resp, log_priors)):
+            np.testing.assert_array_equal(original, after)

@@ -1,0 +1,161 @@
+"""Tests for the numpy graphical-lasso sweeps and the inner lasso solver."""
+
+import numpy as np
+import pytest
+
+from repro.numerics.glasso import glasso_block_sweeps, lasso_cd
+
+
+def _spd(rng, p, n_samples=200):
+    data = rng.normal(size=(n_samples, p))
+    data[:, 1] += 0.8 * data[:, 0]
+    data[:, 2] -= 0.5 * data[:, 1]
+    return np.cov(data, rowvar=False)
+
+
+def _sweep(emp_cov, alpha, max_iter=100, tol=1e-8, **options):
+    """Cold-start the sweeps the way ``graphical_lasso`` does."""
+    p = emp_cov.shape[0]
+    covariance = emp_cov.copy()
+    covariance.flat[:: p + 1] += alpha
+    return glasso_block_sweeps(
+        covariance, np.eye(p), emp_cov, alpha, max_iter, tol, **options
+    )
+
+
+class TestLassoCd:
+    @pytest.mark.parametrize("alpha", [0.01, 0.1, 0.5])
+    def test_solution_satisfies_the_kkt_conditions(self, rng, alpha):
+        gram = _spd(rng, 6)
+        linear = rng.normal(size=6)
+
+        weights = lasso_cd(gram, linear, alpha, max_iter=2000, tol=1e-12)
+
+        gradient = gram @ weights - linear
+        active = weights != 0
+        np.testing.assert_allclose(
+            gradient[active], -alpha * np.sign(weights[active]), atol=1e-8
+        )
+        assert (np.abs(gradient[~active]) <= alpha + 1e-8).all()
+
+    def test_initial_guess_is_not_mutated(self, rng):
+        gram, linear = _spd(rng, 5), rng.normal(size=5)
+        initial = rng.normal(size=5)
+        snapshot = initial.copy()
+
+        lasso_cd(gram, linear, 0.1, initial=initial)
+
+        np.testing.assert_array_equal(initial, snapshot)
+
+    def test_zero_iterations_return_the_initial_guess(self, rng):
+        gram, linear = _spd(rng, 5), rng.normal(size=5)
+        initial = rng.normal(size=5)
+
+        np.testing.assert_array_equal(
+            lasso_cd(gram, linear, 0.1, max_iter=0, initial=initial), initial
+        )
+
+    def test_solution_is_a_fixed_point(self, rng):
+        gram, linear = _spd(rng, 5), rng.normal(size=5)
+        solution = lasso_cd(gram, linear, 0.05, max_iter=2000, tol=1e-14)
+
+        again = lasso_cd(gram, linear, 0.05, max_iter=1, initial=solution)
+
+        np.testing.assert_allclose(again, solution, atol=1e-12)
+
+    def test_non_positive_diagonal_is_guarded(self):
+        gram = np.diag([0.0, -1.0, 2.0])
+        linear = np.array([0.05, -0.05, 1.0])
+
+        with np.errstate(all="raise"):
+            weights = lasso_cd(gram, linear, 0.1)
+
+        np.testing.assert_array_equal(weights, [0.0, 0.0, 0.45])
+
+
+class TestGlassoBlockSweeps:
+    def test_zero_sweeps_return_the_seed_untouched(self, rng):
+        emp_cov = _spd(rng, 4)
+
+        covariance, precision, n_iter, converged, final_change = _sweep(
+            emp_cov, 0.1, max_iter=0
+        )
+
+        expected = emp_cov + 0.1 * np.eye(4)
+        np.testing.assert_array_equal(covariance, expected)
+        np.testing.assert_array_equal(precision, np.eye(4))
+        assert (n_iter, converged, final_change) == (0, False, None)
+
+    def test_exhausted_budget_is_not_reported_as_converged(self, rng):
+        emp_cov = _spd(rng, 5)
+
+        _, _, n_iter, converged, final_change = _sweep(emp_cov, 0.05, max_iter=1, tol=0.0)
+
+        assert n_iter == 1 and not converged and final_change > 0
+
+    def test_iterates_are_symmetric(self, rng):
+        covariance, precision, _, converged, _ = _sweep(_spd(rng, 6), 0.05)
+
+        assert converged
+        np.testing.assert_allclose(covariance, covariance.T, atol=1e-12)
+        np.testing.assert_allclose(precision, precision.T, atol=1e-12)
+
+    def test_diagonal_stays_at_the_penalised_empirical_variance(self, rng):
+        emp_cov = _spd(rng, 6)
+
+        covariance, _, _, _, _ = _sweep(emp_cov, 0.2)
+
+        np.testing.assert_array_equal(np.diag(covariance), np.diag(emp_cov) + 0.2)
+
+    def test_precision_inverts_the_covariance_at_convergence(self, rng):
+        covariance, precision, _, converged, _ = _sweep(_spd(rng, 6), 0.05, tol=1e-10)
+
+        assert converged
+        np.testing.assert_allclose(precision @ covariance, np.eye(6), atol=1e-6)
+
+    def test_zero_penalty_reproduces_the_empirical_covariance(self, rng):
+        emp_cov = _spd(rng, 5)
+
+        covariance, precision, _, converged, _ = _sweep(
+            emp_cov, 0.0, tol=1e-12, lasso_max_iter=5000, lasso_tol=1e-14
+        )
+
+        assert converged
+        np.testing.assert_allclose(covariance, emp_cov, atol=1e-8)
+        np.testing.assert_allclose(precision, np.linalg.inv(emp_cov), atol=1e-6)
+
+    def test_independent_blocks_stay_independent(self, rng):
+        left, right = _spd(rng, 3), _spd(rng, 3)
+        emp_cov = np.zeros((6, 6))
+        emp_cov[:3, :3], emp_cov[3:, 3:] = left, right
+
+        covariance, precision, _, _, _ = _sweep(emp_cov, 0.05)
+
+        np.testing.assert_array_equal(precision[:3, 3:], 0.0)
+        np.testing.assert_array_equal(covariance[:3, 3:], 0.0)
+        assert (precision[:3, :3] != 0).sum() > 3
+
+    def test_larger_penalty_gives_no_more_edges(self, rng):
+        emp_cov = _spd(rng, 8)
+        edges = []
+        for alpha in (0.01, 0.1, 0.3, 1.0):
+            _, precision, _, _, _ = _sweep(emp_cov, alpha)
+            off_diagonal = precision[~np.eye(8, dtype=bool)]
+            edges.append(int((off_diagonal != 0).sum()))
+
+        assert edges == sorted(edges, reverse=True)
+        assert edges[0] > 0 and edges[-1] == 0
+
+    def test_early_stop_is_exactly_scale_equivariant(self, rng):
+        emp_cov = _spd(rng, 6)
+        # A power-of-two scale is exact in floating point, so every iterate
+        # must scale exactly and the relative stopping rule must fire on the
+        # same sweep.
+        scale = 8.0
+
+        base = _sweep(emp_cov, 0.05, tol=1e-4, early_stop=True)
+        scaled = _sweep(emp_cov * scale, 0.05 * scale, tol=1e-4, early_stop=True)
+
+        np.testing.assert_array_equal(scaled[0], base[0] * scale)
+        np.testing.assert_array_equal(scaled[1], base[1] / scale)
+        assert scaled[2:4] == base[2:4]
