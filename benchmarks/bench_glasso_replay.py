@@ -1,0 +1,76 @@
+"""Benchmark GLASSO: a trial's graphical-lasso calls, replayed through two solvers.
+
+Runs one seeded ``activedp`` youtube trial and records every
+``graphical_lasso`` call LabelPick makes (no fixture file: the sequence is
+generated at bench time).  Each call is then replayed through the historical
+solver (``tests/numerics/reference_glasso.py``: plain coordinate descent,
+every column's lasso restarted from zero) and through
+:func:`repro.graphical.glasso.graphical_lasso`.  Every call must select the
+same Markov blanket of the label; the production solver must also be at
+least ``REPRO_GLASSO_REPLAY_MIN_SPEEDUP`` times faster over the replay
+(default 3.0; ``0`` checks blanket identity only, for noisy shared
+runners).  The trial has the ``trial-labelpick`` shape: youtube@1.0,
+70 iterations.  Both walls are merged into the repo-root
+``BENCH_core.json`` via ``benchmarks/record.py``.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests" / "numerics"))
+
+import reference_glasso as reference  # noqa: E402
+
+from repro.graphical.glasso import graphical_lasso  # noqa: E402
+from repro.graphical.markov_blanket import markov_blanket  # noqa: E402
+
+SEED = 64  # the trial-labelpick seed
+SCALE = 1.0
+ITERATIONS = 70
+MIN_SPEEDUP = float(os.environ.get("REPRO_GLASSO_REPLAY_MIN_SPEEDUP", 3.0))
+
+
+def _timed(solver, args, kwargs):
+    start = time.perf_counter()
+    result = solver(*args, **kwargs)
+    return result, time.perf_counter() - start
+
+
+def test_replay_selects_the_historical_blankets_faster(bench_record):
+    """Same blanket on every call; the replay is MIN_SPEEDUP times faster."""
+    calls = reference.record_glasso_calls(SEED, SCALE, ITERATIONS)
+    assert calls, "the trial never reached structure learning"
+
+    walls = {"reference_s": 0.0, "production_s": 0.0}
+    for number, (args, kwargs) in enumerate(calls):
+        expected, reference_s = _timed(reference.graphical_lasso, args, kwargs)
+        result, production_s = _timed(graphical_lasso, args, kwargs)
+        walls["reference_s"] += reference_s
+        walls["production_s"] += production_s
+
+        label = result.precision.shape[0] - 1
+        assert markov_blanket(result.precision, label) == markov_blanket(
+            expected.precision, label
+        ), f"call {number} selected a different blanket"
+
+    speedup = walls["reference_s"] / walls["production_s"]
+    print(
+        f"\nglasso replay: {len(calls)} calls (youtube@{SCALE}, seed {SEED}, "
+        f"{ITERATIONS} iterations), blankets identical; reference "
+        f"{walls['reference_s']:.2f}s vs production {walls['production_s']:.2f}s "
+        f"= {speedup:.1f}x"
+    )
+    bench_record("glasso_replay", {
+        "seed": SEED,
+        "scale": SCALE,
+        "n_iterations": ITERATIONS,
+        "n_calls": len(calls),
+        "max_variables": max(args[0].shape[1] for args, _ in calls),
+        **walls,
+        "speedup": speedup,
+    })
+    assert speedup >= MIN_SPEEDUP

@@ -57,7 +57,9 @@ class ActiveDPConfig:
         (shared survivors intersection-mapped).  The optimisation problem is
         unchanged — the estimate agrees with a cold start up to solver
         tolerance, not bit for bit.  ``False`` restarts structure learning
-        from scratch on every refit (historical semantics, exactly).
+        from scratch on every refit (the historical semantics).  Either way
+        the glasso solver agrees with the historical one on every selected
+        Markov blanket, not bit for bit.
     warm_start_al_model:
         Seed each active-learning-model refit (L-BFGS logistic regression)
         with the previous fit's coefficients.  The objective is convex, so
@@ -72,8 +74,10 @@ class ActiveDPConfig:
         their loss/iterate instead of the historical fixed absolute
         thresholds — size- and scale-independent, and warm-started refits
         converge in a couple of iterations instead of burning the full
-        budget.  ``False`` restores the historical fixed-budget semantics
-        exactly.
+        budget.  ``False`` restores the historical fixed-budget semantics:
+        exactly (bit for bit) for label-model EM; the glasso keeps its
+        absolute threshold and agrees with the historical solver on every
+        selected Markov blanket.
     """
 
     sampler: str = "adp"

@@ -121,7 +121,7 @@ class LabelPick:
         Judge glasso convergence relative to the covariance iterate's own
         scale (threshold :attr:`GLASSO_EARLY_STOP_RTOL`) instead of the
         absolute :attr:`GLASSO_TOL`.  ``False`` (default) keeps the
-        historical semantics exactly.
+        historical stopping rule.
     """
 
     def __init__(

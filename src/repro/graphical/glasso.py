@@ -79,23 +79,24 @@ def graphical_lasso(
         Identity shrinkage applied to the empirical covariance for numerical
         stability (ignored when ``from_covariance=True``).
     warm_start:
-        A previous :class:`GraphicalLassoResult` to seed the covariance
-        iterate from.  The problem is convex, so the solution is unchanged —
-        a near-solution initialiser (e.g. the previous ActiveDP iteration's
-        estimate) just needs far fewer sweeps to reach it.
+        A previous :class:`GraphicalLassoResult` to seed the covariance and
+        precision iterates from.  The problem is convex, so the solution is
+        unchanged — a near-solution initialiser (e.g. the previous ActiveDP
+        iteration's estimate) just needs far fewer sweeps to reach it.
     warm_start_map:
         For each variable of the *new* problem, the variable index in the
         warm-start result it corresponds to, or ``-1`` for a variable the
         previous result did not cover.  ``None`` means the identity map
         (requires matching dimensions).  Mapped pairs seed their covariance
-        entries from the previous estimate; pairs involving a new variable
-        keep the cold initialisation.  An inapplicable payload (wrong
-        dimensions, out-of-range map) degrades to a cold start, never raises.
+        and precision entries from the previous estimate; pairs involving a
+        new variable keep the cold covariance and a zero precision entry.
+        An inapplicable payload (wrong dimensions, out-of-range map)
+        degrades to a cold start, never raises.
     early_stop:
         Judge the mean absolute covariance change against ``tol`` *relative
         to the iterate's own scale* instead of as an absolute threshold,
         making the stopping rule invariant to the covariance's units.
-        ``False`` (default) keeps the historical semantics exactly.
+        ``False`` (default) keeps the historical stopping rule.
     """
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
@@ -114,8 +115,11 @@ def graphical_lasso(
     covariance = emp_cov.copy()
     # Keep the diagonal slightly inflated so every sub-block stays invertible.
     covariance.flat[:: p + 1] = emp_cov.flat[:: p + 1] + alpha
-    warm_started = _seed_covariance(covariance, warm_start, warm_start_map)
+    seed = _warm_start_pairs(p, warm_start, warm_start_map)
+    warm_started = seed is not None
     if warm_started:
+        new_pairs, previous_pairs = seed
+        covariance[new_pairs] = np.asarray(warm_start.covariance)[previous_pairs]
         # The diagonal is a fixed constraint of the glasso solution
         # (W_jj = S_jj + alpha), so it always comes from the *new* data.
         covariance.flat[:: p + 1] = emp_cov.flat[:: p + 1] + alpha
@@ -126,7 +130,11 @@ def graphical_lasso(
             covariance = emp_cov.copy()
             covariance.flat[:: p + 1] = emp_cov.flat[:: p + 1] + alpha
             warm_started = False
-    precision = np.linalg.pinv(covariance)
+    # Unconnected variables seed their lasso from zero; a warm start keeps
+    # the previous precision's sparsity on the mapped pairs.
+    precision = np.diag(1.0 / np.maximum(np.diag(covariance), 1e-12))
+    if warm_started:
+        precision[new_pairs] = np.asarray(warm_start.precision)[previous_pairs]
 
     covariance, precision, n_iter, converged, final_change = glasso_block_sweeps(
         covariance,
@@ -144,40 +152,37 @@ def graphical_lasso(
     )
 
 
-def _seed_covariance(
-    covariance: np.ndarray,
+def _warm_start_pairs(
+    p: int,
     warm_start: GraphicalLassoResult | None,
     warm_start_map: np.ndarray | None,
-) -> bool:
-    """Overwrite mapped off-diagonal entries of *covariance* in place.
+) -> tuple[tuple, tuple] | None:
+    """Index pairs ``(new, previous)`` carrying a warm start into *p* variables.
 
-    Returns whether any entry was seeded; an inapplicable payload leaves the
-    cold initialisation untouched.
+    ``estimate[new] = warm_start_estimate[previous]`` copies the mapped
+    block of either iterate.  Returns ``None`` when the payload is
+    inapplicable, which leaves the cold initialisation untouched.
     """
     if warm_start is None:
-        return False
+        return None
     previous = np.asarray(warm_start.covariance, dtype=float)
     if previous.ndim != 2 or previous.shape[0] != previous.shape[1]:
-        return False
-    p = covariance.shape[0]
+        return None
     p_prev = previous.shape[0]
     if warm_start_map is None:
         # The implicit identity map is only meaningful for identical
         # dimensions; seeding a smaller problem positionally would silently
         # pair the wrong variables.
         if p_prev != p:
-            return False
+            return None
         column_map = np.arange(p)
     else:
         column_map = np.asarray(warm_start_map, dtype=int)
     if column_map.shape != (p,) or np.any(column_map >= p_prev):
-        return False
+        return None
     mapped = np.flatnonzero(column_map >= 0)
     if mapped.size < 2:
         # Warm information lives in the off-diagonal entries; fewer than two
         # mapped variables carry none.
-        return False
-    covariance[np.ix_(mapped, mapped)] = previous[
-        np.ix_(column_map[mapped], column_map[mapped])
-    ]
-    return True
+        return None
+    return np.ix_(mapped, mapped), np.ix_(column_map[mapped], column_map[mapped])

@@ -9,8 +9,12 @@ functions adjacent to the class label in the learned dependency structure.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def markov_blanket(precision: np.ndarray, target: int, threshold: float = 1e-6) -> list[int]:
@@ -47,7 +51,11 @@ def dependency_graph(
 
     Nodes carry the provided *names* (defaulting to integer indices) and each
     edge stores the corresponding precision entry as its ``weight``.
+    ``networkx`` is imported here, not at module load: LabelPick needs only
+    :func:`markov_blanket`.
     """
+    import networkx as nx
+
     precision = np.asarray(precision, dtype=float)
     p = precision.shape[0]
     if names is None:

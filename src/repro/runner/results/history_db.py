@@ -477,6 +477,10 @@ class RunHistoryDB:
         rows = self.aggregate(metric=metric, by=by, **filters)
         return rows if limit is None else rows[:limit]
 
+    def has_key(self, key: str) -> bool:
+        """Whether a trial row exists for *key* (a bound-parameter probe)."""
+        return bool(self._read("SELECT 1 FROM trials WHERE key = ? LIMIT 1", (key,)))
+
     def iterations(self, key: str) -> list[dict]:
         """Per-iteration index rows of one trial, in iteration order."""
         return [

@@ -42,7 +42,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: 4: RunHistory gained the ``artifacts`` payload (pipelines may export
 #:    final labels/diagnostics/predictions) and the trial loop calls the
 #:    pipelines' ``export_artifacts()`` hook after the last iteration.
-CACHE_FORMAT_VERSION = 4
+#: 5: the graphical lasso's inner solver was replaced; it agrees with the
+#:    old one on every selected Markov blanket, not bit for bit.
+CACHE_FORMAT_VERSION = 5
 
 
 def canonical_value(obj):

@@ -387,7 +387,7 @@ class LabelingService:
         db = getattr(self.store, "db", None)
         if db is None:
             return False
-        return bool(db.query(where=f"key = '{key}'", limit=1))
+        return db.has_key(key)
 
     def _payload_for_key(self, key: str, history) -> dict:
         """A label payload for a raw key (store probe; no spec in hand).

@@ -1,8 +1,15 @@
 """Tests for Markov-blanket extraction and the dependency graph export."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import networkx as nx
 import numpy as np
 import pytest
+
+import repro
 
 from repro.graphical import dependency_graph, markov_blanket
 
@@ -56,3 +63,16 @@ class TestDependencyGraph:
     def test_name_length_mismatch_raises(self):
         with pytest.raises(ValueError):
             dependency_graph(PRECISION, names=["only", "two"])
+
+    def test_program_entry_points_do_not_import_networkx(self):
+        # A fresh interpreter: this test process has imported networkx above.
+        probe = (
+            "import sys, repro.runner.executor, repro.runner.worker, repro.serving.server; "
+            "print('networkx' in sys.modules)"
+        )
+        output = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])},
+        ).stdout
+
+        assert output.strip() == "False"

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import reference_glasso as reference
 
 from repro.numerics.glasso import glasso_block_sweeps, lasso_cd
 
@@ -13,14 +14,39 @@ def _spd(rng, p, n_samples=200):
     return np.cov(data, rowvar=False)
 
 
-def _sweep(emp_cov, alpha, max_iter=100, tol=1e-8, **options):
+def _sweep(emp_cov, alpha, max_iter=100, tol=1e-8, sweeps=glasso_block_sweeps, **options):
     """Cold-start the sweeps the way ``graphical_lasso`` does."""
     p = emp_cov.shape[0]
     covariance = emp_cov.copy()
     covariance.flat[:: p + 1] += alpha
-    return glasso_block_sweeps(
-        covariance, np.eye(p), emp_cov, alpha, max_iter, tol, **options
+    return sweeps(covariance, np.eye(p), emp_cov, alpha, max_iter, tol, **options)
+
+
+def _assert_kkt(gram, linear, alpha, weights, atol=1e-8):
+    gradient = gram @ weights - linear
+    active = weights != 0
+    np.testing.assert_allclose(
+        gradient[active], -alpha * np.sign(weights[active]), atol=atol
     )
+    assert (np.abs(gradient[~active]) <= alpha + atol).all()
+
+
+@pytest.fixture
+def solve_spy(monkeypatch):
+    """Record ``[matrix, rhs, solution]`` of every exact solve attempted.
+
+    ``solution`` stays ``None`` when the solve raised.
+    """
+    calls = []
+    solve = np.linalg.solve
+
+    def spy(matrix, rhs):
+        calls.append([matrix, rhs, None])
+        calls[-1][2] = solve(matrix, rhs)
+        return calls[-1][2]
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    return calls
 
 
 class TestLassoCd:
@@ -31,20 +57,18 @@ class TestLassoCd:
 
         weights = lasso_cd(gram, linear, alpha, max_iter=2000, tol=1e-12)
 
-        gradient = gram @ weights - linear
-        active = weights != 0
-        np.testing.assert_allclose(
-            gradient[active], -alpha * np.sign(weights[active]), atol=1e-8
-        )
-        assert (np.abs(gradient[~active]) <= alpha + 1e-8).all()
+        _assert_kkt(gram, linear, alpha, weights)
 
-    def test_initial_guess_is_not_mutated(self, rng):
+    def test_initial_guess_is_not_mutated(self, rng, solve_spy):
         gram, linear = _spd(rng, 5), rng.normal(size=5)
         initial = rng.normal(size=5)
         snapshot = initial.copy()
+        # A read-only guess fails loudly on any write, not just a visible one.
+        initial.setflags(write=False)
 
         lasso_cd(gram, linear, 0.1, initial=initial)
 
+        assert solve_spy, "the exact-solve step never ran"
         np.testing.assert_array_equal(initial, snapshot)
 
     def test_zero_iterations_return_the_initial_guess(self, rng):
@@ -71,6 +95,85 @@ class TestLassoCd:
             weights = lasso_cd(gram, linear, 0.1)
 
         np.testing.assert_array_equal(weights, [0.0, 0.0, 0.45])
+
+
+class TestExactSupportSolve:
+    """The exact solve on each sweep's support, after a sweep that did not converge."""
+
+    def test_a_sign_consistent_solve_finishes_in_one_sweep(self):
+        gram = np.array([[1.0, 0.9], [0.9, 1.0]])
+        linear = np.array([1.0, 0.95])
+
+        # One coordinate sweep reaches the right signs but not the optimum;
+        # the exact solve on that support lands on the optimum itself.
+        weights = lasso_cd(gram, linear, 0.1, max_iter=1)
+
+        _assert_kkt(gram, linear, 0.1, weights, atol=1e-12)
+
+    def test_a_sign_mismatched_candidate_is_rejected(self, solve_spy):
+        gram = np.array([[1.0, 0.9], [0.9, 1.0]])
+        linear = np.array([0.5, 1.0])
+
+        # From zero the first sweep makes both weights positive, but the
+        # optimum has w0 < 0: the exact solve on the sweep's support and signs
+        # flips w0's sign and must not replace the coordinate-descent iterate.
+        weights = lasso_cd(gram, linear, 0.1, max_iter=1)
+
+        np.testing.assert_allclose(weights, [0.4, 0.54], atol=1e-15)
+        (_, _, candidate), = solve_spy
+        assert candidate[0] < 0 < weights[0]
+
+        solution = lasso_cd(gram, linear, 0.1, max_iter=2000, tol=1e-12)
+        _assert_kkt(gram, linear, 0.1, solution)
+        np.testing.assert_allclose(solution, [-21 / 19, 36 / 19], atol=1e-12)
+
+    @pytest.mark.parametrize("shape", ["duplicated-column", "rank-deficient"])
+    def test_a_singular_support_gram_neither_raises_nor_goes_non_finite(
+        self, rng, solve_spy, shape
+    ):
+        if shape == "duplicated-column":
+            design = rng.normal(size=(20, 3))
+            design = np.column_stack([design, design[:, 0]])
+        else:
+            design = rng.normal(size=(3, 6))
+        gram = design.T @ design
+        linear = design.T @ rng.normal(size=design.shape[0])
+
+        with np.errstate(all="raise"):
+            weights = lasso_cd(gram, linear, 0.1, max_iter=2000, tol=1e-12)
+
+        assert any(
+            np.linalg.matrix_rank(matrix) < matrix.shape[0] for matrix, _, _ in solve_spy
+        ), "no exact solve met a singular support gram"
+        assert np.isfinite(weights).all()
+        _assert_kkt(gram, linear, 0.1, weights)
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.1])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lasso_agrees_with_the_historical_solver(self, seed, alpha):
+        rng = np.random.default_rng(seed)
+        gram, linear = _spd(rng, 8), rng.normal(size=8)
+
+        weights = lasso_cd(gram, linear, alpha, max_iter=5000, tol=1e-12)
+        expected = reference.lasso_cd(gram, linear, alpha, max_iter=5000, tol=1e-12)
+
+        _assert_kkt(gram, linear, alpha, weights)
+        np.testing.assert_allclose(weights, expected, atol=1e-6)
+        np.testing.assert_array_equal(weights != 0, expected != 0)
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.1])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sweeps_agree_with_the_historical_solver(self, seed, alpha):
+        emp_cov = _spd(np.random.default_rng(seed), 7)
+        options = dict(tol=1e-10, lasso_max_iter=5000, lasso_tol=1e-12)
+
+        covariance, precision, _, converged, _ = _sweep(emp_cov, alpha, **options)
+        expected = _sweep(emp_cov, alpha, sweeps=reference.glasso_block_sweeps, **options)
+
+        assert converged and expected[3]
+        np.testing.assert_allclose(covariance, expected[0], atol=1e-6)
+        np.testing.assert_allclose(precision, expected[1], atol=1e-6)
+        np.testing.assert_array_equal(precision != 0, expected[1] != 0)
 
 
 class TestGlassoBlockSweeps:

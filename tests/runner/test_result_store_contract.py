@@ -256,6 +256,18 @@ class TestIndexedStore:
         assert counts["trials"] == 0 and counts["iterations"] == 0
         assert counts["benchmark_runs"] == 1
 
+    def test_has_key_binds_the_key_as_a_parameter(self, tmp_path):
+        store = IndexedResultStore(tmp_path)
+        spec = _spec()
+        store.put(spec, _history())
+
+        assert store.db.has_key(spec.key)
+        # Spliced into the SQL text, the first probe would match every row
+        # and the second would end the statement early.
+        assert not store.db.has_key("x' OR '1'='1")
+        assert not store.db.has_key("'; DELETE FROM trials; --")
+        assert [row["key"] for row in store.db.query()] == [spec.key]
+
     def test_db_file_lives_inside_the_cache_root(self, tmp_path):
         store = IndexedResultStore(tmp_path)
         store.put(_spec(), _history())
