@@ -8,6 +8,70 @@ plain numpy functions.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.lapack import dgesv
+
+
+def feature_sign(gram, linear, alpha: float, start, max_steps: int, exclude: int):
+    """Minimise ``0.5 w^T Q w - b^T w + alpha * ||w||_1`` by feature-sign search.
+
+    The active-set method of Lee, Battle, Raina and Ng (*Efficient sparse
+    coding algorithms*, NIPS 2007), with ``w[exclude]`` held at zero.  From
+    the support and signs of *start*, each step solves the stationarity
+    conditions on the support ``S`` exactly,
+    ``Q[S, S] w_S = b_S - alpha * sign_S``.  If a sign flips, a discrete line
+    search moves to the lowest objective among the solution and every zero
+    crossing on the way to it, drops the zeroed coordinates and solves
+    again.  Otherwise the point satisfies the KKT conditions when
+    ``|b - Q w| <= alpha`` off the support; if not, the largest violator
+    joins the support with the sign of its residual.
+
+    Returns the KKT point as a new array, or ``None`` when a support solve is
+    singular or non-finite or *max_steps* solves do not reach a KKT point.
+    *start* is not modified.  The solve is an LU factorisation: scaling
+    ``Q``, ``b`` and ``alpha`` by a power of two scales every step exactly,
+    which a Cholesky factor's square roots would not.
+    """
+    gram = np.asarray(gram, dtype=float)
+    linear = np.asarray(linear, dtype=float)
+    weights = np.array(start, dtype=float)
+    weights[exclude] = 0.0
+    support = np.flatnonzero(weights)
+    signs = np.sign(weights[support])
+    for _ in range(max_steps):
+        block = gram[support[:, None], support]
+        solution = np.zeros(0)
+        if support.size:
+            _, _, solution, info = dgesv(block, linear[support] - alpha * signs)
+            if info != 0 or not np.isfinite(solution).all():
+                return None
+        flipped = np.sign(solution) != signs
+        if flipped.any():
+            current = weights[support]
+            crossing = np.flatnonzero(flipped & (current != 0.0))
+            fractions = current[crossing] / (current[crossing] - solution[crossing])
+            candidates = np.vstack(
+                [solution, current + fractions[:, None] * (solution - current)]
+            )
+            candidates[np.arange(1, crossing.size + 1), crossing] = 0.0
+            objective = (
+                0.5 * np.einsum("ij,ij->i", candidates @ block, candidates)
+                - candidates @ linear[support]
+                + alpha * np.abs(candidates).sum(axis=1)
+            )
+            weights[support] = candidates[np.argmin(objective)]
+            support = support[weights[support] != 0.0]
+            signs = np.sign(weights[support])
+            continue
+        weights[support] = solution
+        residual = linear - gram[:, support] @ solution
+        residual[support] = 0.0
+        residual[exclude] = 0.0
+        violator = int(np.argmax(np.abs(residual)))
+        if abs(residual[violator]) <= alpha:
+            return weights
+        support = np.append(support, violator)
+        signs = np.append(signs, np.sign(residual[violator]))
+    return None
 
 
 def lasso_cd(
@@ -105,7 +169,11 @@ def glasso_block_sweeps(
 
     Column j's lasso starts from ``-precision[rest, j] / precision[j, j]``,
     so the *precision* passed in seeds the first sweep and every later
-    sweep resumes from the previous one's solution.
+    sweep resumes from the previous one's solution.  It is solved by
+    :func:`feature_sign` on the full covariance with variable j held at
+    zero; only when that search gives up does :func:`lasso_cd` solve it on
+    the explicit ``rest`` x ``rest`` block.  With ``lasso_max_iter == 0``
+    every lasso keeps its seed.
 
     Returns ``(covariance, precision, n_iter, converged, final_change)``;
     ``final_change`` is the last sweep's mean absolute covariance change
@@ -124,19 +192,28 @@ def glasso_block_sweeps(
         previous = covariance.copy()
         for j in range(p):
             rest = rest_indices[j]
-            sub_cov = covariance[rest[:, None], rest[None, :]]
-            target = emp_cov[rest, j]
             # Warm start from the carried precision (Friedman, Hastie and
             # Tibshirani): beta = -theta_12 / theta_22, which after the
             # first sweep is the previous sweep's solution for this column.
-            initial = None
+            start = np.zeros(p)
             if precision[j, j] > 0.0:
-                initial = -precision[rest, j] / precision[j, j]
-            beta = lasso_cd(
-                sub_cov, target, alpha, max_iter=lasso_max_iter, tol=lasso_tol,
-                initial=initial,
-            )
-            column = sub_cov @ beta
+                start = -precision[:, j] / precision[j, j]
+            full = None
+            if lasso_max_iter > 0:
+                full = feature_sign(
+                    covariance, emp_cov[:, j], alpha, start, 2 * p + 4, exclude=j
+                )
+            if full is None:
+                sub_cov = covariance[rest[:, None], rest[None, :]]
+                beta = lasso_cd(
+                    sub_cov, emp_cov[rest, j], alpha, max_iter=lasso_max_iter,
+                    tol=lasso_tol, initial=start[rest],
+                )
+                column = sub_cov @ beta
+            else:
+                support = np.flatnonzero(full)
+                beta = full[rest]
+                column = (covariance[:, support] @ full[support])[rest]
             covariance[rest, j] = column
             covariance[j, rest] = column
 

@@ -44,7 +44,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #:    pipelines' ``export_artifacts()`` hook after the last iteration.
 #: 5: the graphical lasso's inner solver was replaced; it agrees with the
 #:    old one on every selected Markov blanket, not bit for bit.
-CACHE_FORMAT_VERSION = 5
+#: 6: each glasso column's lasso is solved by feature-sign search to an exact
+#:    KKT point instead of to the coordinate-descent tolerance.
+CACHE_FORMAT_VERSION = 6
 
 
 def canonical_value(obj):

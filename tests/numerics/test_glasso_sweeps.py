@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import reference_glasso as reference
 
-from repro.numerics.glasso import glasso_block_sweeps, lasso_cd
+import repro.numerics.glasso as glasso_module
+from repro.numerics.glasso import feature_sign, glasso_block_sweeps, lasso_cd
 
 
 def _spd(rng, p, n_samples=200):
@@ -173,6 +174,148 @@ class TestExactSupportSolve:
         assert converged and expected[3]
         np.testing.assert_allclose(covariance, expected[0], atol=1e-6)
         np.testing.assert_allclose(precision, expected[1], atol=1e-6)
+        np.testing.assert_array_equal(precision != 0, expected[1] != 0)
+
+
+def _feature_sign(gram, linear, alpha, start=None, exclude=0):
+    p = gram.shape[0]
+    start = np.zeros(p) if start is None else start
+    return feature_sign(gram, linear, alpha, start, 2 * p + 4, exclude)
+
+
+def _kept(p, exclude):
+    return np.delete(np.arange(p), exclude)
+
+
+class TestFeatureSign:
+    """The active-set lasso solver each glasso column tries first."""
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.1])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_solution_is_an_exact_kkt_point_of_the_oracle_lasso(self, seed, alpha):
+        rng = np.random.default_rng(seed)
+        gram, linear = _spd(rng, 8), rng.normal(size=8)
+        exclude = seed % 8
+        kept = _kept(8, exclude)
+        # A random start has the wrong support and signs: the search must
+        # drop, flip and add coordinates to reach the optimum.
+        for start in (np.zeros(8), rng.normal(size=8)):
+            weights = _feature_sign(gram, linear, alpha, start, exclude)
+
+            expected = reference.lasso_cd(
+                gram[np.ix_(kept, kept)], linear[kept], alpha, max_iter=20000, tol=1e-12
+            )
+            assert weights[exclude] == 0.0
+            _assert_kkt(
+                gram[np.ix_(kept, kept)], linear[kept], alpha, weights[kept], atol=1e-10
+            )
+            np.testing.assert_allclose(weights[kept], expected, atol=1e-8)
+            np.testing.assert_array_equal(weights[kept] != 0, expected != 0)
+
+    def test_the_excluded_coordinate_is_never_added(self, rng, monkeypatch):
+        gram, linear = _spd(rng, 6), rng.normal(size=6)
+        exclude = 2
+        # The excluded coordinate is the largest KKT violator, and the start
+        # puts weight on it.
+        linear[exclude] = 100.0
+        start = np.full(6, 0.1)
+        blocks = []
+        solve = glasso_module.dgesv
+
+        def spy(block, rhs):
+            blocks.append(block)
+            return solve(block, rhs)
+
+        monkeypatch.setattr(glasso_module, "dgesv", spy)
+        weights = _feature_sign(gram, linear, 0.05, start, exclude)
+
+        assert weights is not None and weights[exclude] == 0.0
+        assert blocks and all(gram[exclude, exclude] not in np.diag(b) for b in blocks)
+
+    def test_the_line_search_resolves_after_a_sign_flip(self):
+        gram = np.array([[1.0, 0.9, 0.0], [0.9, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        linear = np.array([0.5, 1.0, 0.0])
+
+        # Solving on the start's signs (+, +) overshoots w0 to -2.16; the line
+        # search keeps that point (it beats the crossing at w0 = 0), and the
+        # solve on its signs (-, +) is the optimum.
+        weights = _feature_sign(gram, linear, 0.1, np.array([0.4, 0.54, 0.0]), exclude=2)
+
+        np.testing.assert_allclose(weights, [-21 / 19, 36 / 19, 0.0], atol=1e-12)
+
+    @pytest.mark.parametrize("w0", [0.2, 0.35])
+    def test_a_winning_zero_crossing_drops_the_coordinate(self, w0):
+        gram = np.array([[1.0, 0.99, 0.0], [0.99, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        linear = np.array([0.801, 1.0, 0.0])
+
+        # The solve on (+, +) overshoots w0 to -9.5; the point where w0
+        # crosses zero wins the line search.  From these starts, interpolating
+        # to that crossing leaves w0 a few 1e-17 off zero; only setting it to
+        # exactly 0.0 drops it from the support.
+        weights = _feature_sign(gram, linear, 0.1, np.array([w0, 0.5, 0.0]), exclude=2)
+
+        assert weights[0] == 0.0
+        np.testing.assert_allclose(weights, [0.0, 0.9, 0.0], atol=1e-12)
+
+    @pytest.mark.parametrize("shape", ["duplicated-column", "rank-deficient"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_singular_gram_gives_up_or_returns_a_kkt_point(self, seed, shape):
+        rng = np.random.default_rng(seed)
+        if shape == "duplicated-column":
+            design = rng.normal(size=(20, 4))
+            design = np.column_stack([design, design[:, 0], np.zeros(20)])
+        else:
+            design = np.column_stack([rng.normal(size=(3, 6)), np.zeros(3)])
+        gram = design.T @ design
+        linear = design.T @ rng.normal(size=design.shape[0])
+        p = gram.shape[0]
+        exclude = p - 1
+        kept = _kept(p, exclude)
+
+        with np.errstate(all="raise"):
+            for start in (np.zeros(p), rng.normal(size=p)):
+                weights = _feature_sign(gram, linear, 0.1, start, exclude)
+                if weights is not None:
+                    _assert_kkt(gram[np.ix_(kept, kept)], linear[kept], 0.1, weights[kept])
+
+    def test_power_of_two_scaling_is_exact(self, rng):
+        gram, linear = _spd(rng, 8), rng.normal(size=8)
+        start = rng.normal(size=8)
+        scale = 8.0
+
+        base = _feature_sign(gram, linear, 0.05, start, exclude=3)
+        scaled = _feature_sign(gram * scale, linear * scale, 0.05 * scale, start, exclude=3)
+
+        np.testing.assert_array_equal(scaled, base)
+
+    def test_a_read_only_start_is_not_mutated(self, rng):
+        gram, linear = _spd(rng, 6), rng.normal(size=6)
+        start = rng.normal(size=6)
+        snapshot = start.copy()
+        start.setflags(write=False)
+
+        weights = _feature_sign(gram, linear, 0.05, start, exclude=1)
+
+        assert weights is not None and weights[1] == 0.0
+        np.testing.assert_array_equal(start, snapshot)
+
+    def test_the_sweeps_fall_back_to_coordinate_descent(self, monkeypatch):
+        emp_cov = _spd(np.random.default_rng(0), 7)
+        options = dict(tol=1e-10, lasso_max_iter=5000, lasso_tol=1e-12)
+        expected = _sweep(emp_cov, 0.05, **options)
+        attempts = []
+
+        def gives_up(*args, **kwargs):
+            attempts.append(args)
+            return None
+
+        monkeypatch.setattr(glasso_module, "feature_sign", gives_up)
+        covariance, precision, n_iter, converged, _ = _sweep(emp_cov, 0.05, **options)
+
+        assert len(attempts) == 7 * n_iter
+        assert converged and expected[3]
+        np.testing.assert_allclose(covariance, expected[0], atol=1e-8)
+        np.testing.assert_allclose(precision, expected[1], atol=1e-8)
         np.testing.assert_array_equal(precision != 0, expected[1] != 0)
 
 
