@@ -177,10 +177,8 @@ class TestExactSupportSolve:
         np.testing.assert_array_equal(precision != 0, expected[1] != 0)
 
 
-def _feature_sign(gram, linear, alpha, start=None, exclude=0):
-    p = gram.shape[0]
-    start = np.zeros(p) if start is None else start
-    return feature_sign(gram, linear, alpha, start, 2 * p + 4, exclude)
+def _feature_sign(gram, linear, alpha, start, exclude):
+    return feature_sign(gram, linear, alpha, start, 2 * gram.shape[0] + 4, exclude)
 
 
 def _kept(p, exclude):
@@ -197,18 +195,15 @@ class TestFeatureSign:
         gram, linear = _spd(rng, 8), rng.normal(size=8)
         exclude = seed % 8
         kept = _kept(8, exclude)
+        sub_gram, sub_linear = gram[np.ix_(kept, kept)], linear[kept]
+        expected = reference.lasso_cd(sub_gram, sub_linear, alpha, max_iter=20000, tol=1e-12)
         # A random start has the wrong support and signs: the search must
         # drop, flip and add coordinates to reach the optimum.
         for start in (np.zeros(8), rng.normal(size=8)):
             weights = _feature_sign(gram, linear, alpha, start, exclude)
 
-            expected = reference.lasso_cd(
-                gram[np.ix_(kept, kept)], linear[kept], alpha, max_iter=20000, tol=1e-12
-            )
             assert weights[exclude] == 0.0
-            _assert_kkt(
-                gram[np.ix_(kept, kept)], linear[kept], alpha, weights[kept], atol=1e-10
-            )
+            _assert_kkt(sub_gram, sub_linear, alpha, weights[kept], atol=1e-10)
             np.testing.assert_allclose(weights[kept], expected, atol=1e-8)
             np.testing.assert_array_equal(weights[kept] != 0, expected != 0)
 
