@@ -22,7 +22,7 @@ Usage::
 
     python examples/distributed_grid.py [--dataset youtube] [--iterations 10] \
         [--num-workers 2] [--seeds 2] [--broker spool] [--results pickle] \
-        [--supervise] [--shard-by dataset] [--claim-batch 8] [--keep-dirs]
+        [--supervise] [--claim-batch 8] [--keep-dirs]
 
 With ``--results indexed`` the workers additionally materialise every
 published result into the cache's ``results.sqlite3`` run-history index,
@@ -46,7 +46,6 @@ from repro.runner import (
     BROKER_BACKENDS,
     DEFAULT_CLAIM_BATCH,
     RESULT_STORE_BACKENDS,
-    SHARD_POLICIES,
     ExecutionConfig,
     GridJob,
     last_report,
@@ -141,9 +140,6 @@ def main() -> None:
     parser.add_argument("--supervise", action="store_true",
                         help="replace the hand-spawned workers with one "
                              "elastic supervisor process")
-    parser.add_argument("--shard-by", default="dataset", choices=SHARD_POLICIES,
-                        help="queue shard policy (dataset keeps workers on "
-                             "corpora they already generated)")
     parser.add_argument("--claim-batch", type=int, default=DEFAULT_CLAIM_BATCH,
                         help="tasks each worker claims per queue scan")
     parser.add_argument("--work-dir", default=None,
@@ -177,8 +173,7 @@ def main() -> None:
         )
     else:
         print(f"Spawning {args.num_workers} worker daemon(s) against {spool} "
-              f"[broker={args.broker}, shard_by={args.shard_by}, "
-              f"claim_batch={args.claim_batch}] ...")
+              f"[broker={args.broker}, claim_batch={args.claim_batch}] ...")
         workers = [
             spawn_worker(
                 spool, cache_dir, i, args.claim_batch, args.broker, args.results
@@ -197,7 +192,6 @@ def main() -> None:
                 cache_dir=cache_dir,
                 results=args.results,
                 wait_timeout=600,
-                shard_by=args.shard_by,
                 claim_batch=args.claim_batch,
             ),
         )

@@ -54,9 +54,7 @@ from repro.runner.brokers import (
     BROKER_BACKENDS,
     DEFAULT_CLAIM_BATCH,
     DEFAULT_LEASE_TTL,
-    SHARD_POLICIES,
     Broker,
-    BrokerTimeout,
     LeasedTrial,
     RemoteTrialError,
     SpoolBroker,
@@ -92,7 +90,6 @@ __all__ = [
     "DEFAULT_CLAIM_BATCH",
     "DEFAULT_LEASE_TTL",
     "RESULT_STORE_BACKENDS",
-    "SHARD_POLICIES",
     "TRIAL_METRICS",
     "TrialSpec",
     "IndexedResultStore",
@@ -101,7 +98,6 @@ __all__ = [
     "RunHistoryDB",
     "create_result_store",
     "Broker",
-    "BrokerTimeout",
     "LeasedTrial",
     "RemoteTrialError",
     "SpoolBroker",

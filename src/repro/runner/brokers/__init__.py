@@ -24,9 +24,7 @@ from pathlib import Path
 from repro.runner.brokers.base import (
     DEFAULT_CLAIM_BATCH,
     DEFAULT_LEASE_TTL,
-    SHARD_POLICIES,
     Broker,
-    BrokerTimeout,
     LeasedTrial,
     RemoteTrialError,
     SpoolTimeout,
@@ -37,12 +35,10 @@ from repro.runner.brokers.sqlite import SqliteBroker, SqliteLease, SqliteStats
 __all__ = [
     "BROKER_BACKENDS",
     "Broker",
-    "BrokerTimeout",
     "DEFAULT_CLAIM_BATCH",
     "DEFAULT_LEASE_TTL",
     "LeasedTrial",
     "RemoteTrialError",
-    "SHARD_POLICIES",
     "SpoolBroker",
     "SpoolStats",
     "SpoolTimeout",
@@ -61,8 +57,6 @@ def create_broker(
     backend: str,
     location: str | Path,
     lease_ttl: float = DEFAULT_LEASE_TTL,
-    shard_by: str = "dataset",
-    scan_order: str = "random",
 ) -> Broker:
     """Build a broker backend by name over a shared *location*.
 
@@ -72,17 +66,13 @@ def create_broker(
     ``.db`` file) — so a submitter, its workers and the supervisor can all
     be pointed at the same ``--spool`` path regardless of backend.
 
-    Raises :class:`ValueError` for an unknown *backend* name; the remaining
-    parameters are validated by the backend constructors.
+    Raises :class:`ValueError` for an unknown *backend* name; *lease_ttl*
+    is validated by the backend constructors.
     """
     if backend == "spool":
-        return SpoolBroker(
-            location, lease_ttl=lease_ttl, shard_by=shard_by, scan_order=scan_order
-        )
+        return SpoolBroker(location, lease_ttl=lease_ttl)
     if backend == "sqlite":
-        return SqliteBroker(
-            location, lease_ttl=lease_ttl, shard_by=shard_by, scan_order=scan_order
-        )
+        return SqliteBroker(location, lease_ttl=lease_ttl)
     raise ValueError(
         f"broker backend must be one of {BROKER_BACKENDS}, got {backend!r}"
     )

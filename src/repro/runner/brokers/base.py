@@ -44,9 +44,9 @@ them):
 * **failure logs are conditional evidence** — ``enqueue`` clears a stale
   failure log only when it actually (re-)writes the trial, never out from
   under a currently-claimed, currently-failing trial;
-* **sharding** — trials are grouped by a shard label (the dataset by
-  default) so workers keep dataset affinity and scaling policies can see
-  per-shard backlog.
+* **sharding** — trials are grouped by a shard label (their dataset) so
+  workers keep dataset affinity and scaling policies can see per-shard
+  backlog.
 
 The submitter-side polling loop (:meth:`Broker.wait`) is implemented here
 once, on top of a small set of snapshot hooks each backend provides.
@@ -77,14 +77,6 @@ DEFAULT_LEASE_TTL = 60.0
 #: one queue scan over many claims; the worker voluntarily re-offers any
 #: leases it has not started when it shuts down.
 DEFAULT_CLAIM_BATCH = 8
-
-#: Supported ``shard_by`` policies: by ``TrialSpec.dataset`` (placement
-#: affinity — workers keep generated corpora warm), by key prefix, or no
-#: sharding at all (the legacy flat layout).
-SHARD_POLICIES = ("dataset", "hash", "none")
-
-# Shard label of unsharded (legacy / shard_by="none") trials.
-_FLAT = ""
 
 
 def sanitize_token(name: str) -> str:
@@ -125,11 +117,6 @@ class SpoolTimeout(TimeoutError):
     """
 
 
-#: Backend-neutral alias for :class:`SpoolTimeout` — new code should catch
-#: this name; the two are the same class.
-BrokerTimeout = SpoolTimeout
-
-
 class Broker(abc.ABC):
     """Abstract work queue distributing :class:`TrialSpec`s to workers.
 
@@ -142,9 +129,6 @@ class Broker(abc.ABC):
 
     ``lease_ttl``
         Seconds without a heartbeat after which a claim counts as abandoned.
-    ``shard_by``
-        The sharding policy trials are filed under (see
-        :data:`SHARD_POLICIES`).
     ``stats``
         A per-instance dataclass of round-trip counters, with at least
         ``claims`` and ``batches`` fields — give each worker thread its own
@@ -152,7 +136,6 @@ class Broker(abc.ABC):
     """
 
     lease_ttl: float
-    shard_by: str
 
     # -- sharding (shared by all backends) --------------------------------
 
@@ -164,41 +147,16 @@ class Broker(abc.ABC):
     def shard_for(self, spec: TrialSpec | str) -> str:
         """Shard label a trial for *spec* is filed under.
 
-        ``shard_by="dataset"`` needs the :class:`TrialSpec` (a raw key
-        carries no dataset); raw keys fall back to the key-prefix shard.
-        The flat policy returns the empty string (no shard).
+        The sanitised dataset name, so workers keep dataset affinity.  A
+        raw key carries no dataset, and a dataset name may have no safe
+        characters at all; both fall back to the key's first two hex
+        characters.
         """
-        if self.shard_by == "none":
-            return _FLAT
-        if self.shard_by == "dataset" and isinstance(spec, TrialSpec):
-            name = self._dataset_shard(spec)
+        if isinstance(spec, TrialSpec):
+            name = sanitize_token(spec.dataset).strip("-")
             if name:
                 return name
         return self.key_of(spec)[:2]
-
-    @staticmethod
-    def _dataset_shard(spec: TrialSpec) -> str | None:
-        # The one definition of the dataset-shard label: shard_for files
-        # trials under it, and enqueue's cross-policy dedupe probe must
-        # cover exactly the same location.
-        return sanitize_token(spec.dataset).strip("-") or None
-
-    def _sweep_shards(self, specs: Iterable[TrialSpec]) -> set[str]:
-        """Every shard a lease on one of *specs* could record as its home.
-
-        The union of each spec's policy shard, dataset shard, key-prefix
-        shard and the flat label — the same candidate set the enqueue
-        dedupe probe covers — so an expiry sweep restricted to these shards
-        can never miss a lease another submitter's policy filed elsewhere.
-        """
-        shards: set[str] = {_FLAT}
-        for spec in specs:
-            shards.add(self.shard_for(spec))
-            shards.add(self.key_of(spec)[:2])
-            dataset_shard = self._dataset_shard(spec)
-            if dataset_shard:
-                shards.add(dataset_shard)
-        return shards
 
     # -- submitter side ---------------------------------------------------
 
@@ -365,8 +323,8 @@ class Broker(abc.ABC):
         Each round costs a constant number of snapshot queries/listings —
         never a probe per pending key, which at up to 20 Hz early in the
         backoff would hammer a shared backend on paper-scale grids.  The
-        expiry sweep is scoped to the pending keys *and* their candidate
-        shards, so it inspects only the shards with leases of interest.
+        expiry sweep is scoped to the pending keys *and* their shards, so
+        it inspects only the shards with leases of interest.
 
         Raises :class:`RemoteTrialError` as soon as any trial has a failure
         log, and :class:`SpoolTimeout` if *timeout* seconds pass with trials
@@ -421,7 +379,8 @@ class Broker(abc.ABC):
                 # could live in, so a busy shared queue full of other
                 # submitters' leases costs us nothing to police.
                 released = self.release_expired(
-                    keys=pending, shards=self._sweep_shards(pending.values())
+                    keys=pending,
+                    shards={self.shard_for(spec) for spec in pending.values()},
                 )
                 if released and on_released is not None:
                     on_released(released)
@@ -479,7 +438,7 @@ class LeasedTrial:
         The trial description, unpickled from the claimed task file.
     lease_path:
         The claim-unique lease file under ``<spool>/leases/``
-        (``<key>[.<shard>].<worker>.<token>.lease``); its mtime is the
+        (``<key>.<shard>.<worker>.<token>.lease``); its mtime is the
         heartbeat, and its continued existence is proof the claim was not
         revoked.
     """

@@ -10,13 +10,10 @@ Spool layout::
     <spool>/
         tasks/<shard>/<key>.task              pending trials (pickled
                                               TrialSpec, atomic write),
-                                              sharded by dataset (default)
-                                              or by key prefix
-        tasks/<key>.task                      legacy unsharded pending
-                                              trials (still drained; see
-                                              "sharding" below)
-        tasks/.../<key>.task.corrupt          quarantined unreadable tasks
-        leases/<key>[.<shard>].<worker>.<token>.lease
+                                              sharded by dataset (key
+                                              prefix as the fallback)
+        tasks/<shard>/<key>.task.corrupt      quarantined unreadable tasks
+        leases/<key>.<shard>.<worker>.<token>.lease
                                               claimed trials (mtime =
                                               worker heartbeat; the shard
                                               component records the task's
@@ -32,7 +29,7 @@ Protocol mapping (see :mod:`repro.runner.brokers.base` for the contract):
   same (identical) file and the trial runs once.
   :meth:`SpoolBroker.enqueue_batch` snapshots the pending and leased key
   sets **once** for a whole grid, so submitting N trials costs a constant
-  number of listings instead of N cross-shard existence probes.
+  number of listings instead of N existence probes.
 * **lease** — a worker claims a task by renaming it into ``leases/`` under a
   claim name unique to this worker and claim.  ``os.rename`` is atomic on
   the *source*, so exactly one of any number of racing workers wins; the
@@ -70,19 +67,17 @@ Protocol mapping (see :mod:`repro.runner.brokers.base` for the contract):
   failure: the trial belongs to someone else now, and a machine-local error
   from a stale holder must not abort a grid a healthy retry is completing.
 
-Sharding and the PR 4 compat story: earlier spools kept every pending task
-directly under ``tasks/``, which made every worker scan the same sorted
-listing and race the same lowest-key task — W workers cost W−1 failed
-renames per claim and one full listing per single lease.  Tasks now land in
-a per-shard subdirectory (``shard_by="dataset"`` by default, so workers that
-generated a dataset's corpus keep leasing trials that reuse it; ``"hash"``
-shards by the key's first two hex chars; ``"none"`` reproduces the flat
-layout).  Workers scan both the shard subdirectories *and* any flat
-``tasks/<key>.task`` files, so a spool written by the old layout — or by a
-submitter configured differently — still drains; flat tasks are claimed,
-heartbeated and re-offered under their original flat location and lease-name
-format.  :attr:`SpoolBroker.stats` counts listings and rename attempts so
-contention is measurable (``benchmarks/bench_spool.py`` and
+Sharding: a flat ``tasks/`` directory would make every worker scan the same
+listing and race the same tasks — W workers cost up to W−1 failed renames
+per claim and one full listing per single lease.  Tasks therefore land in a
+per-shard subdirectory named by :meth:`Broker.shard_for
+<repro.runner.brokers.base.Broker.shard_for>` (the dataset, so workers that
+generated a dataset's corpus keep leasing trials that reuse it).  Only the
+shard subdirectories are scanned: a task file directly under ``tasks/`` (the
+layout of spools written before sharding) is never seen, and the
+submitter's self-healing re-enqueue files a fresh copy under its shard.
+:attr:`SpoolBroker.stats` counts listings and rename attempts so contention
+is measurable (``benchmarks/bench_spool.py`` and
 ``benchmarks/bench_broker.py``).
 
 The submitter side (:meth:`Broker.wait <repro.runner.brokers.base.Broker.wait>`)
@@ -111,12 +106,9 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from repro.runner.brokers.base import (
-    _FLAT,
     DEFAULT_CLAIM_BATCH,
     DEFAULT_LEASE_TTL,
-    SHARD_POLICIES,
     Broker,
-    BrokerTimeout,
     LeasedTrial,
     RemoteTrialError,
     SpoolTimeout,
@@ -128,8 +120,6 @@ from repro.runner.spec import TrialSpec
 __all__ = [
     "DEFAULT_CLAIM_BATCH",
     "DEFAULT_LEASE_TTL",
-    "SHARD_POLICIES",
-    "BrokerTimeout",
     "LeasedTrial",
     "RemoteTrialError",
     "SpoolBroker",
@@ -187,39 +177,13 @@ class SpoolBroker(Broker):
         first use; submitters and workers must point at the same path.
     lease_ttl:
         Seconds without a heartbeat after which a lease counts as abandoned.
-    shard_by:
-        Where :meth:`enqueue` files tasks: ``"dataset"`` (default) groups
-        trials of one dataset in one shard so workers keep generated corpora
-        warm, ``"hash"`` spreads them by key prefix, ``"none"`` writes the
-        legacy flat layout.  Workers drain every shard *and* the flat
-        location regardless of their own setting.
-    scan_order:
-        ``"random"`` (default) randomises the shard and in-shard scan order
-        so racing workers spread out; ``"sorted"`` scans deterministically
-        (useful for tests and for measuring the pre-sharding baseline).
     """
 
-    def __init__(
-        self,
-        spool: str | Path,
-        lease_ttl: float = DEFAULT_LEASE_TTL,
-        shard_by: str = "dataset",
-        scan_order: str = "random",
-    ):
+    def __init__(self, spool: str | Path, lease_ttl: float = DEFAULT_LEASE_TTL):
         if lease_ttl <= 0:
             raise ValueError("lease_ttl must be positive")
-        if shard_by not in SHARD_POLICIES:
-            raise ValueError(
-                f"shard_by must be one of {SHARD_POLICIES}, got {shard_by!r}"
-            )
-        if scan_order not in ("random", "sorted"):
-            raise ValueError(
-                f"scan_order must be 'random' or 'sorted', got {scan_order!r}"
-            )
         self.root = Path(spool)
         self.lease_ttl = float(lease_ttl)
-        self.shard_by = shard_by
-        self.scan_order = scan_order
         self.tasks_dir = self.root / "tasks"
         self.leases_dir = self.root / "leases"
         self.failed_dir = self.root / "failed"
@@ -239,8 +203,7 @@ class SpoolBroker(Broker):
         return self._task_home(self.key_of(spec), self.shard_for(spec))
 
     def _task_home(self, key: str, shard: str) -> Path:
-        base = self.tasks_dir / shard if shard else self.tasks_dir
-        return base / f"{key}.task"
+        return self.tasks_dir / shard / f"{key}.task"
 
     def failure_path(self, spec: TrialSpec | str) -> Path:
         """Failure-log file path for a spec or key."""
@@ -249,19 +212,16 @@ class SpoolBroker(Broker):
     @staticmethod
     def _entry_key(entry: Path) -> str:
         # Spool entries all lead with the content key (<key>.task,
-        # <key>.json, <key>[.<shard>].<worker>.<token>.lease); the key is a
+        # <key>.json, <key>.<shard>.<worker>.<token>.lease); the key is a
         # hex digest and can never contain a dot itself.
         return entry.name.split(".", 1)[0]
 
     @staticmethod
     def _lease_home_of(name: str) -> tuple[str, str]:
-        # <key>.<worker>.<token>.lease        -> flat/legacy task location
-        # <key>.<shard>.<worker>.<token>.lease -> sharded task location
-        # (shard, worker and token components are all dot-free by
-        # construction, so the component count disambiguates the formats).
-        parts = name.split(".")
-        shard = parts[1] if len(parts) == 5 else _FLAT
-        return parts[0], shard
+        # <key>.<shard>.<worker>.<token>.lease -> (key, shard); every
+        # component is dot-free by construction.
+        key, shard = name.split(".", 2)[:2]
+        return key, shard
 
     def _leases_for(self, spec: TrialSpec | str) -> Iterator[Path]:
         if self.leases_dir.is_dir():
@@ -281,29 +241,16 @@ class SpoolBroker(Broker):
         """Offer *spec* to the workers; returns whether a task file was written.
 
         Nothing is written when the trial is already pending or currently
-        leased by a worker.  The pending probe covers every location a
-        submitter policy could have filed the task under — its dataset
-        shard, its key-prefix shard and the legacy flat path — so a
-        submitter configured with a *different* ``shard_by`` policy sees an
-        already-pending trial instead of filing a second copy.  (The probe
-        is best-effort for *concurrent* cross-policy enqueues: two racing
-        submitters with different policies can still write two copies,
-        which costs a duplicate execution but never wrong results — the
-        cache is content-addressed.  Same-policy submitters target the
-        identical path and stay fully idempotent.)  A stale failure log for the same
-        key is cleared only when a task file is actually (re-)written —
-        re-submitting is the retry path after a fixed environment, but an
-        enqueue that changes nothing must not wipe a log another
-        submitter's :meth:`wait` is about to raise.
+        leased by a worker; every submitter files a trial at the same path,
+        so enqueueing stays idempotent per content key.  A stale failure
+        log for the same key is cleared only when a task file is actually
+        (re-)written — re-submitting is the retry path after a fixed
+        environment, but an enqueue that changes nothing must not wipe a
+        log another submitter's :meth:`wait` is about to raise.
         """
         self._ensure_dirs()
-        key = spec.key
         task = self.task_path(spec)
-        candidates = {task, self._task_home(key, _FLAT), self._task_home(key, key[:2])}
-        dataset_shard = self._dataset_shard(spec)
-        if dataset_shard:
-            candidates.add(self._task_home(key, dataset_shard))
-        if any(candidate.exists() for candidate in candidates) or self.is_claimed(key):
+        if task.exists() or self.is_claimed(spec):
             return False
         self._write_task(task, spec)
         return True
@@ -313,18 +260,18 @@ class SpoolBroker(Broker):
 
         Equivalent to enqueueing one at a time, but the already-pending and
         already-leased checks run against **one** snapshot of the spool
-        (one ``tasks/`` sweep + one ``leases/`` listing) instead of up to
-        four existence probes and a lease glob per spec, and each shard
+        (one ``tasks/`` sweep + one ``leases/`` listing) instead of an
+        existence probe and a lease glob per spec, and each shard
         directory is created once per batch rather than once per task.  On
         a paper-scale grid this turns submission from O(N) spool round
         trips into O(shards).
 
-        The per-spec semantics are unchanged: a trial already pending
-        (under *any* policy's location) or currently leased is skipped, and
-        a stale failure log is cleared only for trials actually written.
-        The snapshot is best-effort for *concurrent* enqueues exactly like
-        :meth:`enqueue`'s probe — duplicate copies cost a duplicate
-        execution, never wrong results.
+        The per-spec semantics are unchanged: a trial already pending or
+        currently leased is skipped, and a stale failure log is cleared
+        only for trials actually written.  The snapshot is best-effort for
+        *concurrent* enqueues — a trial another submitter files and a
+        worker claims between the snapshot and the write is filed again,
+        which costs a duplicate execution, never wrong results.
         """
         if not specs:
             return 0
@@ -378,9 +325,9 @@ class SpoolBroker(Broker):
         call is spent on a lease outside the scope, so a scoped sweep on a
         busy shared spool only pays for the leases it could actually
         re-offer.  ``None`` for either means no restriction.  Each re-offer
-        restores the task to the shard its claim name records (flat for
-        legacy-format leases), so crash recovery preserves dataset
-        affinity.  Returns the number of leases re-offered.
+        restores the task to the shard its claim name records, so crash
+        recovery preserves dataset affinity.  Returns the number of leases
+        re-offered.
         """
         wanted = None if keys is None else set(keys)
         in_scope = None if shards is None else set(shards)
@@ -448,32 +395,24 @@ class SpoolBroker(Broker):
         except OSError:
             return set()  # directory pruned between the check and the scan
 
-    def _shard_entries(self) -> tuple[list[Path], list[str]]:
-        """One listing of ``tasks/``: (flat task files, shard dir names)."""
+    def _shards(self) -> list[str]:
+        """One listing of ``tasks/``: the shard directory names.
+
+        Shard labels are dot-free, so any dotted entry (a task file left by
+        a spool written before sharding, a stray tempfile) is skipped.
+        """
         self.stats.listings += 1
         try:
-            entries = list(self.tasks_dir.iterdir())
+            return [e.name for e in self.tasks_dir.iterdir() if "." not in e.name]
         except OSError:
-            return [], []
-        flat_tasks: list[Path] = []
-        shards: list[str] = []
-        for entry in entries:
-            name = entry.name
-            if name.endswith(".task"):
-                flat_tasks.append(entry)
-            elif not name.endswith((".corrupt", ".tmp")):
-                shards.append(name)
-        return flat_tasks, shards
+            return []
 
     def _task_key_snapshot(self) -> set[str]:
-        """Content keys of every pending task, flat and sharded."""
+        """Content keys of every pending task, across all shards."""
         keys: set[str] = set()
         if not self.tasks_dir.is_dir():
             return keys
-        flat_tasks, shards = self._shard_entries()
-        for task in flat_tasks:
-            keys.add(self._entry_key(task))
-        for shard in shards:
+        for shard in self._shards():
             keys |= self._key_snapshot(self.tasks_dir / shard, "*.task")
         return keys
 
@@ -500,20 +439,18 @@ class SpoolBroker(Broker):
 
         The shard that satisfied the previous batch is tried first, alone:
         one directory listing of *that shard only* serves the whole batch,
-        and with the default dataset sharding it keeps a worker on trials
-        whose generated corpus it already has warm (placement affinity).
+        and since shards are datasets it keeps a worker on trials whose
+        generated corpus it already has warm (placement affinity).
         Only when the affinity shard is drained does the worker pay a full
         sweep — one listing of ``tasks/`` to discover shards, then shards
-        visited in randomised order (``scan_order="random"``), topping the
-        batch up across shards so the tail of a grid still fills batches
-        instead of fragmenting into one-claim scans.  Candidates within a
-        shard are also scanned in randomised order, so racing workers
-        spread out instead of piling onto one sorted listing.  Flat
-        (legacy / ``shard_by="none"``) tasks are drained through the same
-        sweep.
+        visited in randomised order, topping the batch up across shards so
+        the tail of a grid still fills batches instead of fragmenting into
+        one-claim scans.  Candidates within a shard are also scanned in
+        randomised order, so racing workers spread out instead of piling
+        onto one sorted listing.
 
         Losing a rename race just moves on to the next candidate.  Each
-        claim lands under ``<key>[.<shard>].<worker>.<token>.lease`` —
+        claim lands under ``<key>.<shard>.<worker>.<token>.lease`` —
         unique per claim, so the lease file doubles as an ownership
         certificate (and records who holds the trial, and where to restore
         it, for releases and spool post-mortems).  A task file that cannot
@@ -527,35 +464,24 @@ class SpoolBroker(Broker):
             return []
         holder = sanitize_token(worker_id) or "anon"
         self.stats.batches += 1
-        if self.scan_order == "random" and self._affinity_shard:
+        if self._affinity_shard:
             # Fast path: as long as the previously fruitful shard keeps
             # yielding work, one listing of *that shard alone* serves the
             # whole batch — no re-discovery of the shard set every call.
-            claimed = self._claim_from_shard(self._affinity_shard, None, holder, limit)
+            claimed = self._claim_from_shard(self._affinity_shard, holder, limit)
             if claimed:
                 return claimed
             self._affinity_shard = None  # shard drained: fall back to a sweep
-        flat_tasks, shards = self._shard_entries()
-        order: list[str] = list(shards)
-        if flat_tasks:
-            order.append(_FLAT)
-        if self.scan_order == "sorted":
-            order.sort()  # "" sorts first: legacy tasks drain deterministically
-        else:
-            self._rng.shuffle(order)
+        order = self._shards()
+        self._rng.shuffle(order)
         claimed: list[LeasedTrial] = []
         for shard in order:
-            got = self._claim_from_shard(
-                shard,
-                flat_tasks if shard == _FLAT else None,
-                holder,
-                limit - len(claimed),
-            )
+            got = self._claim_from_shard(shard, holder, limit - len(claimed))
             if got:
                 claimed += got
                 # Remember the latest fruitful shard: the next batch's fast
                 # path starts there (dataset affinity).
-                self._affinity_shard = shard or None
+                self._affinity_shard = shard
             elif claimed:
                 # An empty shard while already holding work means the spool
                 # is draining: start executing the partial batch now instead
@@ -565,40 +491,28 @@ class SpoolBroker(Broker):
                 break
         return claimed
 
-    def _claim_from_shard(
-        self,
-        shard: str,
-        flat_tasks: list[Path] | None,
-        holder: str,
-        limit: int,
-    ) -> list[LeasedTrial]:
+    def _claim_from_shard(self, shard: str, holder: str, limit: int) -> list[LeasedTrial]:
         """Claim up to *limit* tasks from one shard (one listing, n renames)."""
-        if flat_tasks is not None:
-            tasks = list(flat_tasks)  # already listed by the caller's sweep
-        else:
-            self.stats.listings += 1
+        self.stats.listings += 1
+        try:
+            tasks = list((self.tasks_dir / shard).glob("*.task"))
+        except OSError:
+            # Another worker pruned this just-drained shard between our
+            # sweep's discovery and this listing (pathlib only swallows
+            # PermissionError, not FileNotFoundError).
+            return []
+        if not tasks:
+            # Remove a drained shard directory so sweeps stop probing it —
+            # on a long grid most shards end up empty, and every probe of a
+            # dead shard is a wasted listing.  rmdir is atomic and fails
+            # harmlessly while the shard still holds anything (a racing
+            # enqueue, a quarantined task); enqueue retries its write if
+            # the directory vanishes under it.
             try:
-                tasks = list((self.tasks_dir / shard).glob("*.task") if shard else ())
+                os.rmdir(self.tasks_dir / shard)
             except OSError:
-                # Another worker pruned this just-drained shard between our
-                # sweep's discovery and this listing (pathlib only swallows
-                # PermissionError, not FileNotFoundError).
-                return []
-            if not tasks and shard:
-                # Remove a drained shard directory so sweeps stop probing
-                # it — on a long grid most shards end up empty, and every
-                # probe of a dead shard is a wasted listing.  rmdir is
-                # atomic and fails harmlessly while the shard still holds
-                # anything (a racing enqueue, a quarantined task); enqueue
-                # retries its write if the directory vanishes under it.
-                try:
-                    os.rmdir(self.tasks_dir / shard)
-                except OSError:
-                    pass
-        if self.scan_order == "sorted":
-            tasks.sort()
-        else:
-            self._rng.shuffle(tasks)
+                pass
+        self._rng.shuffle(tasks)
         claimed: list[LeasedTrial] = []
         for task in tasks:
             lease = self._claim(task, shard, holder)
@@ -613,11 +527,7 @@ class SpoolBroker(Broker):
         """Attempt one claim rename; ``None`` on a lost race or corrupt task."""
         key = task.name[: -len(".task")]
         token = uuid.uuid4().hex[:8]
-        if shard:
-            name = f"{key}.{shard}.{holder}.{token}.lease"
-        else:
-            name = f"{key}.{holder}.{token}.lease"
-        lease = self.leases_dir / name
+        lease = self.leases_dir / f"{key}.{shard}.{holder}.{token}.lease"
         self.stats.rename_attempts += 1
         try:
             os.rename(task, lease)
@@ -666,9 +576,8 @@ class SpoolBroker(Broker):
     def release(self, lease: LeasedTrial) -> None:
         """Voluntarily re-offer a claimed trial (worker shutting down).
 
-        The task is restored to the home its claim name records — its shard
-        for sharded claims, the flat location for legacy-format leases — so
-        a release never migrates a task between layouts.
+        The task is restored to the shard its claim name records, so a
+        release never migrates a task between shards.
         """
         key, shard = self._lease_home_of(lease.lease_path.name)
         task = self._task_home(key, shard)
@@ -721,17 +630,12 @@ class SpoolBroker(Broker):
     def counts(self) -> dict[str, int]:
         """``{"tasks", "leases", "failed", "corrupt"}`` spool snapshot.
 
-        ``tasks`` spans the flat location and every shard; ``corrupt``
-        counts quarantined task files (``*.task.corrupt`` anywhere under
-        ``tasks/``, plus any ``*.lease.corrupt`` a pre-sharding broker left
-        inside ``leases/``).
+        ``tasks`` spans every shard; ``corrupt`` counts the quarantined task
+        files (``*.task.corrupt``) in the shards.
         """
         tasks = corrupt = 0
         if self.tasks_dir.is_dir():
-            flat_tasks, shards = self._shard_entries()
-            tasks += len(flat_tasks)
-            corrupt += sum(1 for _ in self.tasks_dir.glob("*.task.corrupt"))
-            for shard in shards:
+            for shard in self._shards():
                 try:
                     entries = list((self.tasks_dir / shard).iterdir())
                 except OSError:
@@ -744,7 +648,6 @@ class SpoolBroker(Broker):
         leases = failed = 0
         if self.leases_dir.is_dir():
             leases = sum(1 for _ in self.leases_dir.glob("*.lease"))
-            corrupt += sum(1 for _ in self.leases_dir.glob("*.lease.corrupt"))
         if self.failed_dir.is_dir():
             failed = sum(1 for _ in self.failed_dir.glob("*.json"))
         return {"tasks": tasks, "leases": leases, "failed": failed, "corrupt": corrupt}
@@ -761,11 +664,7 @@ class SpoolBroker(Broker):
         tasks = 0
         busy_shards: set[str] = set()
         if self.tasks_dir.is_dir():
-            flat_tasks, shards = self._shard_entries()
-            if flat_tasks:
-                tasks += len(flat_tasks)
-                busy_shards.add(_FLAT)
-            for shard in shards:
+            for shard in self._shards():
                 pending = len(self._key_snapshot(self.tasks_dir / shard, "*.task"))
                 if pending:
                     tasks += pending

@@ -65,7 +65,6 @@ from typing import Iterable, Iterator, Sequence
 from repro.runner.brokers.base import (
     DEFAULT_CLAIM_BATCH,
     DEFAULT_LEASE_TTL,
-    SHARD_POLICIES,
     Broker,
     sanitize_token,
 )
@@ -197,16 +196,6 @@ class SqliteBroker(Broker):
         submitters and workers must point at the same path.
     lease_ttl:
         Seconds without a heartbeat after which a claim counts as abandoned.
-    shard_by:
-        Shard label policy for enqueued trials: ``"dataset"`` (default)
-        groups trials of one dataset so workers keep generated corpora
-        warm, ``"hash"`` spreads them by key prefix, ``"none"`` uses a
-        single unsharded label.  Unlike the spool there is no layout
-        migration cost — the label is just an indexed column.
-    scan_order:
-        ``"random"`` (default) picks claim candidates in random order so
-        racing workers spread across shards; ``"sorted"`` claims
-        deterministically by key (useful for tests).
     """
 
     #: Shared state the lock-discipline checker holds to `with self._lock:`
@@ -214,23 +203,9 @@ class SqliteBroker(Broker):
     _GUARDED_BY_LOCK = ("_conn", "_affinity_shard")
     _LOCK_CONTEXTS = ("_tx",)
 
-    def __init__(
-        self,
-        location: str | Path,
-        lease_ttl: float = DEFAULT_LEASE_TTL,
-        shard_by: str = "dataset",
-        scan_order: str = "random",
-    ):
+    def __init__(self, location: str | Path, lease_ttl: float = DEFAULT_LEASE_TTL):
         if lease_ttl <= 0:
             raise ValueError("lease_ttl must be positive")
-        if shard_by not in SHARD_POLICIES:
-            raise ValueError(
-                f"shard_by must be one of {SHARD_POLICIES}, got {shard_by!r}"
-            )
-        if scan_order not in ("random", "sorted"):
-            raise ValueError(
-                f"scan_order must be 'random' or 'sorted', got {scan_order!r}"
-            )
         location = Path(location)
         self.path = (
             location
@@ -238,8 +213,6 @@ class SqliteBroker(Broker):
             else location / DB_FILENAME
         )
         self.lease_ttl = float(lease_ttl)
-        self.shard_by = shard_by
-        self.scan_order = scan_order
         self.stats = SqliteStats()
         self._rng = random.Random()
         self._affinity_shard: str | None = None
@@ -310,8 +283,8 @@ class SqliteBroker(Broker):
         """Offer *spec* to the workers; returns whether a row was written.
 
         Nothing is written when the trial is already pending or currently
-        leased (the key is the primary key, so cross-policy duplicate
-        locations cannot exist at all in this backend).  A ``corrupt`` row
+        leased (the key is the primary key, so a trial has exactly one
+        row).  A ``corrupt`` row
         is overwritten with the fresh spec — the same self-heal path as
         re-enqueueing over a quarantined spool task.  A stale failure log
         is cleared only when the row is actually (re-)written.
@@ -445,7 +418,7 @@ class SqliteBroker(Broker):
 
         The shard that satisfied the previous batch is tried first (dataset
         affinity — same policy as the spool), topped up across other shards
-        in randomised (or sorted) order.  Each claim flips the row to
+        in randomised order.  Each claim flips the row to
         ``leased`` under a claim-unique token inside a single ``BEGIN
         IMMEDIATE`` transaction, so exactly one of any number of racing
         claimants wins each row and nobody pays a wasted round trip.  A row
@@ -469,10 +442,7 @@ class SqliteBroker(Broker):
                     "SELECT DISTINCT shard FROM tasks WHERE state = 'pending'"
                 )
             ]
-            if self.scan_order == "sorted":
-                shards.sort()
-            else:
-                self._rng.shuffle(shards)
+            self._rng.shuffle(shards)
             order += [shard for shard in shards if shard != self._affinity_shard]
             for shard in order:
                 got = self._claim_from_shard(conn, shard, holder, limit - len(claimed))
@@ -490,13 +460,12 @@ class SqliteBroker(Broker):
         self, conn: sqlite3.Connection, shard: str, holder: str, limit: int
     ) -> list[SqliteLease]:
         """Claim up to *limit* rows from one shard (inside the caller's tx)."""
-        candidate_order = "RANDOM()" if self.scan_order == "random" else "key"
         token = uuid.uuid4().hex[:8]
         rows = conn.execute(
             "UPDATE tasks SET state='leased', worker=?, token=?, heartbeat=?"
             " WHERE state='pending' AND key IN ("
             "   SELECT key FROM tasks WHERE state='pending' AND shard=?"
-            f"  ORDER BY {candidate_order} LIMIT ?"
+            "  ORDER BY RANDOM() LIMIT ?"
             " ) RETURNING key, spec, token",
             (holder, token, time.time(), shard, limit),
         ).fetchall()

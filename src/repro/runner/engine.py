@@ -39,7 +39,6 @@ from repro.runner.brokers import (
     BROKER_BACKENDS,
     DEFAULT_CLAIM_BATCH,
     DEFAULT_LEASE_TTL,
-    SHARD_POLICIES,
     Broker,
     create_broker,
 )
@@ -56,29 +55,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     # Annotation-only: a runtime import would make `import repro.runner`
     # circular through repro/experiments/__init__.py (see test_imports.py).
     from repro.experiments.protocol import EvaluationProtocol, FrameworkResult
-
-
-class _BrokerChoice(str):
-    """An :attr:`ExecutionConfig.broker` value: a backend name you can call.
-
-    Compares and reprs as the plain backend string (``config.broker ==
-    "sqlite"``) while staying callable — ``config.broker()`` builds the
-    configured backend, which is what every pre-package call site of the
-    former ``ExecutionConfig.broker()`` method expects.
-    """
-
-    _config: ExecutionConfig
-
-    def __new__(cls, value: str, config: ExecutionConfig | None = None):
-        """Wrap backend name *value*, remembering *config* for :meth:`__call__`."""
-        choice = str.__new__(cls, value)
-        choice._config = config
-        return choice
-
-    def __call__(self) -> Broker:
-        """Build the configured broker backend (see
-        :meth:`ExecutionConfig.create_broker`)."""
-        return self._config.create_broker()
 
 
 @dataclass(frozen=True)
@@ -112,9 +88,8 @@ class ExecutionConfig:
     broker:
         Broker backend for ``mode="distributed"``: ``"spool"`` (default,
         the filesystem spool) or ``"sqlite"`` (one WAL-mode database file
-        under ``spool_dir``).  The stored value is callable —
-        ``config.broker()`` builds the backend instance.  Match the
-        workers' ``--broker``.
+        under ``spool_dir``); :meth:`create_broker` builds the backend
+        instance.  Match the workers' ``--broker``.
     spool_dir:
         Shared broker location for ``mode="distributed"`` (the workers'
         ``--spool``): the spool backend uses the directory itself, the
@@ -126,12 +101,6 @@ class ExecutionConfig:
     wait_timeout:
         Give up (``SpoolTimeout``) after this many seconds with trials
         still outstanding; ``None`` waits forever.
-    shard_by:
-        Spool-shard policy for ``mode="distributed"`` enqueues:
-        ``"dataset"`` (default) files each trial under its dataset's shard
-        so workers keep generated corpora warm, ``"hash"`` spreads by key
-        prefix, ``"none"`` writes the legacy flat layout.  Workers drain
-        every layout regardless.
     claim_batch:
         Tasks a worker claims per spool scan (the workers' ``--claim-batch``;
         the submitter never claims, so this knob only matters to helpers
@@ -148,7 +117,6 @@ class ExecutionConfig:
     spool_dir: str | Path | None = None
     lease_ttl: float = DEFAULT_LEASE_TTL
     wait_timeout: float | None = None
-    shard_by: str = "dataset"
     claim_batch: int = DEFAULT_CLAIM_BATCH
 
     def __post_init__(self):
@@ -160,18 +128,10 @@ class ExecutionConfig:
             raise ValueError(
                 f"broker must be one of {BROKER_BACKENDS}, got {self.broker!r}"
             )
-        # The field doubles as the backend factory: still a string (so
-        # `config.broker == "sqlite"` and repr stay plain), but calling it
-        # builds the backend — the pre-package `config.broker()` contract.
-        object.__setattr__(self, "broker", _BrokerChoice(str(self.broker), self))
         if self.results not in RESULT_STORE_BACKENDS:
             raise ValueError(
                 f"results must be one of {RESULT_STORE_BACKENDS}, "
                 f"got {self.results!r}"
-            )
-        if self.shard_by not in SHARD_POLICIES:
-            raise ValueError(
-                f"shard_by must be one of {SHARD_POLICIES}, got {self.shard_by!r}"
             )
         if self.claim_batch < 1:
             raise ValueError("claim_batch must be at least 1")
@@ -199,9 +159,8 @@ class ExecutionConfig:
         ``"parallel"`` (all cores) or ``"distributed"`` (spool/cache
         directories from the ``REPRO_SPOOL_DIR`` / ``REPRO_CACHE_DIR``
         environment variables, the broker backend from ``REPRO_BROKER``,
-        the result-store backend from ``REPRO_RESULTS``, spool sharding
-        and worker batch size from ``REPRO_SPOOL_SHARD_BY`` /
-        ``REPRO_CLAIM_BATCH``).
+        the result-store backend from ``REPRO_RESULTS``, the worker batch
+        size from ``REPRO_CLAIM_BATCH``).
         """
         if value is None:
             return cls()
@@ -219,7 +178,6 @@ class ExecutionConfig:
                     spool_dir=os.environ.get("REPRO_SPOOL_DIR"),
                     cache_dir=os.environ.get("REPRO_CACHE_DIR"),
                     results=os.environ.get("REPRO_RESULTS", "pickle"),
-                    shard_by=os.environ.get("REPRO_SPOOL_SHARD_BY", "dataset"),
                     claim_batch=int(
                         os.environ.get("REPRO_CLAIM_BATCH", DEFAULT_CLAIM_BATCH)
                     ),
@@ -245,19 +203,10 @@ class ExecutionConfig:
         return create_result_store(str(self.results), self.cache_dir)
 
     def create_broker(self) -> Broker:
-        """Build the configured broker backend for ``mode="distributed"``.
-
-        Also reachable as ``config.broker()`` — the :attr:`broker` field is
-        callable — which is the spelling the pre-package API used.
-        """
+        """Build the configured broker backend for ``mode="distributed"``."""
         if self.spool_dir is None:
             raise ValueError("no spool_dir configured")
-        return create_broker(
-            str(self.broker),
-            self.spool_dir,
-            lease_ttl=self.lease_ttl,
-            shard_by=self.shard_by,
-        )
+        return create_broker(self.broker, self.spool_dir, lease_ttl=self.lease_ttl)
 
 
 @dataclass
@@ -380,7 +329,7 @@ def run_specs(
 
     try:
         if execution.mode == "distributed":
-            broker = execution.broker()
+            broker = execution.create_broker()
             # One batched submission: the backend snapshots its pending and
             # leased sets (or opens its transaction) once for the whole
             # grid instead of paying per-task round trips.

@@ -227,16 +227,16 @@ class TestShardedSpool:
         assert broker.counts()["tasks"] == 1
 
     def test_shard_policies(self, tmp_path):
+        broker = SpoolBroker(tmp_path)
         spec = _spec()
-        by_hash = SpoolBroker(tmp_path / "h", shard_by="hash")
-        assert by_hash.task_path(spec).parent.name == spec.key[:2]
-        flat = SpoolBroker(tmp_path / "f", shard_by="none")
-        assert flat.task_path(spec).parent == flat.tasks_dir
-        # A raw key carries no dataset: dataset sharding falls back to hash.
-        sharded = SpoolBroker(tmp_path / "d")
-        assert sharded.shard_for(spec.key) == spec.key[:2]
-        with pytest.raises(ValueError, match="shard_by"):
-            SpoolBroker(tmp_path, shard_by="bogus")
+        assert broker.shard_for(spec) == "youtube"
+        assert broker.task_path(spec).parent.name == "youtube"
+        # A raw key carries no dataset: it falls back to the key prefix...
+        assert broker.shard_for(spec.key) == spec.key[:2]
+        # ...and so does a dataset name with no safe characters.
+        unsafe = _spec(dataset="...")
+        assert broker.shard_for(unsafe) == unsafe.key[:2]
+        assert broker.task_path(unsafe).parent.name == unsafe.key[:2]
 
     def test_lease_records_its_shard_and_release_restores_it(self, tmp_path):
         broker = SpoolBroker(tmp_path)
@@ -313,35 +313,6 @@ class TestShardedSpool:
             batch = broker.lease_batch("w1", limit=2)
             assert {l.lease_path.name.split(".")[1] for l in batch} == {first_shard}
 
-    def test_enqueue_sees_tasks_filed_under_any_shard_policy(self, tmp_path):
-        """Submitters with different shard_by settings must still write one
-        task file per content key, not one per policy."""
-        spec = _spec()
-        assert SpoolBroker(tmp_path, shard_by="hash").enqueue(spec) is True
-        for policy in ("dataset", "hash", "none"):
-            assert SpoolBroker(tmp_path, shard_by=policy).enqueue(spec) is False
-        assert SpoolBroker(tmp_path).counts()["tasks"] == 1
-
-    def test_legacy_flat_spool_round_trips(self, tmp_path):
-        """A PR 4 unsharded spool still drains, and its tasks keep the flat
-        location and legacy lease-name format through expiry and release."""
-        legacy = SpoolBroker(tmp_path, shard_by="none", lease_ttl=5)
-        spec = _spec()
-        legacy.enqueue(spec)
-        flat_task = legacy.tasks_dir / f"{spec.key}.task"
-        assert flat_task.exists()
-        sharded = SpoolBroker(tmp_path, lease_ttl=5)  # default dataset sharding
-        assert sharded.enqueue(spec) is False  # pending flat counts as pending
-        lease = sharded.lease_next("w1")
-        assert lease is not None and lease.key == spec.key
-        assert len(lease.lease_path.name.split(".")) == 4  # legacy claim name
-        _backdate(lease.lease_path)
-        assert sharded.release_expired() == 1
-        assert flat_task.exists()  # restored flat, not migrated into a shard
-        release = sharded.lease_next("w2")
-        sharded.release(release)
-        assert flat_task.exists()
-
     def test_stats_count_listings_and_renames(self, tmp_path):
         broker = SpoolBroker(tmp_path)
         for seed in range(4):
@@ -360,14 +331,11 @@ class TestShardedSpool:
 class TestContention:
     N_WORKERS = 8
 
-    def _drain(self, spool, specs, shard_by, scan_order, batch):
-        submitter = SpoolBroker(spool, shard_by=shard_by)
+    def _drain(self, spool, specs, batch):
+        submitter = SpoolBroker(spool)
         for spec in specs:
             assert submitter.enqueue(spec)
-        brokers = [
-            SpoolBroker(spool, shard_by=shard_by, scan_order=scan_order)
-            for _ in range(self.N_WORKERS)
-        ]
+        brokers = [SpoolBroker(spool) for _ in range(self.N_WORKERS)]
         barrier = threading.Barrier(self.N_WORKERS)
         claimed: list[list[str]] = [[] for _ in range(self.N_WORKERS)]
         batch_sizes: list[int] = []
@@ -389,30 +357,18 @@ class TestContention:
         for thread in threads:
             thread.join(timeout=60)
         assert max(batch_sizes) <= batch  # the cap is never exceeded
-        keys = [key for per_worker in claimed for key in per_worker]
-        failed = sum(broker.stats.failed_renames for broker in brokers)
-        return keys, failed
+        return [key for per_worker in claimed for key in per_worker]
 
-    def test_sharded_batched_race_is_exactly_once_and_less_contended(self, tmp_path):
+    def test_sharded_batched_race_is_exactly_once(self, tmp_path):
         """8 racing workers over a 2-shard spool: every task executes exactly
-        once, and the sharded+batched layout loses strictly fewer claim
-        renames than the flat sorted-scan baseline."""
+        once, and no batch exceeds its cap."""
         specs = [
             _spec(seed=seed, dataset=dataset)
             for seed in range(40)
             for dataset in ("youtube", "imdb")
         ]
-        expected = sorted(spec.key for spec in specs)
-
-        flat_keys, flat_failed = self._drain(
-            tmp_path / "flat", specs, shard_by="none", scan_order="sorted", batch=1
-        )
-        sharded_keys, sharded_failed = self._drain(
-            tmp_path / "sharded", specs, shard_by="dataset", scan_order="random", batch=8
-        )
-        assert sorted(flat_keys) == expected  # exactly once, nothing lost
-        assert sorted(sharded_keys) == expected
-        assert sharded_failed < flat_failed
+        keys = self._drain(tmp_path / "sharded", specs, batch=8)
+        assert sorted(keys) == sorted(spec.key for spec in specs)
 
     def test_interrupted_worker_releases_its_unstarted_batch(self, tmp_path, monkeypatch):
         broker = SpoolBroker(tmp_path / "spool")
@@ -714,26 +670,15 @@ class TestExecutionConfig:
         assert coerced.mode == "distributed"
         assert str(coerced.spool_dir) == str(tmp_path / "spool")
 
-    def test_shard_and_claim_batch_knobs_validated(self, tmp_path):
-        with pytest.raises(ValueError, match="shard_by"):
-            ExecutionConfig(shard_by="bogus")
+    def test_claim_batch_knob_validated(self):
         with pytest.raises(ValueError, match="claim_batch"):
             ExecutionConfig(claim_batch=0)
-        execution = ExecutionConfig(
-            mode="distributed",
-            spool_dir=tmp_path / "spool",
-            cache_dir=tmp_path / "cache",
-            shard_by="hash",
-        )
-        assert execution.broker().shard_by == "hash"
 
-    def test_distributed_preset_reads_shard_and_batch_env(self, tmp_path, monkeypatch):
+    def test_distributed_preset_reads_batch_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_SPOOL_DIR", str(tmp_path / "spool"))
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        monkeypatch.setenv("REPRO_SPOOL_SHARD_BY", "hash")
         monkeypatch.setenv("REPRO_CLAIM_BATCH", "3")
         coerced = ExecutionConfig.coerce("distributed")
-        assert coerced.shard_by == "hash"
         assert coerced.claim_batch == 3
 
     def test_wait_timeout_without_workers(self, tmp_path):
@@ -843,15 +788,15 @@ class TestDistributedGrid:
             assert pickle.dumps(ours) == pickle.dumps(theirs)
 
     def test_legacy_unsharded_spool_drains_with_byte_identity(self, tmp_path):
-        """A spool pre-populated in the PR 4 flat layout still drains through
-        the sharded engine — no duplicate enqueues, identical results."""
+        """Pending tasks a pre-sharding spool left directly under ``tasks/``
+        are not scanned; the submitter files each trial under its shard, and
+        every trial still runs exactly once with identical results."""
         spool, cache_dir = tmp_path / "spool", tmp_path / "cache"
         jobs = _grid_jobs()[:1]
         specs = [spec for _, spec in expand_jobs(jobs, FAST)]
-        legacy = SpoolBroker(spool, shard_by="none")
+        (spool / "tasks").mkdir(parents=True)
         for spec in specs:
-            assert legacy.enqueue(spec) is True
-            assert (spool / "tasks" / f"{spec.key}.task").exists()
+            (spool / "tasks" / f"{spec.key}.task").write_bytes(pickle.dumps(spec))
         worker = threading.Thread(
             target=run_worker,
             args=(spool, cache_dir),

@@ -68,10 +68,6 @@ class TestSchema:
     def test_constructor_validates_arguments(self, tmp_path):
         with pytest.raises(ValueError, match="lease_ttl"):
             SqliteBroker(tmp_path, lease_ttl=0)
-        with pytest.raises(ValueError, match="shard_by"):
-            SqliteBroker(tmp_path, shard_by="zodiac")
-        with pytest.raises(ValueError, match="scan_order"):
-            SqliteBroker(tmp_path, scan_order="chaotic")
 
 
 class TestCorruptRows:
@@ -83,7 +79,7 @@ class TestCorruptRows:
             )
 
     def test_unpicklable_spec_is_quarantined_not_served(self, tmp_path):
-        broker = SqliteBroker(tmp_path / "queue", scan_order="sorted")
+        broker = SqliteBroker(tmp_path / "queue")
         good, bad = _spec(seed=0), _spec(seed=1)
         broker.enqueue_batch([good, bad])
         self._corrupt_row(broker, bad.key)
@@ -103,17 +99,6 @@ class TestCorruptRows:
         assert broker.counts() == {"tasks": 1, "leases": 0, "failed": 0, "corrupt": 0}
         (lease,) = broker.lease_batch("w")
         assert lease.spec == spec
-
-
-class TestDeterministicScan:
-    def test_sorted_scan_order_claims_the_smallest_keys(self, tmp_path):
-        specs = [_spec(seed=seed) for seed in range(5)]
-        broker = SqliteBroker(tmp_path / "queue", scan_order="sorted")
-        broker.enqueue_batch(specs)
-        # Sorted order pins *which* rows a partial claim takes (RETURNING
-        # order is unspecified), which is what deterministic tests need.
-        claimed = {lease.key for lease in broker.lease_batch("w", limit=2)}
-        assert claimed == set(sorted(spec.key for spec in specs)[:2])
 
 
 class TestStats:
