@@ -238,6 +238,24 @@ class TestShardedSpool:
         assert broker.shard_for(unsafe) == unsafe.key[:2]
         assert broker.task_path(unsafe).parent.name == unsafe.key[:2]
 
+    def test_stale_flat_task_is_not_seen_and_enqueue_refiles_it(self, tmp_path):
+        """A ``tasks/<key>.task`` left by a pre-sharding spool is invisible to
+        every scan; enqueueing the trial files it under its shard instead."""
+        broker = SpoolBroker(tmp_path)
+        spec = _spec()
+        broker.tasks_dir.mkdir(parents=True)
+        stale = broker.tasks_dir / f"{spec.key}.task"
+        stale.write_bytes(pickle.dumps(spec))
+        assert broker.counts()["tasks"] == 0
+        assert broker.backlog() == {"tasks": 0, "shards": 0, "leases": 0}
+        assert broker.lease_batch("w1") == []
+        assert broker.enqueue(spec) is True
+        assert broker.task_path(spec).exists()
+        lease = broker.lease_next("w1")
+        assert lease is not None and lease.spec == spec
+        assert broker.lease_next("w2") is None  # the stale copy is never claimed
+        assert stale.exists()
+
     def test_lease_records_its_shard_and_release_restores_it(self, tmp_path):
         broker = SpoolBroker(tmp_path)
         spec = _spec()

@@ -124,6 +124,21 @@ class TestEnqueueContract:
         assert drained == serial_keys
 
 
+class TestShardContract:
+    def test_every_backend_files_trials_under_one_shard_rule(self, make_broker):
+        """The dataset names the shard; a raw key, or a dataset with no safe
+        characters, falls back to the key's first two hex characters."""
+        broker = make_broker()
+        spec, unsafe = _spec(), _spec(dataset="...")
+        assert broker.shard_for(spec) == "youtube"
+        assert broker.shard_for(spec.key) == spec.key[:2]
+        assert broker.shard_for(unsafe) == unsafe.key[:2]
+        assert broker.enqueue_batch([spec, unsafe]) == 2
+        assert broker.backlog()["shards"] == 2
+        leased = {lease.key: lease.spec for lease in broker.lease_batch("w1", limit=2)}
+        assert leased == {spec.key: spec, unsafe.key: unsafe}
+
+
 class TestLeaseContract:
     def test_lease_round_trips_the_spec(self, make_broker):
         broker = make_broker()
@@ -193,6 +208,18 @@ class TestLeaseContract:
         broker.enqueue_batch(specs)
         batch = broker.lease_batch("w1", limit=6)
         assert len(batch) == 6  # 3 per shard: the batch crossed shards
+
+    def test_claims_are_not_in_key_order(self, make_broker):
+        # Racing workers spread out only because each scans candidates in
+        # its own random order; a sorted scan would send every worker to the
+        # same smallest key.  Twelve one-at-a-time claims come out in key
+        # order by chance with probability 1/12! (about 2e-9).
+        broker = make_broker()
+        specs = [_spec(seed=seed) for seed in range(12)]
+        broker.enqueue_batch(specs)
+        order = [broker.lease_next("w1").key for _ in specs]
+        assert sorted(order) == sorted(spec.key for spec in specs)
+        assert order != sorted(order)
 
     def test_release_re_offers_for_any_claimant(self, make_broker):
         broker = make_broker()
