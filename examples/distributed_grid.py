@@ -21,13 +21,13 @@ shared spool/cache directory, e.g. an NFS mount):
 Usage::
 
     python examples/distributed_grid.py [--dataset youtube] [--iterations 10] \
-        [--num-workers 2] [--seeds 2] [--broker spool] [--results pickle] \
+        [--num-workers 2] [--seeds 2] [--broker spool] \
         [--supervise] [--claim-batch 8] [--keep-dirs]
 
-With ``--results indexed`` the workers additionally materialise every
-published result into the cache's ``results.sqlite3`` run-history index,
-and the example finishes by smoking the ``python -m repro.runner.query``
-CLI (``--reindex`` + a leaderboard) against it.
+The workers also record every published result in the cache's
+``results.sqlite3`` run-history index, and the example finishes by smoking
+the ``python -m repro.runner.query`` CLI (``--reindex`` + a leaderboard)
+against it.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from repro.experiments import EvaluationProtocol
 from repro.runner import (
     BROKER_BACKENDS,
     DEFAULT_CLAIM_BATCH,
-    RESULT_STORE_BACKENDS,
     ExecutionConfig,
     GridJob,
     last_report,
@@ -61,7 +60,6 @@ from repro.runner.fleet import (
 
 def spawn_worker(
     spool: str, cache_dir: str, index: int, claim_batch: int, broker: str,
-    results: str,
 ) -> subprocess.Popen:
     """Start one worker daemon as a fully independent subprocess."""
     return subprocess.Popen(
@@ -69,7 +67,6 @@ def spawn_worker(
             spool,
             cache_dir,
             broker=broker,
-            results=results,
             idle_timeout=5,
             claim_batch=claim_batch,
             worker_id=f"example-{index}",
@@ -80,7 +77,6 @@ def spawn_worker(
 
 def spawn_supervisor(
     spool: str, cache_dir: str, max_workers: int, claim_batch: int, broker: str,
-    results: str,
 ) -> subprocess.Popen:
     """Start the elastic fleet supervisor (it spawns the workers itself)."""
     return subprocess.Popen(
@@ -88,7 +84,6 @@ def spawn_supervisor(
             spool,
             cache_dir,
             broker=broker,
-            results=results,
             max_workers=max_workers,
             tasks_per_worker=1,
             worker_idle_timeout=5,
@@ -133,10 +128,6 @@ def main() -> None:
                              "--supervise: the supervisor's --max-workers)")
     parser.add_argument("--broker", default="spool", choices=BROKER_BACKENDS,
                         help="broker backend coordinating submitter and workers")
-    parser.add_argument("--results", default="pickle",
-                        choices=RESULT_STORE_BACKENDS,
-                        help="result-store backend (indexed additionally "
-                             "builds the results.sqlite3 run-history index)")
     parser.add_argument("--supervise", action="store_true",
                         help="replace the hand-spawned workers with one "
                              "elastic supervisor process")
@@ -168,16 +159,13 @@ def main() -> None:
         print(f"Spawning a supervisor (max {args.num_workers} workers) against "
               f"{spool} [broker={args.broker}] ...")
         supervisor = spawn_supervisor(
-            spool, cache_dir, args.num_workers, args.claim_batch, args.broker,
-            args.results,
+            spool, cache_dir, args.num_workers, args.claim_batch, args.broker
         )
     else:
         print(f"Spawning {args.num_workers} worker daemon(s) against {spool} "
               f"[broker={args.broker}, claim_batch={args.claim_batch}] ...")
         workers = [
-            spawn_worker(
-                spool, cache_dir, i, args.claim_batch, args.broker, args.results
-            )
+            spawn_worker(spool, cache_dir, i, args.claim_batch, args.broker)
             for i in range(args.num_workers)
         ]
     try:
@@ -190,7 +178,6 @@ def main() -> None:
                 broker=args.broker,
                 spool_dir=spool,
                 cache_dir=cache_dir,
-                results=args.results,
                 wait_timeout=600,
                 claim_batch=args.claim_batch,
             ),
@@ -217,8 +204,7 @@ def main() -> None:
         print(f"  {key:12s} avg_acc={serial[key].average_accuracy:.4f}  "
               "(distributed == serial, byte-identical)")
 
-    if args.results == "indexed":
-        smoke_query_cli(cache_dir)
+    smoke_query_cli(cache_dir)
 
     if args.keep_dirs:
         print(f"Spool/cache kept under {work_dir}")

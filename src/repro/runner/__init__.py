@@ -3,9 +3,9 @@
 One orchestration path for every experiment grid in the reproduction:
 
 * :mod:`repro.runner.spec` — frozen, content-hashed trial descriptions;
-* :mod:`repro.runner.results` — pluggable result persistence behind the
-  abstract :class:`ResultStore` protocol: the content-addressed
-  pickle-shard blob store and the SQLite-indexed store whose
+* :mod:`repro.runner.results` — result persistence behind the abstract
+  :class:`ResultStore` protocol: the content-addressed pickle-shard blob
+  layer, wrapped by the one store every layer holds, whose
   ``results.sqlite3`` run-history database is queryable via
   :class:`RunHistoryDB` and ``python -m repro.runner.query`` (the query
   CLI is imported lazily — not re-exported here — for the same ``-m``
@@ -42,13 +42,11 @@ protocol, and ``docs/adding_experiments.md`` for how to add a grid.
 
 from repro.runner.spec import CACHE_FORMAT_VERSION, TrialSpec
 from repro.runner.results import (
-    RESULT_STORE_BACKENDS,
     TRIAL_METRICS,
     IndexedResultStore,
     ResultCache,
     ResultStore,
     RunHistoryDB,
-    create_result_store,
 )
 from repro.runner.brokers import (
     BROKER_BACKENDS,
@@ -89,14 +87,12 @@ __all__ = [
     "CACHE_FORMAT_VERSION",
     "DEFAULT_CLAIM_BATCH",
     "DEFAULT_LEASE_TTL",
-    "RESULT_STORE_BACKENDS",
     "TRIAL_METRICS",
     "TrialSpec",
     "IndexedResultStore",
     "ResultCache",
     "ResultStore",
     "RunHistoryDB",
-    "create_result_store",
     "Broker",
     "LeasedTrial",
     "RemoteTrialError",

@@ -8,10 +8,10 @@ on.  The engine gives them one orchestration path:
    cell, e.g. "ActiveDP on youtube");
 2. :func:`expand_jobs` derives the per-seed :class:`TrialSpec` list with
    deterministic :func:`~repro.utils.rng.spawn_seeds` seeding;
-3. :func:`run_specs` serves cached trials from the configured
-   :class:`~repro.runner.results.base.ResultStore` backend (the
-   content-addressed pickle-shard cache, or the SQLite-indexed store —
-   ``ExecutionConfig.results``) and schedules the rest through
+3. :func:`run_specs` serves cached trials from the
+   :class:`~repro.runner.results.IndexedResultStore` over ``cache_dir``
+   (the content-addressed pickle-shard blobs plus the ``results.sqlite3``
+   run-history index) and schedules the rest through
    :func:`~repro.runner.executor.execute_trials` (process-pool parallel
    across the *whole* grid, not per cell) — or, with
    ``ExecutionConfig(mode="distributed", ...)``, enqueues them on the
@@ -43,11 +43,7 @@ from repro.runner.brokers import (
     create_broker,
 )
 from repro.runner.executor import execute_trials
-from repro.runner.results import (
-    RESULT_STORE_BACKENDS,
-    ResultStore,
-    create_result_store,
-)
+from repro.runner.results import IndexedResultStore
 from repro.runner.spec import TrialSpec
 from repro.utils.rng import spawn_seeds
 
@@ -69,14 +65,10 @@ class ExecutionConfig:
         ``mode="distributed"`` — remote worker processes decide their own
         parallelism.
     cache_dir:
-        Root of the content-addressed result cache; ``None`` disables
-        caching entirely.  Distributed execution *requires* a cache: it is
-        the channel results travel back through.
-    results:
-        Result-store backend over ``cache_dir``: ``"pickle"`` (default,
-        the plain blob store) or ``"indexed"`` (blobs plus the queryable
-        ``results.sqlite3`` run-history index — blob bytes are identical
-        either way).  Match the workers' ``--results``.
+        Root of the content-addressed result cache, which also holds the
+        ``results.sqlite3`` run-history index; ``None`` disables caching
+        entirely.  Distributed execution *requires* a cache: it is the
+        channel results travel back through.
     use_cache:
         Master switch; ``False`` ignores ``cache_dir`` (the ``--no-cache``
         knob).
@@ -110,7 +102,6 @@ class ExecutionConfig:
 
     workers: int = 1
     cache_dir: str | Path | None = None
-    results: str = "pickle"
     use_cache: bool = True
     mode: str = "local"
     broker: str = "spool"
@@ -127,11 +118,6 @@ class ExecutionConfig:
         if self.broker not in BROKER_BACKENDS:
             raise ValueError(
                 f"broker must be one of {BROKER_BACKENDS}, got {self.broker!r}"
-            )
-        if self.results not in RESULT_STORE_BACKENDS:
-            raise ValueError(
-                f"results must be one of {RESULT_STORE_BACKENDS}, "
-                f"got {self.results!r}"
             )
         if self.claim_batch < 1:
             raise ValueError("claim_batch must be at least 1")
@@ -159,8 +145,7 @@ class ExecutionConfig:
         ``"parallel"`` (all cores) or ``"distributed"`` (spool/cache
         directories from the ``REPRO_SPOOL_DIR`` / ``REPRO_CACHE_DIR``
         environment variables, the broker backend from ``REPRO_BROKER``,
-        the result-store backend from ``REPRO_RESULTS``, the worker batch
-        size from ``REPRO_CLAIM_BATCH``).
+        the worker batch size from ``REPRO_CLAIM_BATCH``).
         """
         if value is None:
             return cls()
@@ -177,7 +162,6 @@ class ExecutionConfig:
                     broker=os.environ.get("REPRO_BROKER", "spool"),
                     spool_dir=os.environ.get("REPRO_SPOOL_DIR"),
                     cache_dir=os.environ.get("REPRO_CACHE_DIR"),
-                    results=os.environ.get("REPRO_RESULTS", "pickle"),
                     claim_batch=int(
                         os.environ.get("REPRO_CLAIM_BATCH", DEFAULT_CLAIM_BATCH)
                     ),
@@ -191,16 +175,15 @@ class ExecutionConfig:
             f"got {type(value).__name__}"
         )
 
-    def cache(self) -> ResultStore | None:
-        """The configured result store, or ``None`` when caching is off.
+    def cache(self) -> IndexedResultStore | None:
+        """The result store over :attr:`cache_dir`, or ``None`` when caching is off.
 
-        The backend is the :attr:`results` choice: the plain pickle-shard
-        blob store, or the indexed store maintaining ``results.sqlite3``
-        alongside the same blobs.
+        The pickle-shard blobs plus the ``results.sqlite3`` run-history
+        index: every ``put`` writes the blob, then its index row.
         """
         if self.cache_dir is None or not self.use_cache:
             return None
-        return create_result_store(str(self.results), self.cache_dir)
+        return IndexedResultStore(self.cache_dir)
 
     def create_broker(self) -> Broker:
         """Build the configured broker backend for ``mode="distributed"``."""

@@ -61,7 +61,6 @@ def worker_command(
     spool: str | Path,
     cache_dir: str | Path,
     broker: str = "spool",
-    results: str = "pickle",
     lease_ttl: float | None = None,
     claim_batch: int | None = None,
     idle_timeout: float | None = None,
@@ -86,8 +85,6 @@ def worker_command(
         str(cache_dir),
         "--broker",
         broker,
-        "--results",
-        results,
     ]
     command += _optional_flags(
         ("--lease-ttl", lease_ttl),
@@ -106,7 +103,6 @@ def supervisor_command(
     spool: str | Path,
     cache_dir: str | Path,
     broker: str = "spool",
-    results: str = "pickle",
     max_workers: int | None = None,
     min_workers: int | None = None,
     tasks_per_worker: int | None = None,
@@ -134,8 +130,6 @@ def supervisor_command(
         str(cache_dir),
         "--broker",
         broker,
-        "--results",
-        results,
     ]
     command += _optional_flags(
         ("--max-workers", max_workers),

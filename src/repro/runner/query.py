@@ -4,12 +4,12 @@ Answers analytical questions against the ``results.sqlite3`` index of an
 :class:`~repro.runner.results.indexed.IndexedResultStore` cache directory —
 spec-field filters, metric predicates, cross-grid leaderboards — without
 unpickling a single result blob, and rebuilds the index from the blobs when
-asked (``--reindex``, the backfill path for pre-existing pickle-only
-caches).
+asked (``--reindex``, the backfill path for caches written without an
+index, and the way to rebuild the index of a cache several hosts share).
 
 Examples::
 
-    # adopt a pickle-only cache: build its index from the blob shards
+    # adopt a cache written without an index: build it from the blob shards
     python -m repro.runner.query --cache-dir /shared/cache --reindex
 
     # spec-field filter + metric predicate, straight off the index

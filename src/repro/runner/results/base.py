@@ -5,14 +5,14 @@ trials are written through it keyed by their
 :attr:`TrialSpec.key <repro.runner.spec.TrialSpec.key>` content address, and
 every consumer — the engine's cache-first scheduler, the distributed
 submitter's polling loop, the worker daemon — reads them back through the
-same seam.  Like the broker protocol (:mod:`repro.runner.brokers.base`), the
-layers above talk only to this contract, so backends are interchangeable:
+same seam.  Two classes implement it, one wrapping the other:
 
-* :class:`~repro.runner.results.pickle_store.ResultCache` — the reference
-  pickle-shard blob store (``<root>/<key[:2]>/<key>.pkl``);
-* :class:`~repro.runner.results.indexed.IndexedResultStore` — any blob
-  store plus a WAL-mode SQLite index (``results.sqlite3``) materialising
-  spec fields and headline metrics as queryable columns.
+* :class:`~repro.runner.results.pickle_store.ResultCache` — the
+  pickle-shard blob layer (``<root>/<key[:2]>/<key>.pkl``);
+* :class:`~repro.runner.results.indexed.IndexedResultStore` — the store
+  every layer holds: that blob layer plus a WAL-mode SQLite index
+  (``results.sqlite3``) materialising spec fields and headline metrics as
+  queryable columns.
 
 The protocol (blobs are always the source of truth):
 
@@ -27,18 +27,18 @@ The protocol (blobs are always the source of truth):
 ``clear()``                delete every entry *and* every quarantined blob
 =========================  ==================================================
 
-Shared semantics every backend must honour (the contract suite in
-``tests/runner/test_result_store_contract.py`` runs identically against all
-of them):
+Shared semantics both must honour (the contract suite in
+``tests/runner/test_result_store_contract.py`` runs identically against
+each):
 
 * **content addressing** — one entry per content key; a re-``put`` of the
   same key atomically replaces the previous bytes;
 * **quarantine on read** — an unreadable or wrong-typed entry is a miss,
   and is moved aside (never silently deleted) so the recompute can land;
-* **byte-identity** — the blob bytes a store persists are independent of
-  the backend: an indexed run and a plain run of the same trial produce
-  identical blobs (any index is derived state, eventually consistent and
-  rebuildable from the blobs).
+* **byte-identity** — the index never touches the blob bytes: an indexed
+  ``put`` and a plain blob ``put`` of the same trial produce identical
+  blobs (the index is derived state, eventually consistent and rebuildable
+  from the blobs).
 """
 
 from __future__ import annotations
@@ -49,11 +49,6 @@ from typing import Iterable
 
 from repro.core.results import RunHistory
 from repro.runner.spec import TrialSpec
-
-#: Recognised ``results=`` backend names, in preference order for docs and
-#: validation messages.  ``"pickle"`` is the default everywhere.
-RESULT_STORE_BACKENDS = ("pickle", "indexed")
-
 
 class ResultStore(abc.ABC):
     """Abstract content-addressed persistence for trial :class:`RunHistory`\\ s.

@@ -1,8 +1,9 @@
-"""Indexed result store: any blob store plus a queryable SQLite index.
+"""Indexed result store: the pickle-shard blobs plus a queryable SQLite index.
 
-Wraps a blob backend (the pickle-shard :class:`ResultCache` by default) and
-maintains a :class:`~repro.runner.results.history_db.RunHistoryDB` alongside
-it — ``<root>/results.sqlite3``, the same file family as the SQLite broker's
+The one result store the engine, the worker daemon and the labeling service
+hold.  It wraps the pickle-shard :class:`ResultCache` and maintains a
+:class:`~repro.runner.results.history_db.RunHistoryDB` alongside it —
+``<root>/results.sqlite3``, the same file family as the SQLite broker's
 ``broker.sqlite3``, so one shared directory carries the queue, the blobs and
 the analytics index.
 
@@ -45,30 +46,22 @@ class IndexedResultStore(ResultStore):
     ----------
     root:
         Shared store directory: blobs live in the usual ``<key[:2]>/``
-        shards, the index in ``results.sqlite3`` next to them.
-    blobs:
-        The blob backend to wrap; defaults to a :class:`ResultCache` at
-        *root*.  Any :class:`ResultStore` works — the index only ever
-        *derives* from what the blob store serves.
+        shards (a :class:`ResultCache` at *root*), the index in
+        ``results.sqlite3`` next to them.
     db_path:
         Index database override (a file path, or a directory to put
         ``results.sqlite3`` in); defaults to *root*.
     """
 
-    def __init__(
-        self,
-        root: str | Path,
-        blobs: ResultStore | None = None,
-        db_path: str | Path | None = None,
-    ):
+    def __init__(self, root: str | Path, db_path: str | Path | None = None):
         self.root = Path(root)
-        self.blobs = blobs if blobs is not None else ResultCache(self.root)
+        self.blobs = ResultCache(self.root)
         self.db = RunHistoryDB(self.root if db_path is None else db_path)
 
     # -- blob operations (delegated; the blobs are the source of truth) ----
 
     def path_for(self, spec: TrialSpec | str) -> Path:
-        """The wrapped blob store's path for a spec (or raw content key)."""
+        """The blob path for a spec (or raw content key)."""
         return self.blobs.path_for(spec)
 
     def get(self, spec: TrialSpec | str) -> RunHistory | None:

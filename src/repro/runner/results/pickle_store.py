@@ -1,4 +1,4 @@
-"""Content-addressed pickle-shard blob store: the reference result backend.
+"""Content-addressed pickle-shard blob store: the blob layer of the result store.
 
 Layout: ``<root>/<first two hex chars>/<full key>.pkl``, one pickled
 :class:`~repro.core.results.RunHistory` per trial, keyed by
@@ -102,7 +102,7 @@ class ResultCache(ResultStore):
         """Atomically store *history* under the spec's content key.
 
         *wall_seconds* is accepted for protocol compatibility and ignored:
-        this backend stores blobs only.
+        this layer stores blobs only.
         """
         path = self.path_for(spec)
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -62,7 +62,6 @@ from repro.runner.brokers import (
     create_broker,
 )
 from repro.runner.fleet import subprocess_env, worker_command
-from repro.runner.results import RESULT_STORE_BACKENDS
 
 #: Default seconds of emptiness after which a spawned worker retires itself
 #: (the supervisor's scale-*down* mechanism — see module docstring).
@@ -107,11 +106,6 @@ class Supervisor:
         Backend name (``"spool"`` / ``"sqlite"``) or a ready-made
         :class:`Broker` instance to read scaling signals from; the name is
         also forwarded to spawned workers as ``--broker``.
-    results:
-        Result-store backend name (``"pickle"`` / ``"indexed"``) forwarded
-        to spawned workers as ``--results`` — with ``"indexed"`` every
-        worker additionally indexes its published results into the shared
-        cache's ``results.sqlite3`` run-history database.
     min_workers:
         Floor of live workers while supervising (default 0 — a drained
         queue costs no processes).
@@ -147,7 +141,6 @@ class Supervisor:
         spool: str | Path,
         cache_dir: str | Path,
         broker: str | Broker = "spool",
-        results: str = "pickle",
         min_workers: int = 0,
         max_workers: int = DEFAULT_MAX_WORKERS,
         tasks_per_worker: int = DEFAULT_TASKS_PER_WORKER,
@@ -165,13 +158,7 @@ class Supervisor:
             raise ValueError("need 0 <= min_workers <= max_workers")
         if tasks_per_worker < 1:
             raise ValueError("tasks_per_worker must be at least 1")
-        if results not in RESULT_STORE_BACKENDS:
-            raise ValueError(
-                f"results backend must be one of {RESULT_STORE_BACKENDS}, "
-                f"got {results!r}"
-            )
         self.spool = str(spool)
-        self.results = results
         self.cache_dir = str(cache_dir)
         if isinstance(broker, str):
             self.backend = broker
@@ -221,7 +208,6 @@ class Supervisor:
             self.spool,
             self.cache_dir,
             broker=self.backend,
-            results=self.results,
             lease_ttl=self.lease_ttl,
             claim_batch=self.claim_batch,
             idle_timeout=self.worker_idle_timeout,
@@ -371,13 +357,6 @@ def main(argv: list[str] | None = None) -> int:
         help="broker backend (env REPRO_BROKER; default spool)",
     )
     parser.add_argument(
-        "--results",
-        choices=RESULT_STORE_BACKENDS,
-        default=os.environ.get("REPRO_RESULTS", "pickle"),
-        help="result-store backend forwarded to spawned workers "
-        "(env REPRO_RESULTS; default pickle)",
-    )
-    parser.add_argument(
         "--min-workers",
         type=int,
         default=0,
@@ -440,7 +419,6 @@ def main(argv: list[str] | None = None) -> int:
         args.spool,
         args.cache_dir,
         broker=args.broker,
-        results=args.results,
         min_workers=args.min_workers,
         max_workers=args.max_workers,
         tasks_per_worker=args.tasks_per_worker,

@@ -16,15 +16,14 @@ stay warm), heartbeat every held lease from a background thread, and execute
 the batch with the engine's canonical
 :func:`~repro.runner.executor.run_trial` loop.
 Each result is written through the shared
-:class:`~repro.runner.results.base.ResultStore` (``--results`` picks the
-backend: the plain pickle-shard cache, or the indexed store that also
-maintains the ``results.sqlite3`` run-history index) *while its lease is
-still heartbeating* — a slow publish (NFS, large history) must not let the lease
-expire and the completed trial get re-executed elsewhere — and only then is
-the lease dropped.  A trial that raises is recorded as a failure log for the
-submitter to surface; the worker itself keeps serving other trials.  On
-shutdown (interrupt), every lease not yet completed — including claimed but
-unstarted batch members — is voluntarily re-offered.
+:class:`~repro.runner.results.IndexedResultStore` (the pickle-shard blob,
+then its row in the ``results.sqlite3`` run-history index) *while its lease
+is still heartbeating* — a slow publish (NFS, large history) must not let
+the lease expire and the completed trial get re-executed elsewhere — and
+only then is the lease dropped.  A trial that raises is recorded as a
+failure log for the submitter to surface; the worker itself keeps serving
+other trials.  On shutdown (interrupt), every lease not yet completed —
+including claimed but unstarted batch members — is voluntarily re-offered.
 
 Workers are stateless and interchangeable: all coordination lives in the
 broker's lease protocol, and results are content-addressed, so adding a
@@ -51,7 +50,7 @@ from repro.runner.brokers import (
     create_broker,
 )
 from repro.runner.executor import run_trial
-from repro.runner.results import RESULT_STORE_BACKENDS, create_result_store
+from repro.runner.results import IndexedResultStore
 
 
 def default_worker_id() -> str:
@@ -114,7 +113,6 @@ def run_worker(
     worker_id: str | None = None,
     quiet: bool = False,
     broker: str = "spool",
-    results: str = "pickle",
 ) -> int:
     """Serve trials from the shared queue until done; returns the number executed.
 
@@ -125,7 +123,9 @@ def run_worker(
         spool directory, or the directory/file the SQLite backend keeps
         its database in.
     cache_dir:
-        Shared :class:`ResultCache` root results are written through.
+        Shared result-store root: each published trial lands as a blob and
+        then as a row of the ``results.sqlite3`` run-history index, spec
+        fields and all.
     max_trials:
         Exit after executing this many trials (``None`` = unbounded).
     idle_timeout:
@@ -152,18 +152,11 @@ def run_worker(
     broker:
         Broker backend name (``"spool"`` or ``"sqlite"``); must match the
         submitter's ``ExecutionConfig.broker``.
-    results:
-        Result-store backend name (``"pickle"`` or ``"indexed"``); with
-        ``"indexed"`` each published trial also lands in the shared
-        ``results.sqlite3`` run-history index, spec fields and all.  Blob
-        bytes are identical either way, so workers with mismatched
-        ``--results`` still agree on every result — only index coverage
-        differs.
     """
     if claim_batch < 1:
         raise ValueError("claim_batch must be at least 1")
     broker = create_broker(broker, spool, lease_ttl=lease_ttl)
-    cache = create_result_store(results, cache_dir)
+    cache = IndexedResultStore(cache_dir)
     identity = worker_id or default_worker_id()
     heartbeat_interval = max(lease_ttl / 4.0, 0.05)
 
@@ -289,14 +282,6 @@ def main(argv: list[str] | None = None) -> int:
         "default spool); must match the submitter's",
     )
     parser.add_argument(
-        "--results",
-        choices=RESULT_STORE_BACKENDS,
-        default=os.environ.get("REPRO_RESULTS", "pickle"),
-        help="result-store backend results are published through (env "
-        "REPRO_RESULTS; default pickle; indexed additionally maintains "
-        "the shared results.sqlite3 run-history index)",
-    )
-    parser.add_argument(
         "--max-trials",
         type=int,
         default=None,
@@ -346,7 +331,6 @@ def main(argv: list[str] | None = None) -> int:
             worker_id=args.worker_id,
             quiet=args.quiet,
             broker=args.broker,
-            results=args.results,
         )
     except KeyboardInterrupt:
         return 130

@@ -42,7 +42,6 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.runner.brokers import BROKER_BACKENDS, DEFAULT_LEASE_TTL
-from repro.runner.results import RESULT_STORE_BACKENDS
 from repro.serving.schemas import canonical_json
 from repro.serving.service import LabelingService
 
@@ -177,7 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--spool", required=True, help="broker location shared with workers")
     parser.add_argument("--cache-dir", required=True, help="result-store root shared with workers")
     parser.add_argument("--broker", default="spool", choices=list(BROKER_BACKENDS))
-    parser.add_argument("--results", default="pickle", choices=list(RESULT_STORE_BACKENDS))
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=0, help="0 binds an ephemeral port")
     parser.add_argument("--lease-ttl", type=float, default=DEFAULT_LEASE_TTL)
@@ -203,7 +201,6 @@ def main(argv: list[str] | None = None) -> int:
         args.spool,
         args.cache_dir,
         broker=args.broker,
-        results=args.results,
         lease_ttl=args.lease_ttl,
         max_inflight=args.max_inflight,
         retry_after=args.retry_after,

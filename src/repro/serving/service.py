@@ -3,8 +3,8 @@
 :class:`LabelingService` is everything the serving layer does *except*
 HTTP: it owns a :class:`~repro.runner.brokers.Broker` (cold requests become
 content-keyed :class:`~repro.runner.spec.TrialSpec`\\ s enqueued to the
-worker fleet), a :class:`~repro.runner.results.ResultStore` (warm requests
-short-circuit straight to the stored history), an
+worker fleet), an :class:`~repro.runner.results.IndexedResultStore` (warm
+requests short-circuit straight to the stored history), an
 :class:`~repro.serving.admission.AdmissionController` (bounded in-flight)
 and a :class:`~repro.serving.sessions.SessionManager` (interactive
 sessions).  A background watcher thread completes pending jobs as their
@@ -21,22 +21,24 @@ Dedup layers, cheapest first:
    (no new enqueue, no admission charge);
 2. *warm hit* — the result store already holds the key: answered
    immediately (HTTP 200), bypassing admission entirely;
-3. *index hit* — an :class:`~repro.runner.results.IndexedResultStore`'s
-   :class:`~repro.runner.results.history_db.RunHistoryDB` knows the key
+3. *index hit* — the store's run-history index
+   (:class:`~repro.runner.results.history_db.RunHistoryDB`) knows the key
    even though the blob read missed (e.g. the blob is still landing): the
-   job is registered pending *without* an enqueue — an indexed key is
-   never re-executed;
+   job is registered pending *without* an enqueue, and only the watcher's
+   periodic self-heal re-offers it, if the blob never shows up.  A
+   failing index probe counts as "not indexed";
 4. *broker idempotency* — even an enqueued duplicate key is a no-op at
    the queue.
 """
 
 from __future__ import annotations
 
+import sqlite3
 import threading
 from pathlib import Path
 
 from repro.runner.brokers import DEFAULT_LEASE_TTL, create_broker
-from repro.runner.results import create_result_store
+from repro.runner.results import IndexedResultStore
 from repro.runner.spec import TrialSpec
 from repro.serving.admission import AdmissionController
 from repro.serving.schemas import (
@@ -62,14 +64,13 @@ REQUEUE_EVERY_TICKS = 10
 class _Job:
     """One pending/terminal label job (service-internal)."""
 
-    __slots__ = ("spec", "status", "error", "admitted", "enqueued")
+    __slots__ = ("spec", "status", "error", "admitted")
 
-    def __init__(self, spec: TrialSpec, admitted: bool, enqueued: bool):
+    def __init__(self, spec: TrialSpec, admitted: bool):
         self.spec = spec
         self.status = "pending"
         self.error: dict | None = None
         self.admitted = admitted
-        self.enqueued = enqueued
 
 
 class LabelingService:
@@ -81,11 +82,10 @@ class LabelingService:
         Broker location shared with the worker fleet (spool directory, or
         the directory holding ``broker.sqlite3`` for the SQLite backend).
     cache_dir:
-        Result-store root shared with the worker fleet.
+        Result-store root shared with the worker fleet (blobs plus the
+        ``results.sqlite3`` run-history index).
     broker:
         Broker backend name (``"spool"`` or ``"sqlite"``).
-    results:
-        Result-store backend name (``"pickle"`` or ``"indexed"``).
     lease_ttl:
         Worker lease TTL passed to the broker; the watcher re-offers
         leases older than this.
@@ -110,7 +110,6 @@ class LabelingService:
         spool_dir: str | Path,
         cache_dir: str | Path,
         broker: str = "spool",
-        results: str = "pickle",
         lease_ttl: float = DEFAULT_LEASE_TTL,
         max_inflight: int = 8,
         retry_after: float = 1.0,
@@ -119,7 +118,7 @@ class LabelingService:
         poll_interval: float = 0.2,
     ):
         self.broker = create_broker(broker, spool_dir, lease_ttl=lease_ttl)
-        self.store = create_result_store(results, cache_dir)
+        self.store = IndexedResultStore(cache_dir)
         self.admission = AdmissionController(
             max_inflight=max_inflight, retry_after=retry_after
         )
@@ -190,10 +189,11 @@ class LabelingService:
         if self._index_knows(key):
             # The run-history index has this key even though the blob read
             # missed (it may still be landing): register the job and let the
-            # watcher pick the result up — never re-execute an indexed key.
+            # watcher pick the result up.  No enqueue here; the self-heal
+            # re-offers the trial only if its blob is really gone.
             with self._lock:
                 self._counters["index_hits"] += 1
-                self._jobs[key] = _Job(spec, admitted=False, enqueued=False)
+                self._jobs[key] = _Job(spec, admitted=False)
             return 202, {"key": key, "status": "pending", "indexed": True}, {}
 
         if not self.admission.try_acquire():
@@ -208,7 +208,7 @@ class LabelingService:
         with self._lock:
             if written:
                 self._counters["enqueued"] += 1
-            self._jobs[key] = _Job(spec, admitted=True, enqueued=True)
+            self._jobs[key] = _Job(spec, admitted=True)
         return 202, {"key": key, "status": "pending"}, {}
 
     def status(self, key: str) -> tuple[int, dict, dict]:
@@ -383,11 +383,16 @@ class LabelingService:
             return 400, {"error": str(error)}, {}
 
     def _index_knows(self, key: str) -> bool:
-        """Whether the result store's run-history index has this key."""
-        db = getattr(self.store, "db", None)
-        if db is None:
+        """Whether the run-history index has this key; a failing probe says no.
+
+        The index is derived state, so a probe that fails (a locked or
+        corrupt ``results.sqlite3``) is soft like the store's index writes:
+        the request is enqueued as a cold one and served from its blob.
+        """
+        try:
+            return self.store.db.has_key(key)
+        except sqlite3.Error:
             return False
-        return db.has_key(key)
 
     def _payload_for_key(self, key: str, history) -> dict:
         """A label payload for a raw key (store probe; no spec in hand).
@@ -433,9 +438,15 @@ class LabelingService:
             return
 
         present = self.store.keys_present(pending)
-        for key in present:
-            self._finish(key, "done")
-        remaining = [key for key in pending if key not in present]
+        remaining = []
+        for key, job in pending.items():
+            # Read, not just listed, as in `Broker.wait`: an unreadable blob
+            # is quarantined by this `get` and its job stays pending, so the
+            # self-heal below re-offers it.
+            if key in present and self.store.get(job.spec) is not None:
+                self._finish(key, "done")
+            else:
+                remaining.append(key)
         if not remaining:
             return
 
@@ -453,15 +464,12 @@ class LabelingService:
             self._tick += 1
             if self._tick % REQUEUE_EVERY_TICKS != 0:
                 return
-            lost = [
-                job.spec
-                for key, job in self._jobs.items()
-                if job.status == "pending" and job.enqueued
-            ]
+            lost = [job.spec for job in self._jobs.values() if job.status == "pending"]
         for spec in lost:
             # Idempotent: a no-op while the task is queued or leased; an
             # actual rewrite means the task vanished (e.g. a spool wiped
-            # mid-run) and this is the self-heal.
+            # mid-run, a quarantined blob, an index hit whose blob is gone)
+            # and this is the self-heal.
             if self.broker.enqueue(spec):
                 with self._lock:
                     self._counters["requeues"] += 1

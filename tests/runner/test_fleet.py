@@ -68,19 +68,17 @@ class TestCommandBuilders:
         command = worker_command("/q", "/c")
         assert command[:3] == [sys.executable, "-m", "repro.runner.worker"]
         assert command[3:] == [
-            "--spool", "/q", "--cache-dir", "/c",
-            "--broker", "spool", "--results", "pickle",
+            "--spool", "/q", "--cache-dir", "/c", "--broker", "spool",
         ]
 
     def test_worker_command_renders_only_given_knobs(self):
         command = worker_command(
-            "/q", "/c", broker="sqlite", results="indexed",
+            "/q", "/c", broker="sqlite",
             max_trials=3, idle_timeout=2.5, worker_id="w-1", quiet=True,
         )
         rest = command[3:]
-        assert rest[:8] == [
-            "--spool", "/q", "--cache-dir", "/c",
-            "--broker", "sqlite", "--results", "indexed",
+        assert rest[:6] == [
+            "--spool", "/q", "--cache-dir", "/c", "--broker", "sqlite",
         ]
         assert ("--idle-timeout", "2.5") == tuple(rest[rest.index("--idle-timeout"):][:2])
         assert ("--max-trials", "3") == tuple(rest[rest.index("--max-trials"):][:2])

@@ -1,10 +1,10 @@
-"""Contract suite: every result-store backend honours the ResultStore protocol.
+"""Contract suite: both result-store classes honour the ResultStore protocol.
 
-Mirrors ``test_broker_contract.py`` — the same assertions run against every
-backend name in ``RESULT_STORE_BACKENDS`` so a future store inherits the
-whole behavioural contract by being added to the registry.  Indexed-only
-semantics (index rows, crash-mid-put divergence, ``--reindex`` recovery,
-blob byte-identity vs the plain store) live in their own classes below.
+Mirrors ``test_broker_contract.py`` — the same assertions run against the
+blob layer (``ResultCache``) and the store every layer holds
+(``IndexedResultStore``, which wraps it).  Indexed-only semantics (index
+rows, crash-mid-put divergence, ``--reindex`` recovery, the engine's blob
+byte-identity) live in their own classes below.
 """
 
 import pickle
@@ -14,14 +14,18 @@ import pytest
 
 from repro.core.results import IterationRecord, RunHistory
 from repro.experiments import EvaluationProtocol
-from repro.runner import TrialSpec, run_experiment_grid, GridJob, ExecutionConfig
+from repro.runner import (
+    ExecutionConfig,
+    GridJob,
+    TrialSpec,
+    expand_jobs,
+    run_experiment_grid,
+)
 from repro.runner.results import (
-    RESULT_STORE_BACKENDS,
     IndexedResultStore,
     ResultCache,
     ResultStore,
     RunHistoryDB,
-    create_result_store,
 )
 
 PROTOCOL = EvaluationProtocol(
@@ -46,15 +50,15 @@ def _spec(seed=7, framework="uncertainty", dataset="youtube"):
     )
 
 
-@pytest.fixture(params=RESULT_STORE_BACKENDS)
-def backend(request):
+@pytest.fixture(params=[ResultCache, IndexedResultStore], ids=lambda cls: cls.__name__)
+def store_class(request):
     return request.param
 
 
 @pytest.fixture
-def make_store(backend, tmp_path):
+def make_store(store_class, tmp_path):
     def factory(root=None):
-        return create_result_store(backend, root if root is not None else tmp_path)
+        return store_class(root if root is not None else tmp_path)
 
     return factory
 
@@ -134,12 +138,12 @@ class TestContract:
         assert store.n_quarantined() == 0
         assert store.get(_spec(1)) is None
 
-    def test_byte_identical_blobs_across_backends(self, backend, tmp_path):
-        """Backends may only differ in *index* state, never in blob bytes."""
+    def test_byte_identical_blobs_across_backends(self, store_class, tmp_path):
+        """The stores may only differ in *index* state, never in blob bytes."""
         spec = _spec()
         history = _history()
         reference = ResultCache(tmp_path / "reference")
-        store = create_result_store(backend, tmp_path / backend)
+        store = store_class(tmp_path / "store")
         assert (
             store.put(spec, history).read_bytes()
             == reference.put(spec, history).read_bytes()
@@ -275,33 +279,38 @@ class TestIndexedStore:
 
 
 class TestEngineByteIdentity:
-    def test_indexed_and_pickle_runs_produce_identical_blobs(self, tmp_path):
-        """Indexing is pure observability: swapping the backend must change
-        neither results nor a single blob byte."""
+    def test_engine_blobs_are_plain_blob_bytes_and_all_indexed(self, tmp_path):
+        """Indexing is pure observability: the engine's store must change
+        neither results nor a single blob byte, and must index every blob."""
         protocol = EvaluationProtocol(
-            n_iterations=2, eval_every=1, n_seeds=1, dataset_scale=0.15
+            n_iterations=2, eval_every=1, n_seeds=2, dataset_scale=0.15
         )
         jobs = [GridJob(key="u", framework="uncertainty", dataset="youtube")]
-        reports = {}
-        for name in RESULT_STORE_BACKENDS:
-            reports[name] = run_experiment_grid(
-                jobs,
-                protocol,
-                ExecutionConfig(
-                    workers=1, cache_dir=tmp_path / name, results=name
-                ),
-            )
-        pickle_blobs = sorted((tmp_path / "pickle").glob("*/*.pkl"))
-        indexed_blobs = sorted((tmp_path / "indexed").glob("*/*.pkl"))
-        assert pickle_blobs and len(pickle_blobs) == len(indexed_blobs)
-        for a, b in zip(pickle_blobs, indexed_blobs):
-            assert a.name == b.name
-            assert a.read_bytes() == b.read_bytes()
-        assert pickle.dumps(reports["pickle"]["u"].histories) == pickle.dumps(
-            reports["indexed"]["u"].histories
+        cache_dir = tmp_path / "engine"
+        cached = run_experiment_grid(
+            jobs, protocol, ExecutionConfig(workers=1, cache_dir=cache_dir)
         )
-        # And only the indexed run grew an index.
-        assert not (tmp_path / "pickle" / "results.sqlite3").exists()
-        db = RunHistoryDB(tmp_path / "indexed")
-        assert db.counts()["trials"] == 1
+        uncached = run_experiment_grid(
+            jobs, protocol, ExecutionConfig(workers=1, use_cache=False)
+        )
+        assert pickle.dumps(cached["u"].histories) == pickle.dumps(
+            uncached["u"].histories
+        )
+
+        # Every engine blob is exactly what a plain blob put of the same
+        # history writes, and there is no other blob.
+        specs = [spec for _, spec in expand_jobs(jobs, protocol)]
+        reference = ResultCache(tmp_path / "reference")
+        engine_blobs = ResultCache(cache_dir)
+        for spec, history in zip(specs, uncached["u"].histories):
+            assert (
+                engine_blobs.path_for(spec).read_bytes()
+                == reference.put(spec, history).read_bytes()
+            )
+        assert len(engine_blobs) == len(specs) == 2
+
+        db = RunHistoryDB(cache_dir)
+        assert sorted(row["key"] for row in db.query()) == sorted(
+            spec.key for spec in specs
+        )
         db.close()

@@ -68,7 +68,6 @@ class ServingHarness:
         self.spool = tmp_path / "spool"
         self.cache_dir = tmp_path / "cache"
         self.backend = service_kwargs.get("broker", "spool")
-        self.results = service_kwargs.get("results", "pickle")
         service_kwargs.setdefault("poll_interval", 0.05)
         self.service = LabelingService(self.spool, self.cache_dir, **service_kwargs)
         self.server = serve(self.service, quiet=True)
@@ -86,7 +85,6 @@ class ServingHarness:
         kwargs.setdefault("poll_interval", 0.05)
         kwargs.setdefault("quiet", True)
         kwargs.setdefault("broker", self.backend)
-        kwargs.setdefault("results", self.results)
         thread = threading.Thread(
             target=run_worker,
             args=(str(self.spool), str(self.cache_dir)),

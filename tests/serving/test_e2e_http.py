@@ -8,10 +8,15 @@ under BOTH broker backends:
   same spec;
 * an immediate repeat is served warm from the result store with zero new
   broker enqueues;
-* an indexed key whose blob read misses is never re-executed.
+* an indexed key whose blob read misses is not enqueued at submit, and is
+  re-offered by the watcher's self-heal only when its blob is really gone;
+* a blob that is unreadable when the watcher sees it, and a corrupt
+  run-history index, each still end in a byte-identical 200.
 """
 
 from __future__ import annotations
+
+import threading
 
 import pytest
 
@@ -70,8 +75,14 @@ def test_cold_then_warm_lifecycle(harness_factory, backend):
     assert stats["jobs"] == {"pending": 0, "done": 1, "failed": 0}
 
 
+def _expected_bytes(body) -> bytes:
+    """The served bytes of a direct engine run of *body*'s spec."""
+    spec = parse_label_request(body)
+    return canonical_json(label_payload(spec, run_trial(spec)))
+
+
 def test_indexed_key_never_reexecutes(harness_factory):
-    harness = harness_factory(results="indexed")
+    harness = harness_factory()
     client = harness.client
 
     status, payload, _ = client.post("/label", _body())
@@ -87,7 +98,7 @@ def test_indexed_key_never_reexecutes(harness_factory):
     spec = parse_label_request(_body())
     harness.service.store.path_for(spec).unlink()
 
-    fresh = harness_factory(results="indexed")
+    fresh = harness_factory()
     # Point the fresh service's store/broker at the first harness's state.
     fresh.service.store = harness.service.store
     fresh.service.broker = harness.service.broker
@@ -98,6 +109,79 @@ def test_indexed_key_never_reexecutes(harness_factory):
     assert stats["requests"]["index_hits"] == 1
     assert stats["requests"]["enqueued"] == 0
     assert harness.service.broker.counts().get("pending", 0) == 0
+
+
+def test_indexed_key_whose_blob_is_gone_is_reoffered(harness_factory):
+    harness = harness_factory()
+    status, payload, _ = harness.client.post("/label", _body())
+    key = payload["key"]
+    harness.start_worker(max_trials=1)
+    harness.poll_until_done(key)
+    harness.join_workers()
+    spec = parse_label_request(_body())
+    harness.service.store.path_for(spec).unlink()
+
+    fresh = harness_factory()
+    fresh.service.store = harness.service.store
+    fresh.service.broker = harness.service.broker
+    status, payload, _ = fresh.client.post("/label", _body())
+    assert (status, payload["indexed"]) == (202, True)
+
+    # The index hit enqueued nothing; the watcher's self-heal offers the
+    # trial to the worker because its blob never shows up.
+    harness.start_worker(max_trials=1)
+    status, _, _ = fresh.poll_until_done(key, timeout=10.0)
+    assert status == 200
+    assert fresh.client.raw("GET", f"/label/{key}") == _expected_bytes(_body())
+    _, stats, _ = fresh.client.get("/stats")
+    assert stats["requests"]["enqueued"] == 0
+    assert stats["requests"]["requeues"] == 1
+
+
+def test_result_unreadable_when_watched_is_reoffered(harness_factory):
+    harness = harness_factory()
+    status, payload, _ = harness.client.post("/label", _body())
+    assert status == 202
+    key = payload["key"]
+
+    # A worker that claims the task, publishes garbage and completes the
+    # claim: the blob is listed, but it cannot be read.
+    broker, store = harness.service.broker, harness.service.store
+    lease = broker.lease_next("garbage-writer")
+    assert lease.key == key
+    path = store.path_for(key)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(b"garbage")
+    broker.complete(lease)
+
+    # No GET before a watcher tick has seen the blob: the tick must read
+    # it, quarantine it and keep the job pending rather than call it done.
+    waited, tick = 0.0, threading.Event()
+    while store.n_quarantined() == 0 and harness.service.stats()[1]["jobs"]["done"] == 0:
+        assert waited < 5.0, "the watcher never saw the blob"
+        tick.wait(0.02)
+        waited += 0.02
+    harness.start_worker(max_trials=1)
+    status, _, _ = harness.poll_until_done(key, timeout=10.0)
+    assert status == 200
+    assert harness.client.raw("GET", f"/label/{key}") == _expected_bytes(_body())
+    assert store.n_quarantined() == 1
+
+
+def test_corrupt_index_answers_as_not_indexed(harness_factory):
+    harness = harness_factory()
+    harness.cache_dir.mkdir(parents=True, exist_ok=True)
+    (harness.cache_dir / "results.sqlite3").write_bytes(b"not a database" * 64)
+
+    status, payload, _ = harness.client.post("/label", _body())
+    assert status == 202
+    assert "indexed" not in payload
+    key = payload["key"]
+    harness.start_worker(max_trials=1)
+    status, _, _ = harness.poll_until_done(key, timeout=10.0)
+    assert status == 200
+    assert harness.service.store.path_for(key).exists()
+    assert harness.client.raw("GET", f"/label/{key}") == _expected_bytes(_body())
 
 
 def test_worker_failure_surfaces_as_500(harness_factory):
