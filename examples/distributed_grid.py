@@ -11,18 +11,17 @@ shared spool/cache directory, e.g. an NFS mount):
    the worker fleet to the queue by itself;
 2. submit a framework-comparison grid with
    ``ExecutionConfig(mode="distributed", ...)``: the engine enqueues the
-   trials on the broker (``--broker`` picks the backend — the filesystem
-   spool or the SQLite queue), the workers lease and execute them, and the
-   engine assembles the ``GridReport`` by polling the shared cache;
+   trials on the filesystem spool, the workers lease and execute them, and
+   the engine assembles the ``GridReport`` by polling the shared cache;
 3. re-run the same grid serially in-process (cache bypassed) and verify the
    per-trial histories are byte-identical — distribution changes where
-   trials run, never what they compute, under either backend.
+   trials run, never what they compute.
 
 Usage::
 
     python examples/distributed_grid.py [--dataset youtube] [--iterations 10] \
-        [--num-workers 2] [--seeds 2] [--broker spool] \
-        [--supervise] [--claim-batch 8] [--keep-dirs]
+        [--num-workers 2] [--seeds 2] [--supervise] [--claim-batch 8] \
+        [--keep-dirs]
 
 The workers also record every published result in the cache's
 ``results.sqlite3`` run-history index, and the example finishes by smoking
@@ -43,7 +42,6 @@ import tempfile
 from repro.datasets import DATASET_PROFILES
 from repro.experiments import EvaluationProtocol
 from repro.runner import (
-    BROKER_BACKENDS,
     DEFAULT_CLAIM_BATCH,
     ExecutionConfig,
     GridJob,
@@ -59,14 +57,13 @@ from repro.runner.fleet import (
 
 
 def spawn_worker(
-    spool: str, cache_dir: str, index: int, claim_batch: int, broker: str,
+    spool: str, cache_dir: str, index: int, claim_batch: int,
 ) -> subprocess.Popen:
     """Start one worker daemon as a fully independent subprocess."""
     return subprocess.Popen(
         worker_command(
             spool,
             cache_dir,
-            broker=broker,
             idle_timeout=5,
             claim_batch=claim_batch,
             worker_id=f"example-{index}",
@@ -76,14 +73,13 @@ def spawn_worker(
 
 
 def spawn_supervisor(
-    spool: str, cache_dir: str, max_workers: int, claim_batch: int, broker: str,
+    spool: str, cache_dir: str, max_workers: int, claim_batch: int,
 ) -> subprocess.Popen:
     """Start the elastic fleet supervisor (it spawns the workers itself)."""
     return subprocess.Popen(
         supervisor_command(
             spool,
             cache_dir,
-            broker=broker,
             max_workers=max_workers,
             tasks_per_worker=1,
             worker_idle_timeout=5,
@@ -126,8 +122,6 @@ def main() -> None:
     parser.add_argument("--num-workers", type=int, default=2,
                         help="independent worker processes to spawn (with "
                              "--supervise: the supervisor's --max-workers)")
-    parser.add_argument("--broker", default="spool", choices=BROKER_BACKENDS,
-                        help="broker backend coordinating submitter and workers")
     parser.add_argument("--supervise", action="store_true",
                         help="replace the hand-spawned workers with one "
                              "elastic supervisor process")
@@ -157,15 +151,15 @@ def main() -> None:
     workers: list[subprocess.Popen] = []
     if args.supervise:
         print(f"Spawning a supervisor (max {args.num_workers} workers) against "
-              f"{spool} [broker={args.broker}] ...")
+              f"{spool} ...")
         supervisor = spawn_supervisor(
-            spool, cache_dir, args.num_workers, args.claim_batch, args.broker
+            spool, cache_dir, args.num_workers, args.claim_batch
         )
     else:
         print(f"Spawning {args.num_workers} worker daemon(s) against {spool} "
-              f"[broker={args.broker}, claim_batch={args.claim_batch}] ...")
+              f"[claim_batch={args.claim_batch}] ...")
         workers = [
-            spawn_worker(spool, cache_dir, i, args.claim_batch, args.broker)
+            spawn_worker(spool, cache_dir, i, args.claim_batch)
             for i in range(args.num_workers)
         ]
     try:
@@ -175,7 +169,6 @@ def main() -> None:
             protocol,
             ExecutionConfig(
                 mode="distributed",
-                broker=args.broker,
                 spool_dir=spool,
                 cache_dir=cache_dir,
                 wait_timeout=600,

@@ -19,7 +19,7 @@ Demonstrates the serving layer over a live worker fleet:
 Usage::
 
     python examples/serving_demo.py [--dataset youtube] [--scale 0.15] \
-        [--broker spool] [--num-workers 2] [--keep-dirs]
+        [--num-workers 2] [--keep-dirs]
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import time
 import urllib.error
 import urllib.request
 
-from repro.runner import BROKER_BACKENDS, run_trial
+from repro.runner import run_trial
 from repro.runner.fleet import fleet_paths, subprocess_env, supervisor_command
 from repro.serving.schemas import canonical_json, label_payload, parse_label_request
 from repro.serving.sessions import LabelingSession
@@ -71,13 +71,12 @@ def http_raw(base: str, method: str, path: str, body=None) -> bytes:
         return response.read()
 
 
-def start_server(spool: str, cache_dir: str, broker: str):
+def start_server(spool: str, cache_dir: str):
     """Launch the serving daemon; returns ``(process, base_url)``."""
     process = subprocess.Popen(
         [
             sys.executable, "-m", "repro.serving.server",
             "--spool", spool, "--cache-dir", cache_dir,
-            "--broker", broker,
             "--port", "0", "--poll-interval", "0.1",
         ],
         env=subprocess_env(),
@@ -93,7 +92,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--dataset", default="youtube")
     parser.add_argument("--scale", type=float, default=0.15)
-    parser.add_argument("--broker", default="spool", choices=BROKER_BACKENDS)
     parser.add_argument("--num-workers", type=int, default=2)
     parser.add_argument("--work-dir", default=None)
     parser.add_argument("--keep-dirs", action="store_true")
@@ -103,13 +101,13 @@ def main() -> None:
     spool, cache_dir = fleet_paths(work_dir)
     body = {"dataset": args.dataset, "lfs": LFS, "scale": args.scale}
 
-    print(f"Starting labeling server [broker={args.broker}] ...")
-    server, base = start_server(spool, cache_dir, args.broker)
+    print("Starting labeling server ...")
+    server, base = start_server(spool, cache_dir)
     print(f"  server up at {base}")
     print(f"Starting a supervisor (max {args.num_workers} workers) ...")
     supervisor = subprocess.Popen(
         supervisor_command(
-            spool, cache_dir, broker=args.broker,
+            spool, cache_dir,
             max_workers=args.num_workers, tasks_per_worker=1,
             worker_idle_timeout=5, interval=0.3,
         ),

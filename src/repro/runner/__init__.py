@@ -12,12 +12,11 @@ One orchestration path for every experiment grid in the reproduction:
   double-import reason as the worker);
 * :mod:`repro.runner.executor` — the per-trial loop and process-pool
   scheduling with a serial fallback;
-* :mod:`repro.runner.brokers` — the pluggable work-queue protocol for
-  distributing trials across machines (abstract :class:`Broker` with
-  TTL + heartbeat crash recovery and failure logs), with two backends:
-  the filesystem spool (dataset-sharded task layout, atomic rename
-  leases claimed in batches) and a WAL-mode
-  SQLite queue with transactional claims;
+* :mod:`repro.runner.brokers` — the work queue for distributing trials
+  across machines: the abstract :class:`Broker` contract (TTL + heartbeat
+  crash recovery and failure logs) and its one implementation, the
+  filesystem :class:`SpoolBroker` (dataset-sharded task layout, atomic
+  rename leases claimed in batches);
 * :mod:`repro.runner.worker` — the worker daemon
   (``python -m repro.runner.worker``) that leases and executes brokered
   trials anywhere the queue and cache locations are visible (imported
@@ -49,7 +48,6 @@ from repro.runner.results import (
     RunHistoryDB,
 )
 from repro.runner.brokers import (
-    BROKER_BACKENDS,
     DEFAULT_CLAIM_BATCH,
     DEFAULT_LEASE_TTL,
     Broker,
@@ -58,9 +56,6 @@ from repro.runner.brokers import (
     SpoolBroker,
     SpoolStats,
     SpoolTimeout,
-    SqliteBroker,
-    SqliteStats,
-    create_broker,
 )
 from repro.runner.executor import execute_trials, run_trial, run_trial_on_split
 from repro.runner.fleet import (
@@ -83,7 +78,6 @@ from repro.runner.engine import (
 
 __all__ = [
     "nest_results",
-    "BROKER_BACKENDS",
     "CACHE_FORMAT_VERSION",
     "DEFAULT_CLAIM_BATCH",
     "DEFAULT_LEASE_TTL",
@@ -99,9 +93,6 @@ __all__ = [
     "SpoolBroker",
     "SpoolStats",
     "SpoolTimeout",
-    "SqliteBroker",
-    "SqliteStats",
-    "create_broker",
     "execute_trials",
     "run_trial",
     "run_trial_on_split",

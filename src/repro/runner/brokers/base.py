@@ -1,19 +1,14 @@
-"""The broker protocol: the contract every trial-distribution backend implements.
+"""The broker protocol: the contract the trial-distribution queue implements.
 
 A *broker* is the coordination layer of distributed execution: submitters
 offer :class:`~repro.runner.spec.TrialSpec`s to it, worker daemons claim
 them under revocable leases, heartbeat while executing, and publish results
 through the shared content-addressed
 :class:`~repro.runner.results.pickle_store.ResultCache` — the cache, not the
-broker, is the result channel.  The engine, the worker daemon and the supervisor talk only
-to this protocol, so backends are interchangeable:
-
-* :class:`~repro.runner.brokers.spool.SpoolBroker` — the reference
-  implementation over a shared directory of atomic renames (no server
-  process at all);
-* :class:`~repro.runner.brokers.sqlite.SqliteBroker` — a single WAL-mode
-  SQLite file with transactional lease claims, for hosts where shared-
-  filesystem rename contention is the bottleneck.
+broker, is the result channel.  The engine, the worker daemon, the
+supervisor and the labeling service talk only to this protocol; its one
+implementation is :class:`~repro.runner.brokers.spool.SpoolBroker`, a
+shared directory of atomic renames with no server process at all.
 
 The protocol (one method per state transition):
 
@@ -31,9 +26,8 @@ The protocol (one method per state transition):
 ``stats``                 per-instance round-trip counters (measurability)
 ========================  ====================================================
 
-Shared semantics every backend must honour (the contract test suite in
-``tests/runner/test_broker_contract.py`` runs identically against all of
-them):
+Semantics an implementation must honour (the contract test suite in
+``tests/runner/test_broker_contract.py`` pins them on the spool):
 
 * **content-keyed idempotence** — enqueueing an already-pending or
   already-claimed trial changes nothing;
@@ -48,8 +42,8 @@ them):
   workers keep dataset affinity and scaling policies can see per-shard
   backlog.
 
-The submitter-side polling loop (:meth:`Broker.wait`) is implemented here
-once, on top of a small set of snapshot hooks each backend provides.
+The submitter-side polling loop (:meth:`Broker.wait`) is implemented here,
+on top of a small set of snapshot hooks the implementation provides.
 """
 
 from __future__ import annotations
@@ -83,9 +77,8 @@ def sanitize_token(name: str) -> str:
     """Make *name* safe for shard labels and lease-name components.
 
     Shard labels and lease components must be dot-free (the spool's
-    lease-name grammar splits on dots) and filesystem-safe; the SQLite
-    backend reuses the same normalisation so both backends agree on shard
-    labels.
+    lease-name grammar splits on dots) and filesystem-safe, because both
+    become parts of spool file and directory names.
     """
     return re.sub(r"[^A-Za-z0-9_-]+", "-", name)
 
@@ -111,9 +104,8 @@ class RemoteTrialError(RuntimeError):
 class SpoolTimeout(TimeoutError):
     """The submitter's wait deadline passed with trials still outstanding.
 
-    Raised by every broker backend, not just the filesystem spool; the
-    historical name is kept because it is part of the public API
-    (``repro.runner.SpoolTimeout``).
+    Raised by :meth:`Broker.wait`; part of the public API as
+    ``repro.runner.SpoolTimeout``.
     """
 
 
@@ -123,9 +115,9 @@ class Broker(abc.ABC):
     Subclasses implement the state transitions (enqueue / lease / heartbeat
     / complete / release / expire / fail) plus the snapshot hooks the
     generic polling loop needs; :meth:`wait` — the submitter side — is
-    implemented here once for all backends.
+    implemented here.
 
-    Attributes every backend exposes:
+    Attributes an implementation exposes:
 
     ``lease_ttl``
         Seconds without a heartbeat after which a claim counts as abandoned.
@@ -137,7 +129,7 @@ class Broker(abc.ABC):
 
     lease_ttl: float
 
-    # -- sharding (shared by all backends) --------------------------------
+    # -- sharding ---------------------------------------------------------
 
     @staticmethod
     def key_of(spec: TrialSpec | str) -> str:
@@ -172,14 +164,14 @@ class Broker(abc.ABC):
         wipe a log another submitter's :meth:`wait` is about to raise.
         """
 
+    @abc.abstractmethod
     def enqueue_batch(self, specs: Sequence[TrialSpec]) -> int:
         """Offer every spec in *specs*; returns how many were actually written.
 
-        Semantically ``sum(enqueue(spec) for spec in specs)`` — backends
-        override this to amortise per-call work (one pending-set snapshot,
-        one transaction) over the whole batch.
+        Semantically ``sum(enqueue(spec) for spec in specs)``, with
+        per-call work (one pending-set snapshot) amortised over the whole
+        batch.
         """
-        return sum(bool(self.enqueue(spec)) for spec in specs)
 
     @abc.abstractmethod
     def release_expired(
@@ -264,21 +256,14 @@ class Broker(abc.ABC):
     def counts(self) -> dict[str, int]:
         """Queue snapshot: ``{"tasks", "leases", "failed", "corrupt"}``."""
 
+    @abc.abstractmethod
     def backlog(self) -> dict[str, int]:
         """Scaling signals: pending depth and how many shards hold work.
 
         ``{"tasks": <pending trials>, "shards": <distinct shards with at
         least one pending trial>, "leases": <claimed trials>}`` — what the
-        fleet supervisor sizes the worker pool from.  The default derives
-        a degenerate single-shard view from :meth:`counts`; backends
-        override it with a real per-shard breakdown.
+        fleet supervisor sizes the worker pool from.
         """
-        counts = self.counts()
-        return {
-            "tasks": counts["tasks"],
-            "shards": 1 if counts["tasks"] else 0,
-            "leases": counts["leases"],
-        }
 
     # -- snapshot hooks for the generic wait loop -------------------------
 
@@ -322,7 +307,7 @@ class Broker(abc.ABC):
         trials that disappeared from the queue entirely along the way.
         Each round costs a constant number of snapshot queries/listings —
         never a probe per pending key, which at up to 20 Hz early in the
-        backoff would hammer a shared backend on paper-scale grids.  The
+        backoff would hammer a shared queue on paper-scale grids.  The
         expiry sweep is scoped to the pending keys *and* their shards, so
         it inspects only the shards with leases of interest.
 
@@ -425,9 +410,9 @@ class LeasedTrial:
     """One claimed trial: the spec plus the lease file that proves the claim.
 
     This is the :class:`~repro.runner.brokers.spool.SpoolBroker` lease
-    shape (kept here so the worker daemon's annotations need no backend
-    import); the SQLite backend's leases carry a row token instead of a
-    path.  All backends' leases expose ``key`` and ``spec``.
+    shape, kept beside the contract so code that only handles leases
+    needs no spool import.  The contract itself relies only on ``key``
+    and ``spec``.
 
     Attributes
     ----------

@@ -77,8 +77,7 @@ shard subdirectories are scanned: a task file directly under ``tasks/`` (the
 layout of spools written before sharding) is never seen, and the
 submitter's self-healing re-enqueue files a fresh copy under its shard.
 :attr:`SpoolBroker.stats` counts listings and rename attempts so contention
-is measurable (``benchmarks/bench_spool.py`` and
-``benchmarks/bench_broker.py``).
+is measurable (``benchmarks/bench_spool.py``).
 
 The submitter side (:meth:`Broker.wait <repro.runner.brokers.base.Broker.wait>`)
 is the generic polling loop from the base protocol, driven by one

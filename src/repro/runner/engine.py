@@ -15,9 +15,8 @@ on.  The engine gives them one orchestration path:
    :func:`~repro.runner.executor.execute_trials` (process-pool parallel
    across the *whole* grid, not per cell) — or, with
    ``ExecutionConfig(mode="distributed", ...)``, enqueues them on the
-   configured :class:`~repro.runner.brokers.Broker` backend (filesystem
-   spool or SQLite) for independently started worker daemons and polls
-   the shared cache for completion;
+   filesystem :class:`~repro.runner.brokers.SpoolBroker` for independently
+   started worker daemons and polls the shared cache for completion;
 4. :func:`run_experiment_grid` folds the histories back into
    :class:`~repro.experiments.protocol.FrameworkResult`s per job.
 
@@ -35,13 +34,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Hashable, Sequence
 
 from repro.core.results import RunHistory
-from repro.runner.brokers import (
-    BROKER_BACKENDS,
-    DEFAULT_CLAIM_BATCH,
-    DEFAULT_LEASE_TTL,
-    Broker,
-    create_broker,
-)
+from repro.runner.brokers import DEFAULT_CLAIM_BATCH, DEFAULT_LEASE_TTL, SpoolBroker
 from repro.runner.executor import execute_trials
 from repro.runner.results import IndexedResultStore
 from repro.runner.spec import TrialSpec
@@ -74,18 +67,12 @@ class ExecutionConfig:
         knob).
     mode:
         ``"local"`` (default) executes trials in this process or its
-        process pool; ``"distributed"`` enqueues them on the configured
-        broker backend for independently started ``python -m
-        repro.runner.worker`` daemons and polls the cache for completion.
-    broker:
-        Broker backend for ``mode="distributed"``: ``"spool"`` (default,
-        the filesystem spool) or ``"sqlite"`` (one WAL-mode database file
-        under ``spool_dir``); :meth:`create_broker` builds the backend
-        instance.  Match the workers' ``--broker``.
+        process pool; ``"distributed"`` enqueues them on the filesystem
+        spool for independently started ``python -m repro.runner.worker``
+        daemons and polls the cache for completion.
     spool_dir:
-        Shared broker location for ``mode="distributed"`` (the workers'
-        ``--spool``): the spool backend uses the directory itself, the
-        SQLite backend keeps ``broker.sqlite3`` inside it.
+        Shared spool directory for ``mode="distributed"`` (the workers'
+        ``--spool``).
     lease_ttl:
         Seconds without a worker heartbeat before the submitter re-offers
         a claimed trial (crash recovery).  Match the workers'
@@ -104,7 +91,6 @@ class ExecutionConfig:
     cache_dir: str | Path | None = None
     use_cache: bool = True
     mode: str = "local"
-    broker: str = "spool"
     spool_dir: str | Path | None = None
     lease_ttl: float = DEFAULT_LEASE_TTL
     wait_timeout: float | None = None
@@ -114,10 +100,6 @@ class ExecutionConfig:
         if self.mode not in ("local", "distributed"):
             raise ValueError(
                 f"mode must be 'local' or 'distributed', got {self.mode!r}"
-            )
-        if self.broker not in BROKER_BACKENDS:
-            raise ValueError(
-                f"broker must be one of {BROKER_BACKENDS}, got {self.broker!r}"
             )
         if self.claim_batch < 1:
             raise ValueError("claim_batch must be at least 1")
@@ -144,8 +126,8 @@ class ExecutionConfig:
         passes through; a string names a preset — ``"serial"``,
         ``"parallel"`` (all cores) or ``"distributed"`` (spool/cache
         directories from the ``REPRO_SPOOL_DIR`` / ``REPRO_CACHE_DIR``
-        environment variables, the broker backend from ``REPRO_BROKER``,
-        the worker batch size from ``REPRO_CLAIM_BATCH``).
+        environment variables, the worker batch size from
+        ``REPRO_CLAIM_BATCH``).
         """
         if value is None:
             return cls()
@@ -159,7 +141,6 @@ class ExecutionConfig:
             if value == "distributed":
                 return cls(
                     mode="distributed",
-                    broker=os.environ.get("REPRO_BROKER", "spool"),
                     spool_dir=os.environ.get("REPRO_SPOOL_DIR"),
                     cache_dir=os.environ.get("REPRO_CACHE_DIR"),
                     claim_batch=int(
@@ -184,12 +165,6 @@ class ExecutionConfig:
         if self.cache_dir is None or not self.use_cache:
             return None
         return IndexedResultStore(self.cache_dir)
-
-    def create_broker(self) -> Broker:
-        """Build the configured broker backend for ``mode="distributed"``."""
-        if self.spool_dir is None:
-            raise ValueError("no spool_dir configured")
-        return create_broker(self.broker, self.spool_dir, lease_ttl=self.lease_ttl)
 
 
 @dataclass
@@ -312,10 +287,10 @@ def run_specs(
 
     try:
         if execution.mode == "distributed":
-            broker = execution.create_broker()
-            # One batched submission: the backend snapshots its pending and
-            # leased sets (or opens its transaction) once for the whole
-            # grid instead of paying per-task round trips.
+            broker = SpoolBroker(execution.spool_dir, lease_ttl=execution.lease_ttl)
+            # One batched submission: the spool snapshots its pending and
+            # leased sets once for the whole grid instead of paying
+            # per-task round trips.
             broker.enqueue_batch(pending_specs)
             by_key = broker.wait(
                 pending_specs,

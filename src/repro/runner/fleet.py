@@ -60,7 +60,6 @@ def fleet_paths(work_dir: str | Path) -> tuple[str, str]:
 def worker_command(
     spool: str | Path,
     cache_dir: str | Path,
-    broker: str = "spool",
     lease_ttl: float | None = None,
     claim_batch: int | None = None,
     idle_timeout: float | None = None,
@@ -83,8 +82,6 @@ def worker_command(
         str(spool),
         "--cache-dir",
         str(cache_dir),
-        "--broker",
-        broker,
     ]
     command += _optional_flags(
         ("--lease-ttl", lease_ttl),
@@ -102,7 +99,6 @@ def worker_command(
 def supervisor_command(
     spool: str | Path,
     cache_dir: str | Path,
-    broker: str = "spool",
     max_workers: int | None = None,
     min_workers: int | None = None,
     tasks_per_worker: int | None = None,
@@ -128,8 +124,6 @@ def supervisor_command(
         str(spool),
         "--cache-dir",
         str(cache_dir),
-        "--broker",
-        broker,
     ]
     command += _optional_flags(
         ("--max-workers", max_workers),

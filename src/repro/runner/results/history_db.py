@@ -4,10 +4,10 @@ The pickle-shard blob store is write-optimised and opaque — any analytical
 question ("all trials where warm-start was off and accuracy dropped",
 cross-grid leaderboards, dedup probes at millions-of-trials scale) means
 unpickling everything.  :class:`RunHistoryDB` is the read-optimised sibling:
-one WAL-mode SQLite file (``results.sqlite3``, the same file family as the
-broker's ``broker.sqlite3``) whose rows materialise what the blobs bury —
-spec fields, headline metrics and per-iteration records — so those questions
-become indexed ``SELECT``\\ s that never touch a blob.
+one WAL-mode SQLite file (``results.sqlite3``, inside the cache directory)
+whose rows materialise what the blobs bury — spec fields, headline metrics
+and per-iteration records — so those questions become indexed
+``SELECT``\\ s that never touch a blob.
 
 Schema (registered-table style — each table is declared once in
 :data:`_TABLES` and created idempotently, with ``PRAGMA user_version``
@@ -45,11 +45,10 @@ are eventually consistent (a crash between blob write and index write loses
 only the index row), and :meth:`reindex` rebuilds the whole thing by walking
 the shards.
 
-Concurrency mirrors :class:`~repro.runner.brokers.sqlite.SqliteBroker`: one
-lazily opened connection per instance (``check_same_thread=False`` plus an
-instance lock), short ``BEGIN IMMEDIATE`` write transactions, WAL so readers
-never block on writers, ``busy_timeout`` for bounded cross-process lock
-waits.
+Concurrency: one lazily opened connection per instance
+(``check_same_thread=False`` plus an instance lock), short ``BEGIN
+IMMEDIATE`` write transactions, WAL so readers never block on writers,
+``busy_timeout`` for bounded cross-process lock waits.
 """
 
 from __future__ import annotations
@@ -68,8 +67,7 @@ from repro.runner.spec import CACHE_FORMAT_VERSION, TrialSpec, canonical_value
 __all__ = ["RunHistoryDB", "DB_FILENAME", "TRIAL_METRICS"]
 
 #: File name used when :class:`RunHistoryDB` is pointed at a directory: the
-#: database lands *inside* it, next to the blob shards it indexes (and next
-#: to ``broker.sqlite3`` when the cache dir doubles as the queue location).
+#: database lands *inside* it, next to the blob shards it indexes.
 DB_FILENAME = "results.sqlite3"
 
 #: Path suffixes treated as "this is the database file itself".

@@ -3,8 +3,7 @@
 The one result store the engine, the worker daemon and the labeling service
 hold.  It wraps the pickle-shard :class:`ResultCache` and maintains a
 :class:`~repro.runner.results.history_db.RunHistoryDB` alongside it —
-``<root>/results.sqlite3``, the same file family as the SQLite broker's
-``broker.sqlite3``, so one shared directory carries the queue, the blobs and
+``<root>/results.sqlite3``, so one shared directory carries the blobs and
 the analytics index.
 
 The ordering contract that keeps distributed runs correct:

@@ -36,9 +36,9 @@ Lifecycle:
   immediately — no TTL wait), waits a grace period, and terminates
   stragglers.
 
-The supervisor talks only to the :class:`~repro.runner.brokers.Broker`
-protocol, so it supervises spool- and SQLite-backed fleets identically
-(``--broker``/``REPRO_BROKER`` selects, exactly as for the worker).
+The supervisor polices the same filesystem
+:class:`~repro.runner.brokers.SpoolBroker` its workers claim from, with the
+same ``--lease-ttl`` it passes to them.
 """
 
 from __future__ import annotations
@@ -53,14 +53,7 @@ import time
 from pathlib import Path
 from typing import Callable, Mapping, Protocol
 
-from repro.runner.brokers import (
-    BROKER_BACKENDS,
-    DEFAULT_CLAIM_BATCH,
-    DEFAULT_LEASE_TTL,
-    Broker,
-    SqliteBroker,
-    create_broker,
-)
+from repro.runner.brokers import DEFAULT_CLAIM_BATCH, DEFAULT_LEASE_TTL, SpoolBroker
 from repro.runner.fleet import subprocess_env, worker_command
 
 #: Default seconds of emptiness after which a spawned worker retires itself
@@ -99,13 +92,10 @@ class Supervisor:
     Parameters
     ----------
     spool:
-        Shared broker location (the workers' ``--spool``).
+        Shared spool directory (the workers' ``--spool``); the supervisor
+        reads its scaling signals from a :class:`SpoolBroker` over it.
     cache_dir:
         Shared result-cache root (the workers' ``--cache-dir``).
-    broker:
-        Backend name (``"spool"`` / ``"sqlite"``) or a ready-made
-        :class:`Broker` instance to read scaling signals from; the name is
-        also forwarded to spawned workers as ``--broker``.
     min_workers:
         Floor of live workers while supervising (default 0 — a drained
         queue costs no processes).
@@ -140,7 +130,6 @@ class Supervisor:
         self,
         spool: str | Path,
         cache_dir: str | Path,
-        broker: str | Broker = "spool",
         min_workers: int = 0,
         max_workers: int = DEFAULT_MAX_WORKERS,
         tasks_per_worker: int = DEFAULT_TASKS_PER_WORKER,
@@ -160,12 +149,7 @@ class Supervisor:
             raise ValueError("tasks_per_worker must be at least 1")
         self.spool = str(spool)
         self.cache_dir = str(cache_dir)
-        if isinstance(broker, str):
-            self.backend = broker
-            self.broker = create_broker(broker, spool, lease_ttl=lease_ttl)
-        else:
-            self.backend = "sqlite" if isinstance(broker, SqliteBroker) else "spool"
-            self.broker = broker
+        self.broker = SpoolBroker(spool, lease_ttl=lease_ttl)
         self.min_workers = min_workers
         self.max_workers = max_workers
         self.tasks_per_worker = tasks_per_worker
@@ -207,7 +191,6 @@ class Supervisor:
         command = worker_command(
             self.spool,
             self.cache_dir,
-            broker=self.backend,
             lease_ttl=self.lease_ttl,
             claim_batch=self.claim_batch,
             idle_timeout=self.worker_idle_timeout,
@@ -344,17 +327,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--spool",
         required=True,
-        help="shared broker location (spool directory, or the directory the "
-        "sqlite backend keeps its database in)",
+        help="shared spool directory (the submitter's spool_dir)",
     )
     parser.add_argument(
         "--cache-dir", required=True, help="shared trial-result cache directory"
-    )
-    parser.add_argument(
-        "--broker",
-        choices=BROKER_BACKENDS,
-        default=os.environ.get("REPRO_BROKER", "spool"),
-        help="broker backend (env REPRO_BROKER; default spool)",
     )
     parser.add_argument(
         "--min-workers",
@@ -418,7 +394,6 @@ def main(argv: list[str] | None = None) -> int:
     supervisor = Supervisor(
         args.spool,
         args.cache_dir,
-        broker=args.broker,
         min_workers=args.min_workers,
         max_workers=args.max_workers,
         tasks_per_worker=args.tasks_per_worker,

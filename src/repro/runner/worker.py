@@ -1,14 +1,14 @@
 """Worker daemon: executes brokered trials on any machine that can see the queue.
 
-Run one (or many) of these on every machine that shares the broker location
+Run one (or many) of these on every machine that shares the spool directory
 and the cache directory::
 
     python -m repro.runner.worker --spool /shared/spool --cache-dir /shared/cache
 
-The worker talks only to the :class:`~repro.runner.brokers.Broker` protocol;
-``--broker`` (or ``REPRO_BROKER``) picks the backend — the filesystem spool
-(default) or the SQLite queue — and ``--spool`` names the shared location
-either way.  The worker loops forever (until ``--max-trials`` or
+The worker claims trials from the filesystem
+:class:`~repro.runner.brokers.SpoolBroker` under ``--spool`` and talks to it
+only through the :class:`~repro.runner.brokers.Broker` protocol.  The worker
+loops forever (until ``--max-trials`` or
 ``--idle-timeout``): claim a batch of pending trials (``--claim-batch``
 tasks per queue scan — one scan amortised over the whole batch, and
 consecutive batches stick to the same dataset shard so generated corpora
@@ -43,11 +43,10 @@ import time
 import traceback
 
 from repro.runner.brokers import (
-    BROKER_BACKENDS,
     DEFAULT_CLAIM_BATCH,
     DEFAULT_LEASE_TTL,
     Broker,
-    create_broker,
+    SpoolBroker,
 )
 from repro.runner.executor import run_trial
 from repro.runner.results import IndexedResultStore
@@ -112,16 +111,13 @@ def run_worker(
     claim_batch: int = DEFAULT_CLAIM_BATCH,
     worker_id: str | None = None,
     quiet: bool = False,
-    broker: str = "spool",
 ) -> int:
     """Serve trials from the shared queue until done; returns the number executed.
 
     Parameters
     ----------
     spool:
-        Shared broker location (same path the submitter configured): the
-        spool directory, or the directory/file the SQLite backend keeps
-        its database in.
+        Shared spool directory (same path the submitter configured).
     cache_dir:
         Shared result-store root: each published trial lands as a blob and
         then as a row of the ``results.sqlite3`` run-history index, spec
@@ -149,13 +145,10 @@ def run_worker(
         Identity recorded in failure logs; defaults to ``host-pid``.
     quiet:
         Suppress per-trial progress lines on stderr.
-    broker:
-        Broker backend name (``"spool"`` or ``"sqlite"``); must match the
-        submitter's ``ExecutionConfig.broker``.
     """
     if claim_batch < 1:
         raise ValueError("claim_batch must be at least 1")
-    broker = create_broker(broker, spool, lease_ttl=lease_ttl)
+    broker = SpoolBroker(spool, lease_ttl=lease_ttl)
     cache = IndexedResultStore(cache_dir)
     identity = worker_id or default_worker_id()
     heartbeat_interval = max(lease_ttl / 4.0, 0.05)
@@ -268,18 +261,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--spool",
         required=True,
-        help="shared broker location (spool directory, or the directory the "
-        "sqlite backend keeps its database in)",
+        help="shared spool directory (the submitter's spool_dir)",
     )
     parser.add_argument(
         "--cache-dir", required=True, help="shared trial-result cache directory"
-    )
-    parser.add_argument(
-        "--broker",
-        choices=BROKER_BACKENDS,
-        default=os.environ.get("REPRO_BROKER", "spool"),
-        help="broker backend to claim trials from (env REPRO_BROKER; "
-        "default spool); must match the submitter's",
     )
     parser.add_argument(
         "--max-trials",
@@ -330,7 +315,6 @@ def main(argv: list[str] | None = None) -> int:
             claim_batch=args.claim_batch,
             worker_id=args.worker_id,
             quiet=args.quiet,
-            broker=args.broker,
         )
     except KeyboardInterrupt:
         return 130

@@ -41,7 +41,7 @@ import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro.runner.brokers import BROKER_BACKENDS, DEFAULT_LEASE_TTL
+from repro.runner.brokers import DEFAULT_LEASE_TTL
 from repro.serving.schemas import canonical_json
 from repro.serving.service import LabelingService
 
@@ -173,9 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.serving.server",
         description="Always-on labeling service over a repro worker fleet.",
     )
-    parser.add_argument("--spool", required=True, help="broker location shared with workers")
+    parser.add_argument("--spool", required=True, help="spool directory shared with workers")
     parser.add_argument("--cache-dir", required=True, help="result-store root shared with workers")
-    parser.add_argument("--broker", default="spool", choices=list(BROKER_BACKENDS))
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=0, help="0 binds an ephemeral port")
     parser.add_argument("--lease-ttl", type=float, default=DEFAULT_LEASE_TTL)
@@ -200,7 +199,6 @@ def main(argv: list[str] | None = None) -> int:
     service = LabelingService(
         args.spool,
         args.cache_dir,
-        broker=args.broker,
         lease_ttl=args.lease_ttl,
         max_inflight=args.max_inflight,
         retry_after=args.retry_after,

@@ -1,7 +1,7 @@
 """The HTTP-independent service core: jobs, cache short-circuits, watcher.
 
 :class:`LabelingService` is everything the serving layer does *except*
-HTTP: it owns a :class:`~repro.runner.brokers.Broker` (cold requests become
+HTTP: it owns a :class:`~repro.runner.brokers.SpoolBroker` (cold requests become
 content-keyed :class:`~repro.runner.spec.TrialSpec`\\ s enqueued to the
 worker fleet), an :class:`~repro.runner.results.IndexedResultStore` (warm
 requests short-circuit straight to the stored history), an
@@ -37,7 +37,7 @@ import sqlite3
 import threading
 from pathlib import Path
 
-from repro.runner.brokers import DEFAULT_LEASE_TTL, create_broker
+from repro.runner.brokers import DEFAULT_LEASE_TTL, SpoolBroker
 from repro.runner.results import IndexedResultStore
 from repro.runner.spec import TrialSpec
 from repro.serving.admission import AdmissionController
@@ -79,13 +79,10 @@ class LabelingService:
     Parameters
     ----------
     spool_dir:
-        Broker location shared with the worker fleet (spool directory, or
-        the directory holding ``broker.sqlite3`` for the SQLite backend).
+        Spool directory shared with the worker fleet.
     cache_dir:
         Result-store root shared with the worker fleet (blobs plus the
         ``results.sqlite3`` run-history index).
-    broker:
-        Broker backend name (``"spool"`` or ``"sqlite"``).
     lease_ttl:
         Worker lease TTL passed to the broker; the watcher re-offers
         leases older than this.
@@ -109,7 +106,6 @@ class LabelingService:
         self,
         spool_dir: str | Path,
         cache_dir: str | Path,
-        broker: str = "spool",
         lease_ttl: float = DEFAULT_LEASE_TTL,
         max_inflight: int = 8,
         retry_after: float = 1.0,
@@ -117,7 +113,7 @@ class LabelingService:
         session_dir: str | Path | None = None,
         poll_interval: float = 0.2,
     ):
-        self.broker = create_broker(broker, spool_dir, lease_ttl=lease_ttl)
+        self.broker = SpoolBroker(spool_dir, lease_ttl=lease_ttl)
         self.store = IndexedResultStore(cache_dir)
         self.admission = AdmissionController(
             max_inflight=max_inflight, retry_after=retry_after
@@ -422,7 +418,7 @@ class LabelingService:
             try:
                 self._watch_once()
             except Exception:  # noqa: BLE001 - the watcher must survive ticks
-                # A transient backend error (e.g. a locked SQLite file)
+                # A transient store error (e.g. a locked index file)
                 # must not kill job completion; the next tick retries.
                 # Counted, so `/stats` shows what the watcher swallowed.
                 with self._lock:

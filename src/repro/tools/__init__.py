@@ -4,8 +4,8 @@ The repo's headline guarantee — distributed/served runs are *byte-identical*
 to direct engine runs — rests on contracts that no example-based test can
 cover exhaustively: content-key hashing must be deterministic, any pickled
 payload change must bump ``CACHE_FORMAT_VERSION``, threaded subsystems
-must keep shared state under their locks, and every pluggable backend must
-implement its full protocol surface.
+must keep shared state under their locks, and every ``Broker`` or
+``ResultStore`` implementation must implement its full protocol surface.
 
 :mod:`repro.tools.check` is the AST-based checker suite that enforces those
 contracts statically (``python -m repro.tools.check``); the individual rule

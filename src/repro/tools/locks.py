@@ -1,11 +1,11 @@
 """Lock-discipline checker for the threaded subsystems (REPRO40x).
 
-The serving layer, the SQLite-backed broker/history stores and the worker
+The serving layer, the SQLite-backed run-history index and the worker
 heartbeat all share mutable state across threads behind a ``self._lock``.
 Each such class declares its guarded attributes in a ``_GUARDED_BY_LOCK``
 tuple — the machine-readable inventory this checker enforces — and may
 additionally declare ``_LOCK_CONTEXTS``: names of helper context managers
-(like the stores' ``_tx``) whose ``with self._tx():`` blocks hold the lock.
+(like the index's ``_tx``) whose ``with self._tx():`` blocks hold the lock.
 
 Rules:
 
@@ -56,7 +56,6 @@ class LockDisciplineChecker(Checker):
     }
     scope = (
         "serving/*.py",
-        "runner/brokers/sqlite.py",
         "runner/worker.py",
         "runner/results/history_db.py",
     )

@@ -1,11 +1,11 @@
-"""Protocol-conformance checker for the pluggable backends (REPRO50x).
+"""Protocol-conformance checker for the registered protocols (REPRO50x).
 
-Two seams are pluggable by registry:
-:class:`~repro.runner.brokers.base.Broker` (spool/sqlite) and
+Two protocols are registered:
+:class:`~repro.runner.brokers.base.Broker` (implemented by the spool) and
 :class:`~repro.runner.results.base.ResultStore` (pickle/indexed).  The
-contract suites exercise behaviour, but structural drift — a renamed
-parameter, a default dropped on one backend, a new abstract method
-implemented on one side of the seam only — surfaces there as obscure
+contract suites exercise behaviour, but structural drift between a
+protocol and its implementations — a renamed parameter, a default dropped,
+a new abstract method left unimplemented — surfaces there as obscure
 failures deep in a scenario.  This checker catches the drift statically, at
 the class definition.
 

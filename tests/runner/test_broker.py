@@ -143,6 +143,34 @@ class TestLeaseProtocol:
         assert not list(broker.leases_dir.glob("*"))
         assert broker.counts() == {"tasks": 0, "leases": 0, "failed": 0, "corrupt": 1}
 
+    def test_reenqueue_after_quarantine_serves_a_fresh_copy(self, tmp_path):
+        broker = SpoolBroker(tmp_path)
+        spec = _spec()
+        broker.enqueue(spec)
+        broker.task_path(spec).write_bytes(b"not a pickle")
+        assert broker.lease_next() is None
+        assert broker.counts()["corrupt"] == 1
+        assert broker.enqueue(spec) is True  # self-heal: a fresh task file
+        assert broker.lease_next().spec == spec
+
+    def test_constructor_rejects_a_nonpositive_lease_ttl(self, tmp_path):
+        with pytest.raises(ValueError, match="lease_ttl"):
+            SpoolBroker(tmp_path, lease_ttl=0)
+
+    def test_leftover_sqlite_queue_file_is_ignored(self, tmp_path):
+        # A spool directory once shared with the SQLite queue may still hold
+        # its database file; the spool neither reads nor touches it.
+        stale = tmp_path / "broker.sqlite3"
+        stale.write_bytes(b"SQLite format 3\x00 leftover queue")
+        broker = SpoolBroker(tmp_path)
+        assert broker.counts() == {"tasks": 0, "leases": 0, "failed": 0, "corrupt": 0}
+        assert broker.backlog() == {"tasks": 0, "shards": 0, "leases": 0}
+        spec = _spec()
+        assert broker.enqueue(spec) is True
+        broker.complete(broker.lease_next("w1"))
+        assert broker.counts()["tasks"] == 0
+        assert stale.read_bytes() == b"SQLite format 3\x00 leftover queue"
+
     def test_quarantine_survives_a_concurrently_pruned_shard_dir(
         self, tmp_path, monkeypatch
     ):

@@ -1,16 +1,21 @@
-"""Protocol-level contract suite, run identically against every broker backend.
+"""Protocol-level contract suite for :class:`~repro.runner.brokers.base.Broker`.
 
-``tests/runner/test_broker.py`` pins the spool backend's *implementation*
+``tests/runner/test_broker.py`` pins the spool's *implementation*
 (lease-file names, shard directories, listing counts); this module pins the
-:class:`~repro.runner.brokers.base.Broker` *contract* — the semantics every
-backend must share for the engine, the worker daemon and the supervisor to
-be backend-agnostic.  Each test is parametrised over all of
-:data:`~repro.runner.brokers.BROKER_BACKENDS`, so adding a backend means
-adding one factory branch here and inheriting the whole suite.
+:class:`~repro.runner.brokers.base.Broker` *contract* — the semantics the
+engine, the worker daemon and the supervisor rely on.  Each test runs
+twice over one spool directory: once through a single
+:class:`~repro.runner.SpoolBroker` handle (``[spool]``) and once through
+:class:`_SplitHandles` (``[spool-split]``), which routes the submitter's
+calls and a worker's calls to two independent handles, as the engine and a
+worker daemon in different processes would hold them.  The split run fails
+if any part of the contract lives in one handle's memory instead of on
+disk.
 """
 
 from __future__ import annotations
 
+import os
 import pickle
 import threading
 import time
@@ -21,13 +26,11 @@ import pytest
 from repro.core.results import RunHistory
 from repro.experiments import EvaluationProtocol
 from repro.runner import (
-    BROKER_BACKENDS,
     RemoteTrialError,
     ResultCache,
+    SpoolBroker,
     SpoolTimeout,
-    SqliteBroker,
     TrialSpec,
-    create_broker,
 )
 
 FAST = EvaluationProtocol(n_iterations=2, eval_every=2, n_seeds=2, dataset_scale=0.15)
@@ -43,15 +46,30 @@ def _history(spec):
     return RunHistory(framework=spec.framework, dataset=spec.dataset, seed=spec.seed)
 
 
-@pytest.fixture(params=BROKER_BACKENDS)
-def backend(request):
-    """The backend name under test (the suite runs once per backend)."""
-    return request.param
+class _SplitHandles:
+    """One queue seen through two handles: a submitter's and a worker's.
+
+    Claim-side calls (and the per-instance ``stats`` they count) go to the
+    worker handle; everything else — enqueueing, waiting, expiry sweeps,
+    failure lookups, introspection — goes to the submitter handle.
+    """
+
+    _WORKER_SIDE = frozenset(
+        {"lease_next", "lease_batch", "heartbeat", "complete", "release", "fail", "stats"}
+    )
+
+    def __init__(self, submitter, worker):
+        self._submitter = submitter
+        self._worker = worker
+
+    def __getattr__(self, name):
+        side = self._worker if name in self._WORKER_SIDE else self._submitter
+        return getattr(side, name)
 
 
-@pytest.fixture()
-def make_broker(backend, tmp_path):
-    """Factory building brokers of the parametrised backend over one queue.
+@pytest.fixture(params=[False, True], ids=["spool", "spool-split"])
+def make_broker(request, tmp_path):
+    """Factory building broker handles over one spool.
 
     Multiple calls share the same location (the multi-submitter /
     multi-worker scenarios need independent instances over one queue).
@@ -59,24 +77,28 @@ def make_broker(backend, tmp_path):
 
     def build(**kwargs):
         kwargs.setdefault("lease_ttl", 60.0)
-        return create_broker(backend, tmp_path / "queue", **kwargs)
+        location = tmp_path / "queue"
+        if request.param:
+            return _SplitHandles(
+                SpoolBroker(location, **kwargs), SpoolBroker(location, **kwargs)
+            )
+        return SpoolBroker(location, **kwargs)
 
     return build
 
 
-def _backdate_lease(broker, lease, seconds=3600.0):
-    """Age a claim's heartbeat so the TTL sees it as abandoned (any backend)."""
-    if isinstance(broker, SqliteBroker):
-        with broker._tx() as conn:
-            conn.execute(
-                "UPDATE tasks SET heartbeat = heartbeat - ? WHERE key = ?",
-                (seconds, lease.key),
-            )
-    else:
-        import os
+def _claim_all(broker, worker_id):
+    """Claim one trial at a time until the queue has nothing left to offer."""
+    leases = []
+    while (lease := broker.lease_next(worker_id)) is not None:
+        leases.append(lease)
+    return leases
 
-        stamp = lease.lease_path.stat().st_mtime - seconds
-        os.utime(lease.lease_path, (stamp, stamp))
+
+def _backdate_lease(lease, seconds=3600.0):
+    """Age a claim's heartbeat so the TTL sees it as abandoned."""
+    stamp = lease.lease_path.stat().st_mtime - seconds
+    os.utime(lease.lease_path, (stamp, stamp))
 
 
 class TestEnqueueContract:
@@ -123,6 +145,16 @@ class TestEnqueueContract:
         drained = {lease.key for lease in batched.lease_batch("w", limit=100)}
         assert drained == serial_keys
 
+    def test_enqueue_after_complete_offers_the_trial_again(self, make_broker):
+        # Once nothing is pending or leased, enqueue is the retry path.
+        broker = make_broker()
+        spec = _spec()
+        broker.enqueue(spec)
+        broker.complete(broker.lease_next("w1"))
+        assert broker.enqueue(spec) is True
+        assert broker.counts()["tasks"] == 1
+        assert broker.lease_next("w2").spec == spec
+
 
 class TestShardContract:
     def test_every_backend_files_trials_under_one_shard_rule(self, make_broker):
@@ -137,6 +169,20 @@ class TestShardContract:
         assert broker.backlog()["shards"] == 2
         leased = {lease.key: lease.spec for lease in broker.lease_batch("w1", limit=2)}
         assert leased == {spec.key: spec, unsafe.key: unsafe}
+
+    def test_dotted_dataset_and_worker_names_keep_claims_recoverable(self, make_broker):
+        # Shard labels and worker ids become parts of spool names that are
+        # split on dots, so both must be sanitised before they get there.
+        broker = make_broker()
+        spec = _spec(dataset="yt.v2")
+        shard = broker.shard_for(spec)
+        assert "." not in shard and shard
+        broker.enqueue(spec)
+        lease = broker.lease_next("host.example.org/w 1")
+        assert lease.key == spec.key and lease.spec == spec
+        _backdate_lease(lease)
+        assert broker.release_expired(keys=[spec.key], shards=[shard]) == 1
+        assert broker.lease_next("w2").spec == spec
 
 
 class TestLeaseContract:
@@ -163,17 +209,17 @@ class TestLeaseContract:
             wins = [lease for lease in pool.map(lambda _: claim(), range(8)) if lease]
         assert len(wins) == 1
 
-    def test_concurrent_drain_is_exactly_once(self, backend, tmp_path):
+    def test_concurrent_drain_is_exactly_once(self, make_broker):
         specs = [_spec(seed=seed, dataset=ds) for seed in range(25)
                  for ds in ("youtube", "imdb")]
-        submit = create_broker(backend, tmp_path / "queue")
+        submit = make_broker()
         submit.enqueue_batch(specs)
         claimed: list[list[str]] = [[] for _ in range(4)]
         barrier = threading.Barrier(4)
 
         def drain(i):
             # Per-thread broker instance, as real workers would have.
-            broker = create_broker(backend, tmp_path / "queue")
+            broker = make_broker()
             barrier.wait()
             while True:
                 batch = broker.lease_batch(f"w{i}", limit=4)
@@ -209,6 +255,16 @@ class TestLeaseContract:
         batch = broker.lease_batch("w1", limit=6)
         assert len(batch) == 6  # 3 per shard: the batch crossed shards
 
+    def test_consecutive_batches_keep_dataset_affinity(self, make_broker):
+        broker = make_broker()
+        specs = [_spec(seed=seed, dataset=ds) for seed in range(6)
+                 for ds in ("youtube", "imdb")]
+        broker.enqueue_batch(specs)
+        first = broker.lease_batch("w1", limit=3)
+        second = broker.lease_batch("w1", limit=3)
+        datasets = {lease.spec.dataset for lease in first + second}
+        assert len(first) == len(second) == 3 and len(datasets) == 1
+
     def test_claims_are_not_in_key_order(self, make_broker):
         # Racing workers spread out only because each scans candidates in
         # its own random order; a sorted scan would send every worker to the
@@ -232,6 +288,20 @@ class TestLeaseContract:
         again = broker.lease_next("w2")
         assert again.key == spec.key
 
+    def test_release_never_migrates_a_trial_between_shards(self, make_broker):
+        broker = make_broker()
+        youtube, imdb = _spec(dataset="youtube"), _spec(dataset="imdb")
+        broker.enqueue_batch([youtube, imdb])
+        for lease in _claim_all(broker, "w1"):
+            broker.release(lease)
+        assert broker.backlog() == {"tasks": 2, "shards": 2, "leases": 0}
+        # Re-claimed, each trial is still filed under its own shard: a
+        # youtube-scoped sweep re-offers the youtube claim only.
+        for lease in _claim_all(broker, "w2"):
+            _backdate_lease(lease)
+        assert broker.release_expired(shards=["youtube"]) == 1
+        assert [lease.key for lease in _claim_all(broker, "w3")] == [youtube.key]
+
     def test_complete_removes_the_trial(self, make_broker):
         broker = make_broker()
         broker.enqueue(_spec())
@@ -240,6 +310,15 @@ class TestLeaseContract:
         assert broker.counts() == {"tasks": 0, "leases": 0, "failed": 0, "corrupt": 0}
         assert broker.lease_next("w2") is None
 
+    def test_heartbeat_after_complete_does_not_resurrect_the_claim(self, make_broker):
+        broker = make_broker()
+        broker.enqueue(_spec())
+        lease = broker.lease_next("w1")
+        broker.complete(lease)
+        broker.heartbeat(lease)
+        assert broker.counts() == {"tasks": 0, "leases": 0, "failed": 0, "corrupt": 0}
+        assert broker.release_expired() == 0
+
 
 class TestExpiryContract:
     def test_expired_claims_are_re_offered(self, make_broker):
@@ -247,7 +326,7 @@ class TestExpiryContract:
         broker.enqueue(_spec())
         lease = broker.lease_next("w1")
         assert broker.release_expired() == 0  # fresh heartbeat: kept
-        _backdate_lease(broker, lease)
+        _backdate_lease(lease)
         assert broker.release_expired() == 1
         counts = broker.counts()
         assert counts["tasks"] == 1 and counts["leases"] == 0
@@ -266,7 +345,7 @@ class TestExpiryContract:
         broker.enqueue_batch([mine, theirs])
         leases = {lease.key: lease for lease in broker.lease_batch("w1", limit=2)}
         for lease in leases.values():
-            _backdate_lease(broker, lease)
+            _backdate_lease(lease)
         assert broker.release_expired(keys=[mine.key]) == 1
         counts = broker.counts()
         assert counts["tasks"] == 1 and counts["leases"] == 1
@@ -277,9 +356,19 @@ class TestExpiryContract:
         broker.enqueue_batch([youtube, imdb])
         leases = broker.lease_batch("w1", limit=2)
         for lease in leases:
-            _backdate_lease(broker, lease)
+            _backdate_lease(lease)
         assert broker.release_expired(shards=["youtube"]) == 1
         # The imdb claim was out of scope: still leased, still expired.
+        assert broker.counts()["leases"] == 1
+        assert broker.release_expired() == 1
+
+    def test_empty_scopes_sweep_nothing(self, make_broker):
+        # ``None`` means "no restriction"; an empty scope means "none of them".
+        broker = make_broker()
+        broker.enqueue(_spec())
+        _backdate_lease(broker.lease_next("w1"))
+        assert broker.release_expired(keys=[]) == 0
+        assert broker.release_expired(shards=[]) == 0
         assert broker.counts()["leases"] == 1
         assert broker.release_expired() == 1
 
@@ -288,7 +377,7 @@ class TestExpiryContract:
         spec = _spec()
         broker.enqueue(spec)
         stale = broker.lease_next("w1")
-        _backdate_lease(broker, stale)
+        _backdate_lease(stale)
         broker.release_expired()
         fresh = broker.lease_next("w2")
         assert fresh.key == spec.key
@@ -299,6 +388,19 @@ class TestExpiryContract:
         assert counts["leases"] == 1 and counts["tasks"] == 0
         broker.complete(fresh)
         assert broker.counts()["leases"] == 0
+
+    def test_revoked_claim_heartbeat_does_not_keep_the_new_claim_alive(self, make_broker):
+        broker = make_broker()
+        broker.enqueue(_spec())
+        stale = broker.lease_next("w1")
+        _backdate_lease(stale)
+        broker.release_expired()
+        fresh = broker.lease_next("w2")
+        _backdate_lease(fresh)
+        broker.heartbeat(stale)
+        # w2's claim is abandoned too; w1's heartbeat must not vouch for it.
+        assert broker.release_expired() == 1
+        assert broker.counts()["tasks"] == 1
 
 
 class TestFailureContract:
@@ -321,12 +423,21 @@ class TestFailureContract:
         spec = _spec()
         broker.enqueue(spec)
         stale = broker.lease_next("w1")
-        _backdate_lease(broker, stale)
+        _backdate_lease(stale)
         broker.release_expired()
         broker.lease_next("w2")
         broker.fail(stale, "w1", RuntimeError("stale holder"), "tb")
         assert broker.failure_for(spec.key) is None
         assert broker.counts()["failed"] == 0
+
+    def test_fail_drops_the_claim_without_re_offering(self, make_broker):
+        broker = make_broker()
+        spec = _spec()
+        broker.enqueue(spec)
+        broker.fail(broker.lease_next("w1"), "w1", RuntimeError("boom"), "tb")
+        assert broker.counts() == {"tasks": 0, "leases": 0, "failed": 1, "corrupt": 0}
+        assert broker.lease_next("w2") is None
+        assert broker.release_expired() == 0
 
     def test_enqueue_clears_failure_log_only_when_it_writes(self, make_broker):
         broker = make_broker()
@@ -352,10 +463,7 @@ class TestWaitContract:
         broker.enqueue_batch(specs)
 
         def worker():
-            mine = create_broker(
-                "sqlite" if isinstance(broker, SqliteBroker) else "spool",
-                broker.location if isinstance(broker, SqliteBroker) else broker.root,
-            )
+            mine = make_broker()
             while True:
                 lease = mine.lease_next("bg")
                 if lease is None:
@@ -382,7 +490,7 @@ class TestWaitContract:
         spec = _spec()
         broker.enqueue(spec)
         lease = broker.lease_next("crashed-worker")
-        _backdate_lease(broker, lease)
+        _backdate_lease(lease)
         released: list[int] = []
         with pytest.raises(SpoolTimeout):
             broker.wait(
@@ -411,6 +519,55 @@ class TestWaitContract:
         histories = broker.wait([spec], cache, timeout=5)
         assert histories[spec.key].seed == spec.seed
 
+    def test_wait_reports_each_result_once(self, make_broker, tmp_path):
+        broker = make_broker()
+        cache = ResultCache(tmp_path / "cache")
+        specs = [_spec(seed=seed) for seed in range(3)]
+        for spec in specs:
+            cache.put(spec.key, _history(spec))
+        seen: list[str] = []
+        histories = broker.wait(
+            specs, cache, timeout=5, on_result=lambda spec, history: seen.append(spec.key)
+        )
+        assert sorted(seen) == sorted(histories) == sorted(spec.key for spec in specs)
+        assert broker.wait([], cache, timeout=0) == {}
+
+    def test_wait_outlasts_its_timeout_while_a_claim_heartbeats(self, make_broker, tmp_path):
+        # The timeout detects abandonment, not trials that run long: a
+        # heartbeating claim keeps pushing the deadline out.
+        broker = make_broker(lease_ttl=1.0)
+        cache = ResultCache(tmp_path / "cache")
+        spec = _spec()
+        broker.enqueue(spec)
+        worker = make_broker(lease_ttl=1.0)
+        lease = worker.lease_next("slow")
+
+        def run_long():
+            # Longer than the TTL and four times the wait timeout.
+            for _ in range(12):
+                time.sleep(0.1)
+                worker.heartbeat(lease)
+            cache.put(lease.key, _history(lease.spec))
+            worker.complete(lease)
+
+        thread = threading.Thread(target=run_long)
+        thread.start()
+        histories = broker.wait([spec], cache, timeout=0.3)
+        thread.join(timeout=10)
+        assert histories[spec.key].seed == spec.seed
+
+    def test_wait_re_offers_a_trial_whose_cached_result_is_corrupt(self, make_broker, tmp_path):
+        broker = make_broker()
+        cache = ResultCache(tmp_path / "cache")
+        spec = _spec()
+        blob = cache.path_for(spec.key)
+        blob.parent.mkdir(parents=True, exist_ok=True)
+        blob.write_bytes(b"not a pickle")
+        with pytest.raises(SpoolTimeout):
+            broker.wait([spec], cache, timeout=0.3)
+        assert not blob.exists()  # quarantined by the read
+        assert broker.counts()["tasks"] == 1  # and the trial re-offered
+
 
 class TestIntrospectionContract:
     def test_counts_shape_is_stable(self, make_broker):
@@ -437,3 +594,10 @@ class TestIntrospectionContract:
         broker.lease_batch("w1", limit=4)
         assert broker.stats.claims == 4
         assert broker.stats.batches == 1
+
+    def test_stats_are_per_instance(self, make_broker):
+        busy, idle = make_broker(), make_broker()
+        busy.enqueue_batch([_spec(seed=seed) for seed in range(2)])
+        busy.lease_batch("w1", limit=2)
+        assert busy.stats.claims == 2
+        assert idle.stats.claims == 0 and idle.stats.batches == 0

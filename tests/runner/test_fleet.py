@@ -59,7 +59,7 @@ def test_fleet_paths_layout(tmp_path):
     spool, cache_dir = fleet_paths(tmp_path)
     assert spool == str(tmp_path / "spool")
     assert cache_dir == str(tmp_path / "cache")
-    # The helper never creates directories; backends own their locations.
+    # The helper never creates directories; the spool and store create theirs.
     assert not Path(spool).exists() and not Path(cache_dir).exists()
 
 
@@ -67,19 +67,15 @@ class TestCommandBuilders:
     def test_worker_command_defaults(self):
         command = worker_command("/q", "/c")
         assert command[:3] == [sys.executable, "-m", "repro.runner.worker"]
-        assert command[3:] == [
-            "--spool", "/q", "--cache-dir", "/c", "--broker", "spool",
-        ]
+        assert command[3:] == ["--spool", "/q", "--cache-dir", "/c"]
 
     def test_worker_command_renders_only_given_knobs(self):
         command = worker_command(
-            "/q", "/c", broker="sqlite",
+            "/q", "/c",
             max_trials=3, idle_timeout=2.5, worker_id="w-1", quiet=True,
         )
         rest = command[3:]
-        assert rest[:6] == [
-            "--spool", "/q", "--cache-dir", "/c", "--broker", "sqlite",
-        ]
+        assert rest[:4] == ["--spool", "/q", "--cache-dir", "/c"]
         assert ("--idle-timeout", "2.5") == tuple(rest[rest.index("--idle-timeout"):][:2])
         assert ("--max-trials", "3") == tuple(rest[rest.index("--max-trials"):][:2])
         assert ("--worker-id", "w-1") == tuple(rest[rest.index("--worker-id"):][:2])

@@ -4,18 +4,18 @@ Scaling policy is tested with injected fake spawners (no processes at
 all); drain-then-exit runs real :func:`repro.runner.worker.run_worker`
 loops on threads through the same injection seam, so the whole lifecycle —
 scale-up on backlog, voluntary scale-down on idle, crashed-worker lease
-recovery, drain — is covered under both broker backends without paying
-subprocess startup per test.
+recovery, drain — is covered without paying subprocess startup per test.
 """
 
 from __future__ import annotations
 
+import os
 import subprocess
 import threading
 
 import pytest
 
-from repro.runner import BROKER_BACKENDS, ResultCache, SqliteBroker, TrialSpec, create_broker
+from repro.runner import ResultCache, SpoolBroker, TrialSpec
 from repro.experiments import EvaluationProtocol
 from repro.runner.supervisor import Supervisor
 from repro.runner.worker import run_worker
@@ -27,18 +27,9 @@ def _spec(seed=0, framework="uncertainty", dataset="youtube"):
     return TrialSpec(framework=framework, dataset=dataset, seed=seed, protocol=FAST)
 
 
-def _backdate_lease(broker, lease, seconds=3600.0):
-    if isinstance(broker, SqliteBroker):
-        with broker._tx() as conn:
-            conn.execute(
-                "UPDATE tasks SET heartbeat = heartbeat - ? WHERE key = ?",
-                (seconds, lease.key),
-            )
-    else:
-        import os
-
-        stamp = lease.lease_path.stat().st_mtime - seconds
-        os.utime(lease.lease_path, (stamp, stamp))
+def _backdate_lease(lease, seconds=3600.0):
+    stamp = lease.lease_path.stat().st_mtime - seconds
+    os.utime(lease.lease_path, (stamp, stamp))
 
 
 class _FakeHandle:
@@ -66,7 +57,7 @@ class _FakeHandle:
 class _ThreadHandle:
     """A real worker loop on a thread, behind the WorkerHandle interface."""
 
-    def __init__(self, worker_id, spool, cache_dir, backend):
+    def __init__(self, worker_id, spool, cache_dir):
         self._code = None
 
         def target():
@@ -78,7 +69,6 @@ class _ThreadHandle:
                     poll_interval=0.05,
                     worker_id=worker_id,
                     quiet=True,
-                    broker=backend,
                 )
             except BaseException:
                 self._code = 1
@@ -104,22 +94,16 @@ class _ThreadHandle:
         pass
 
 
-@pytest.fixture(params=BROKER_BACKENDS)
-def backend(request):
-    """The broker backend the fleet coordinates through."""
-    return request.param
-
-
 @pytest.fixture()
-def queue(backend, tmp_path):
-    """(backend, location, broker) for one shared queue."""
+def queue(tmp_path):
+    """(location, broker) for one shared spool."""
     location = tmp_path / "queue"
-    return backend, location, create_broker(backend, location)
+    return location, SpoolBroker(location)
 
 
 class TestScalingPolicy:
     def test_scale_up_on_backlog(self, queue, tmp_path):
-        backend, location, broker = queue
+        location, broker = queue
         broker.enqueue_batch(
             [_spec(seed=seed, dataset=ds) for seed in range(10)
              for ds in ("youtube", "imdb")]
@@ -131,7 +115,7 @@ class TestScalingPolicy:
             return _FakeHandle()
 
         supervisor = Supervisor(
-            location, tmp_path / "cache", broker=broker,
+            location, tmp_path / "cache",
             max_workers=8, tasks_per_worker=5, spawn=spawn, quiet=True,
         )
         summary = supervisor.step()
@@ -144,12 +128,12 @@ class TestScalingPolicy:
         assert supervisor.spawned_total == 4
 
     def test_wide_shallow_queue_gets_a_worker_per_shard(self, queue, tmp_path):
-        backend, location, broker = queue
+        location, broker = queue
         broker.enqueue_batch(
             [_spec(dataset=ds) for ds in ("youtube", "imdb", "sms")]
         )
         supervisor = Supervisor(
-            location, tmp_path / "cache", broker=broker,
+            location, tmp_path / "cache",
             max_workers=8, tasks_per_worker=10,
             spawn=lambda worker_id: _FakeHandle(), quiet=True,
         )
@@ -158,10 +142,10 @@ class TestScalingPolicy:
         assert supervisor.step()["target"] == 3
 
     def test_max_workers_caps_the_fleet(self, queue, tmp_path):
-        backend, location, broker = queue
+        location, broker = queue
         broker.enqueue_batch([_spec(seed=seed) for seed in range(50)])
         supervisor = Supervisor(
-            location, tmp_path / "cache", broker=broker,
+            location, tmp_path / "cache",
             max_workers=3, tasks_per_worker=1,
             spawn=lambda worker_id: _FakeHandle(), quiet=True,
         )
@@ -169,7 +153,7 @@ class TestScalingPolicy:
         assert summary["target"] == 3 and summary["live"] == 3
 
     def test_scale_down_on_idle_reaps_and_spawns_nothing(self, queue, tmp_path):
-        backend, location, broker = queue
+        location, broker = queue
         broker.enqueue_batch([_spec(seed=seed) for seed in range(4)])
         handles = []
 
@@ -179,7 +163,7 @@ class TestScalingPolicy:
             return handle
 
         supervisor = Supervisor(
-            location, tmp_path / "cache", broker=broker,
+            location, tmp_path / "cache",
             max_workers=4, tasks_per_worker=1, spawn=spawn, quiet=True,
         )
         supervisor.step()
@@ -197,9 +181,9 @@ class TestScalingPolicy:
         assert set(supervisor.reaped.values()) == {0}
 
     def test_min_workers_floor_holds_with_empty_queue(self, queue, tmp_path):
-        backend, location, broker = queue
+        location, broker = queue
         supervisor = Supervisor(
-            location, tmp_path / "cache", broker=broker,
+            location, tmp_path / "cache",
             min_workers=2, max_workers=4,
             spawn=lambda worker_id: _FakeHandle(), quiet=True,
         )
@@ -208,16 +192,16 @@ class TestScalingPolicy:
 
 class TestCrashRecovery:
     def test_crashed_worker_leases_are_re_offered(self, queue, tmp_path):
-        backend, location, broker = queue
+        location, broker = queue
         broker.enqueue_batch([_spec(seed=seed) for seed in range(3)])
         # A worker claims everything and dies without releasing.
-        crashed = create_broker(backend, location)
+        crashed = SpoolBroker(location)
         leases = crashed.lease_batch("crashed", limit=3)
         assert len(leases) == 3
         for lease in leases:
-            _backdate_lease(crashed, lease)
+            _backdate_lease(lease)
         supervisor = Supervisor(
-            location, tmp_path / "cache", broker=broker,
+            location, tmp_path / "cache",
             max_workers=2, spawn=lambda worker_id: _FakeHandle(), quiet=True,
         )
         summary = supervisor.step()
@@ -230,16 +214,14 @@ class TestCrashRecovery:
 
 class TestDrain:
     def test_drain_executes_everything_then_exits(self, queue, tmp_path):
-        backend, location, broker = queue
+        location, broker = queue
         cache_dir = tmp_path / "cache"
         specs = [_spec(seed=seed) for seed in range(2)]
         broker.enqueue_batch(specs)
         supervisor = Supervisor(
-            location, cache_dir, broker=broker,
+            location, cache_dir,
             max_workers=2, tasks_per_worker=1, poll_interval=0.2,
-            spawn=lambda worker_id: _ThreadHandle(
-                worker_id, location, cache_dir, backend
-            ),
+            spawn=lambda worker_id: _ThreadHandle(worker_id, location, cache_dir),
             quiet=True,
         )
         supervisor.run(drain=True)
@@ -251,7 +233,7 @@ class TestDrain:
         assert {spec.key for spec in specs} <= cache.keys_present(specs)
 
     def test_shutdown_signals_then_clears_the_fleet(self, queue, tmp_path):
-        backend, location, broker = queue
+        location, broker = queue
         broker.enqueue_batch([_spec(seed=seed) for seed in range(4)])
         handles = []
 
@@ -261,7 +243,7 @@ class TestDrain:
             return handle
 
         supervisor = Supervisor(
-            location, tmp_path / "cache", broker=broker,
+            location, tmp_path / "cache",
             max_workers=2, tasks_per_worker=1, spawn=spawn, quiet=True,
         )
         supervisor.step()

@@ -67,7 +67,6 @@ class ServingHarness:
     def __init__(self, tmp_path, **service_kwargs):
         self.spool = tmp_path / "spool"
         self.cache_dir = tmp_path / "cache"
-        self.backend = service_kwargs.get("broker", "spool")
         service_kwargs.setdefault("poll_interval", 0.05)
         self.service = LabelingService(self.spool, self.cache_dir, **service_kwargs)
         self.server = serve(self.service, quiet=True)
@@ -84,7 +83,6 @@ class ServingHarness:
         kwargs.setdefault("idle_timeout", 5.0)
         kwargs.setdefault("poll_interval", 0.05)
         kwargs.setdefault("quiet", True)
-        kwargs.setdefault("broker", self.backend)
         thread = threading.Thread(
             target=run_worker,
             args=(str(self.spool), str(self.cache_dir)),

@@ -1,7 +1,6 @@
 """End-to-end HTTP lifecycle: cold submit → worker → poll, warm repeat.
 
-The acceptance contract of the serving layer, pinned over a real socket
-under BOTH broker backends:
+The acceptance contract of the serving layer, pinned over a real socket:
 
 * a cold request is enqueued exactly once, executed by a real worker loop,
   and the polled response is byte-identical to a direct engine run of the
@@ -18,9 +17,7 @@ from __future__ import annotations
 
 import threading
 
-import pytest
-
-from repro.runner import BROKER_BACKENDS, run_trial
+from repro.runner import run_trial
 from repro.serving.schemas import canonical_json, label_payload, parse_label_request
 
 LFS = [
@@ -34,9 +31,8 @@ def _body(seed=0):
     return {"dataset": "youtube", "lfs": LFS, "scale": 0.15, "seed": seed}
 
 
-@pytest.mark.parametrize("backend", BROKER_BACKENDS)
-def test_cold_then_warm_lifecycle(harness_factory, backend):
-    harness = harness_factory(broker=backend)
+def test_cold_then_warm_lifecycle(harness_factory):
+    harness = harness_factory()
     client = harness.client
 
     status, payload, _ = client.post("/label", _body())
@@ -108,7 +104,7 @@ def test_indexed_key_never_reexecutes(harness_factory):
     _, stats, _ = fresh.client.get("/stats")
     assert stats["requests"]["index_hits"] == 1
     assert stats["requests"]["enqueued"] == 0
-    assert harness.service.broker.counts().get("pending", 0) == 0
+    assert harness.service.broker.counts()["tasks"] == 0
 
 
 def test_indexed_key_whose_blob_is_gone_is_reoffered(harness_factory):

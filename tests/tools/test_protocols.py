@@ -207,7 +207,7 @@ class TestSignatureDrift:
 
 class TestRealSeams:
     def test_all_registered_backends_conform(self):
-        # Spool/sqlite brokers and pickle/indexed stores all hold their
+        # The spool broker and the pickle/indexed stores all hold their
         # protocol surfaces with no suppressions.
         report = run_checks(
             root=default_root(), checkers=[ProtocolConformanceChecker()]
@@ -228,10 +228,10 @@ class TestRealSeams:
             src = default_root()
             for rel in ("runner/brokers", "runner/results"):
                 shutil.copytree(src / rel, root / rel)
-            sqlite_path = root / "runner/brokers/sqlite.py"
-            text = sqlite_path.read_text()
+            spool_path = root / "runner/brokers/spool.py"
+            text = spool_path.read_text()
             assert "def counts(" in text
-            sqlite_path.write_text(text.replace("def counts(", "def counts_gone("))
+            spool_path.write_text(text.replace("def counts(", "def counts_gone("))
             checker = ProtocolConformanceChecker()
             report = run_checks(root=root, checkers=[checker])
             assert any(
