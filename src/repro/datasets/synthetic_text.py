@@ -50,9 +50,12 @@ class SyntheticTextConfig:
     signal_words:
         Mapping class -> list of keywords that indicate the class.  When
         empty, ``n_signal_words`` synthetic keywords per class are generated.
+        Each keyword must come out of :func:`~repro.text.tokenizer.tokenize`
+        unchanged: lowercase letters only, at least two, not a stop word.
     n_signal_words:
         Number of signal keywords generated per class when ``signal_words``
-        does not provide them.
+        does not provide them.  This and the other two word counts are at
+        most 26**3, the number of distinct generated names.
     signal_strength:
         Peak probability that a signal keyword appears in a document of its
         own class (individual keywords get decayed versions of this value).
@@ -71,7 +74,7 @@ class SyntheticTextConfig:
         leaning class; the other class sees it at 55 % of this rate, giving
         LF accuracies around 0.62-0.67.
     n_background_words:
-        Size of the class-independent background vocabulary.
+        Size of the class-independent background vocabulary (at least 1).
     background_words_per_doc:
         Mean number of background tokens per document (Poisson).
     max_features:
@@ -112,9 +115,23 @@ class SyntheticTextConfig:
                 raise ValueError("class_balance must have one entry per class")
             if np.any(balance <= 0):
                 raise ValueError("class_balance entries must be positive")
+        for count in ("n_signal_words", "n_ambiguous_words", "n_background_words"):
+            if getattr(self, count) > _MAX_GENERATED_WORDS:
+                raise ValueError(f"{count} must be at most {_MAX_GENERATED_WORDS}")
+        if self.n_background_words < 1:
+            raise ValueError("n_background_words must be at least 1")
+        for words in self.signal_words.values():
+            for word in words:
+                if tokenize(word) != [word]:
+                    raise ValueError(
+                        f"signal word {word!r} is not a token: use lowercase letters "
+                        "only, at least two of them, and no stop word"
+                    )
 
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
+# Generated names end in a three-letter suffix, so each kind has 26**3.
+_MAX_GENERATED_WORDS = 26**3
 
 
 def _alpha_suffix(index: int, length: int = 3) -> str:
@@ -169,11 +186,24 @@ def generate_text_dataset(
     some candidate LFs fall below the accuracy threshold), and pads the
     document with Zipf-distributed background words.  TF-IDF features are
     fitted on the training split only.
+
+    Each document is an array of word ids until the end: token sets, the
+    vocabulary and the term counts are built from the ids, and words are
+    joined into strings only for ``texts``.  The config guarantees every
+    word survives :func:`~repro.text.tokenizer.tokenize` unchanged, so the
+    features equal what the stored vectorizer computes from those texts.
     """
     rng = ensure_rng(random_state)
     signal_words = _build_signal_words(config)
     ambiguous_words = _build_ambiguous_words(config)
     background = _background_vocabulary(config)
+
+    # One id per distinct word: a word listed under two classes (or colliding
+    # with a generated name) occupies two slots that share an id.
+    word_ids: dict[str, int] = {}
+
+    def ids_of(words: list[str]) -> np.ndarray:
+        return np.array([word_ids.setdefault(w, len(word_ids)) for w in words], dtype=np.intp)
 
     balance = (
         np.asarray(config.class_balance, dtype=float)
@@ -184,44 +214,52 @@ def generate_text_dataset(
 
     # Per-keyword occurrence probability decays with keyword rank so LFs have
     # a spread of coverages (a handful of frequent keywords, a long tail).
-    keyword_probs: dict[int, np.ndarray] = {}
-    for cls, words in signal_words.items():
-        ranks = np.arange(len(words))
-        keyword_probs[cls] = config.signal_strength * np.power(0.95, ranks)
+    keyword_probs = {
+        cls: config.signal_strength * np.power(0.95, np.arange(len(words)))
+        for cls, words in signal_words.items()
+    }
+
+    def slot_thresholds(label: int) -> np.ndarray:
+        """Each slot's occurrence probability in a document of class *label*."""
+        signal = [
+            keyword_probs[cls] if cls == label else np.full(len(words), config.noise_strength)
+            for cls, words in signal_words.items()
+        ]
+        ambiguous = [
+            np.full(
+                len(words),
+                config.ambiguous_strength if cls == label else 0.55 * config.ambiguous_strength,
+            )
+            for cls, words in ambiguous_words.items()
+        ]
+        return np.concatenate(signal + ambiguous)
+
+    # A document's slots are every class's signal keywords, then every
+    # class's ambiguous keywords, in class order; one ``rng.random`` draw
+    # covers them all.
+    slot_ids = ids_of(
+        [w for group in (*signal_words.values(), *ambiguous_words.values()) for w in group]
+    )
+    thresholds = np.array([slot_thresholds(label) for label in range(config.n_classes)])
+    background_ids = ids_of(background)
+    word_of = list(word_ids)
 
     # Zipf weights over the background vocabulary.
     background_weights = 1.0 / np.arange(1, len(background) + 1)
     background_weights /= background_weights.sum()
 
     labels = rng.choice(config.n_classes, size=config.n_documents, p=balance)
-    documents: list[str] = []
+    documents: list[np.ndarray] = []
     for label in labels:
-        tokens: list[str] = []
-        for cls in range(config.n_classes):
-            probs = keyword_probs[cls] if cls == label else np.full(
-                len(signal_words[cls]), config.noise_strength
-            )
-            fires = rng.random(len(probs)) < probs
-            tokens.extend(word for word, fire in zip(signal_words[cls], fires) if fire)
-        for cls in range(config.n_classes):
-            rate = (
-                config.ambiguous_strength
-                if cls == label
-                else 0.55 * config.ambiguous_strength
-            )
-            fires = rng.random(len(ambiguous_words[cls])) < rate
-            tokens.extend(
-                word for word, fire in zip(ambiguous_words[cls], fires) if fire
-            )
+        ids = slot_ids[rng.random(slot_ids.size) < thresholds[label]]
         n_background = rng.poisson(config.background_words_per_doc)
         if n_background > 0:
-            tokens.extend(
-                rng.choice(background, size=n_background, p=background_weights).tolist()
-            )
-        if not tokens:
-            tokens = [background[int(rng.integers(len(background)))]]
-        rng.shuffle(tokens)
-        documents.append(" ".join(tokens))
+            chosen = rng.choice(len(background), size=n_background, p=background_weights)
+            ids = np.concatenate((ids, background_ids[chosen]))
+        if ids.size == 0:
+            ids = background_ids[[rng.integers(len(background))]]
+        rng.shuffle(ids)
+        documents.append(ids)
 
     train_idx, valid_idx, test_idx = train_valid_test_split(
         config.n_documents,
@@ -231,18 +269,27 @@ def generate_text_dataset(
         random_state=rng,
     )
 
+    doc_words = [[word_of[i] for i in ids.tolist()] for ids in documents]
+    token_sets = [frozenset(tokens) for tokens in doc_words]
     vectorizer = TfidfVectorizer(min_df=2, max_features=config.max_features)
-    train_texts = [documents[i] for i in train_idx]
-    vectorizer.fit(train_texts)
+    vectorizer.fit_tokens([token_sets[i] for i in train_idx])
+    vocab = vectorizer.vocabulary_
+    column_of = np.full(len(word_of), -1, dtype=np.intp)
+    column_of[[word_ids[token] for token in vocab.tokens]] = np.arange(len(vocab))
 
     def build_split(indices: np.ndarray, split_name: str) -> TextDataset:
-        texts = [documents[i] for i in indices]
-        token_sets = [frozenset(tokenize(text)) for text in texts]
-        features = vectorizer.transform(texts)
+        n_vocab = len(vocab)
+        parts = [documents[i] for i in indices]
+        rows = np.repeat(np.arange(len(parts)), [part.size for part in parts])
+        columns = column_of[np.concatenate(parts)] if parts else np.zeros(0, dtype=np.intp)
+        known = columns >= 0
+        counts = np.bincount(
+            rows[known] * n_vocab + columns[known], minlength=len(parts) * n_vocab
+        ).reshape(len(parts), n_vocab)
         return TextDataset(
-            texts,
-            token_sets,
-            features,
+            [" ".join(doc_words[i]) for i in indices],
+            [token_sets[i] for i in indices],
+            vectorizer.weight_counts(counts),
             labels[indices],
             config.n_classes,
             name=f"{config.name}/{split_name}",

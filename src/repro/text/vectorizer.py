@@ -7,7 +7,7 @@ memory while keeping the downstream linear algebra simple and fast.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -45,9 +45,12 @@ class CountVectorizer:
 
     def fit(self, documents: Sequence[str]) -> "CountVectorizer":
         """Learn the vocabulary from *documents*."""
-        tokenized = [self.tokenizer(doc) for doc in documents]
+        return self.fit_tokens([self.tokenizer(doc) for doc in documents])
+
+    def fit_tokens(self, tokenized_documents: Iterable[Iterable[str]]) -> "CountVectorizer":
+        """Learn the vocabulary from already-tokenised documents."""
         self.vocabulary_ = Vocabulary(min_df=self.min_df, max_features=self.max_features)
-        self.vocabulary_.fit(tokenized)
+        self.vocabulary_.fit(tokenized_documents)
         return self
 
     def transform(self, documents: Sequence[str]) -> np.ndarray:
@@ -55,16 +58,22 @@ class CountVectorizer:
         if not hasattr(self, "vocabulary_"):
             raise RuntimeError("CountVectorizer is not fitted yet; call fit() first")
         vocab = self.vocabulary_
-        matrix = np.zeros((len(documents), len(vocab)), dtype=float)
+        counts = np.zeros((len(documents), len(vocab)), dtype=float)
         for row, doc in enumerate(documents):
             for token in self.tokenizer(doc):
                 if token in vocab:
-                    column = vocab.index(token)
-                    if self.binary:
-                        matrix[row, column] = 1.0
-                    else:
-                        matrix[row, column] += 1.0
-        return matrix
+                    counts[row, vocab.index(token)] += 1.0
+        return self.weight_counts(counts)
+
+    def weight_counts(self, counts: np.ndarray) -> np.ndarray:
+        """Turn a raw ``(n_documents, n_terms)`` term-count matrix into features.
+
+        Columns follow :attr:`vocabulary_`'s index order.  :meth:`transform`
+        counts tokens and then calls this, so callers that count terms some
+        other way get the same features.
+        """
+        counts = np.asarray(counts, dtype=float)
+        return np.minimum(counts, 1.0) if self.binary else counts
 
     def fit_transform(self, documents: Sequence[str]) -> np.ndarray:
         """Fit the vocabulary and return the count matrix for *documents*."""
@@ -84,9 +93,9 @@ class TfidfVectorizer(CountVectorizer):
     ``idf(t) = ln((1 + n) / (1 + df(t))) + 1`` and unit-L2 rows.
     """
 
-    def fit(self, documents: Sequence[str]) -> "TfidfVectorizer":
-        """Learn the vocabulary and per-term IDF weights."""
-        super().fit(documents)
+    def fit_tokens(self, tokenized_documents: Iterable[Iterable[str]]) -> "TfidfVectorizer":
+        """Learn the vocabulary and per-term IDF weights from token lists."""
+        super().fit_tokens(tokenized_documents)
         n_docs = self.vocabulary_.n_documents_
         df = np.array(
             [self.vocabulary_.document_frequency[t] for t in self.vocabulary_.tokens],
@@ -95,9 +104,9 @@ class TfidfVectorizer(CountVectorizer):
         self.idf_ = np.log((1.0 + n_docs) / (1.0 + df)) + 1.0
         return self
 
-    def transform(self, documents: Sequence[str]) -> np.ndarray:
-        """Return the L2-normalised TF-IDF matrix for *documents*."""
-        counts = super().transform(documents)
+    def weight_counts(self, counts: np.ndarray) -> np.ndarray:
+        """Return the L2-normalised TF-IDF matrix for a term-count matrix."""
+        counts = super().weight_counts(counts)
         if not hasattr(self, "idf_"):
             raise RuntimeError("TfidfVectorizer is not fitted yet; call fit() first")
         tfidf = counts * self.idf_

@@ -73,6 +73,14 @@ class TestTextGenerator:
             {"signal_strength": 0.0},
             {"noise_strength": 0.9, "signal_strength": 0.5},
             {"class_balance": (1.0,)},
+            {"signal_words": {0: ["The"]}},
+            {"signal_words": {0: ["the"]}},
+            {"signal_words": {1: ["x"]}},
+            {"signal_words": {1: ["co2"]}},
+            {"n_signal_words": 26**3 + 1},
+            {"n_ambiguous_words": 26**3 + 1},
+            {"n_background_words": 26**3 + 1},
+            {"n_background_words": 0},
         ],
     )
     def test_invalid_config_raises(self, kwargs):
