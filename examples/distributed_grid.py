@@ -172,7 +172,6 @@ def main() -> None:
                 spool_dir=spool,
                 cache_dir=cache_dir,
                 wait_timeout=600,
-                claim_batch=args.claim_batch,
             ),
         )
         print(f"  engine: {last_report()}")

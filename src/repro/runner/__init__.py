@@ -3,9 +3,9 @@
 One orchestration path for every experiment grid in the reproduction:
 
 * :mod:`repro.runner.spec` — frozen, content-hashed trial descriptions;
-* :mod:`repro.runner.results` — result persistence behind the abstract
-  :class:`ResultStore` protocol: the content-addressed pickle-shard blob
-  layer, wrapped by the one store every layer holds, whose
+* :mod:`repro.runner.results` — result persistence: the
+  content-addressed pickle-shard :class:`ResultCache`, and its subclass
+  :class:`IndexedResultStore`, the one store every layer holds, whose
   ``results.sqlite3`` run-history database is queryable via
   :class:`RunHistoryDB` and ``python -m repro.runner.query`` (the query
   CLI is imported lazily — not re-exported here — for the same ``-m``
@@ -13,10 +13,9 @@ One orchestration path for every experiment grid in the reproduction:
 * :mod:`repro.runner.executor` — the per-trial loop and process-pool
   scheduling with a serial fallback;
 * :mod:`repro.runner.brokers` — the work queue for distributing trials
-  across machines: the abstract :class:`Broker` contract (TTL + heartbeat
-  crash recovery and failure logs) and its one implementation, the
-  filesystem :class:`SpoolBroker` (dataset-sharded task layout, atomic
-  rename leases claimed in batches);
+  across machines: the filesystem :class:`SpoolBroker` (dataset-sharded
+  task layout, atomic rename leases claimed in batches, TTL + heartbeat
+  crash recovery and failure logs);
 * :mod:`repro.runner.worker` — the worker daemon
   (``python -m repro.runner.worker``) that leases and executes brokered
   trials anywhere the queue and cache locations are visible (imported
@@ -44,13 +43,11 @@ from repro.runner.results import (
     TRIAL_METRICS,
     IndexedResultStore,
     ResultCache,
-    ResultStore,
     RunHistoryDB,
 )
 from repro.runner.brokers import (
     DEFAULT_CLAIM_BATCH,
     DEFAULT_LEASE_TTL,
-    Broker,
     LeasedTrial,
     RemoteTrialError,
     SpoolBroker,
@@ -85,9 +82,7 @@ __all__ = [
     "TrialSpec",
     "IndexedResultStore",
     "ResultCache",
-    "ResultStore",
     "RunHistoryDB",
-    "Broker",
     "LeasedTrial",
     "RemoteTrialError",
     "SpoolBroker",

@@ -1,9 +1,49 @@
-"""Filesystem-spool broker: the reference :class:`Broker` implementation.
+"""The trial-distribution queue: a work queue over a shared spool directory.
 
-The spool turns a shared directory (NFS mount, bind mount, plain local
-directory) into a work queue for :class:`~repro.runner.spec.TrialSpec`s.  No
-server process is involved; every operation is a single atomic filesystem
-rename, so any number of submitters and workers can share one spool.
+Submitters offer :class:`~repro.runner.spec.TrialSpec`\\ s to the queue,
+worker daemons claim them under revocable leases, heartbeat while
+executing, and publish results through the shared content-addressed
+:class:`~repro.runner.results.pickle_store.ResultCache` — the cache, not the
+queue, is the result channel.  The engine, the worker daemon, the
+supervisor and the labeling service each build a :class:`SpoolBroker` over
+one shared directory (NFS mount, bind mount, plain local directory).  No
+server process is involved; every state transition is a single atomic
+filesystem rename, so any number of submitters and workers can share one
+spool.
+
+The queue's operations (one method per state transition):
+
+========================  ====================================================
+``enqueue(spec)``         offer one trial; idempotent per content key
+``enqueue_batch(specs)``  offer many trials, amortising per-call overhead
+``lease_batch(w, n)``     claim up to *n* pending trials for worker *w*
+``heartbeat(lease)``      refresh a claim's liveness signal
+``complete(lease)``       drop a claim after the result reached the cache
+``release(lease)``        voluntarily re-offer a claimed trial
+``release_expired(...)``  re-offer claims whose heartbeat outlived the TTL
+``fail(lease, ...)``      record a failure log (if the claim is still held)
+``wait(specs, cache)``    the submitter's polling loop until all results land
+``counts()``              queue snapshot: tasks / leases / failed / corrupt
+``backlog()``             scaling signals: queue depth and backlogged shards
+``stats``                 per-instance round-trip counters (measurability)
+========================  ====================================================
+
+The contract its callers rely on (``tests/runner/test_broker_contract.py``
+pins it, through one handle and through separate submitter and worker
+handles over one spool):
+
+* **content-keyed idempotence** — enqueueing an already-pending or
+  already-claimed trial changes nothing;
+* **exactly-one winner** — of any number of racing claims on one trial;
+* **ownership certificates** — a lease records who holds it; a holder whose
+  claim was revoked (expired and re-offered) can neither drop the new
+  holder's claim nor record a failure log for it;
+* **failure logs are conditional evidence** — ``enqueue`` clears a stale
+  failure log only when it actually (re-)writes the trial, never out from
+  under a currently-claimed, currently-failing trial;
+* **sharding** — trials are grouped by a shard label (their dataset) so
+  workers keep dataset affinity and scaling policies can see per-shard
+  backlog.
 
 Spool layout::
 
@@ -21,7 +61,7 @@ Spool layout::
         failed/<key>.json                     failure logs ({key, worker,
                                               error, traceback})
 
-Protocol mapping (see :mod:`repro.runner.brokers.base` for the contract):
+How the spool implements each transition:
 
 * **enqueue** — the submitter writes one ``tasks/<shard>/<key>.task`` file
   per pending trial (tempfile + ``os.replace``).  The file name *is* the
@@ -70,17 +110,15 @@ Protocol mapping (see :mod:`repro.runner.brokers.base` for the contract):
 Sharding: a flat ``tasks/`` directory would make every worker scan the same
 listing and race the same tasks — W workers cost up to W−1 failed renames
 per claim and one full listing per single lease.  Tasks therefore land in a
-per-shard subdirectory named by :meth:`Broker.shard_for
-<repro.runner.brokers.base.Broker.shard_for>` (the dataset, so workers that
-generated a dataset's corpus keep leasing trials that reuse it).  Only the
-shard subdirectories are scanned: a task file directly under ``tasks/`` (the
-layout of spools written before sharding) is never seen, and the
-submitter's self-healing re-enqueue files a fresh copy under its shard.
+per-shard subdirectory named by :meth:`SpoolBroker.shard_for` (the dataset,
+so workers that generated a dataset's corpus keep leasing trials that reuse
+it).  Only the shard subdirectories are scanned: a task file directly under
+``tasks/`` (the layout of spools written before sharding) is never seen, and
+the submitter's self-healing re-enqueue files a fresh copy under its shard.
 :attr:`SpoolBroker.stats` counts listings and rename attempts so contention
 is measurable (``benchmarks/bench_spool.py``).
 
-The submitter side (:meth:`Broker.wait <repro.runner.brokers.base.Broker.wait>`)
-is the generic polling loop from the base protocol, driven by one
+The submitter side (:meth:`SpoolBroker.wait`) polls with one
 directory-listing snapshot per spool directory per round instead of a stat
 per pending key per round.
 """
@@ -95,26 +133,20 @@ per pending key per round.
 from __future__ import annotations
 
 import json
+import math
 import os
 import pickle
 import random
+import re
 import time
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from repro.runner.brokers.base import (
-    DEFAULT_CLAIM_BATCH,
-    DEFAULT_LEASE_TTL,
-    Broker,
-    LeasedTrial,
-    RemoteTrialError,
-    SpoolTimeout,
-    sanitize_token,
-)
-from repro.runner.results.pickle_store import atomic_write_bytes
-from repro.runner.spec import TrialSpec
+from repro.core.results import RunHistory
+from repro.runner.results.pickle_store import ResultCache, atomic_write_bytes
+from repro.runner.spec import TrialSpec, key_of
 
 __all__ = [
     "DEFAULT_CLAIM_BATCH",
@@ -125,6 +157,76 @@ __all__ = [
     "SpoolStats",
     "SpoolTimeout",
 ]
+
+#: Default lease time-to-live in seconds: a lease whose heartbeat is older
+#: than this is considered abandoned and may be re-offered.  Workers
+#: heartbeat every TTL/4 by default, so a live worker keeps a ~4x margin
+#: over the expiry check.
+DEFAULT_LEASE_TTL = 60.0
+
+#: Default number of tasks a worker claims per batch.  Batching amortises
+#: one queue scan over many claims; the worker voluntarily re-offers any
+#: leases it has not started when it shuts down.
+DEFAULT_CLAIM_BATCH = 8
+
+
+def sanitize_token(name: str) -> str:
+    """Make *name* safe for shard labels and lease-name components.
+
+    Shard labels and lease components must be dot-free (the lease-name
+    grammar splits on dots) and filesystem-safe, because both become parts
+    of spool file and directory names.
+    """
+    return re.sub(r"[^A-Za-z0-9_-]+", "-", name)
+
+
+class RemoteTrialError(RuntimeError):
+    """A trial failed on a remote worker.
+
+    Carries the worker's failure log so the submitter can show the remote
+    traceback instead of a bare "trial missing" timeout.
+    """
+
+    def __init__(self, key: str, worker: str, error: str, traceback_text: str):
+        self.key = key
+        self.worker = worker
+        self.error = error
+        self.traceback_text = traceback_text
+        super().__init__(
+            f"trial {key[:12]}... failed on worker {worker!r}: {error}\n"
+            f"--- remote traceback ---\n{traceback_text}"
+        )
+
+
+class SpoolTimeout(TimeoutError):
+    """The submitter's wait deadline passed with trials still outstanding.
+
+    Raised by :meth:`SpoolBroker.wait`; part of the public API as
+    ``repro.runner.SpoolTimeout``.
+    """
+
+
+@dataclass
+class LeasedTrial:
+    """One claimed trial: the spec plus the lease file that proves the claim.
+
+    Attributes
+    ----------
+    key:
+        The trial's content key (the first dot-separated component of the
+        lease file name).
+    spec:
+        The trial description, unpickled from the claimed task file.
+    lease_path:
+        The claim-unique lease file under ``<spool>/leases/``
+        (``<key>.<shard>.<worker>.<token>.lease``); its mtime is the
+        heartbeat, and its continued existence is proof the claim was not
+        revoked.
+    """
+
+    key: str
+    spec: TrialSpec
+    lease_path: Path
 
 
 @dataclass
@@ -166,7 +268,7 @@ class SpoolStats:
         return self.listings / max(self.claims, 1)
 
 
-class SpoolBroker(Broker):
+class SpoolBroker:
     """Work queue over a shared spool directory (see module docstring).
 
     Parameters
@@ -176,11 +278,20 @@ class SpoolBroker(Broker):
         first use; submitters and workers must point at the same path.
     lease_ttl:
         Seconds without a heartbeat after which a lease counts as abandoned.
+        Must be positive and finite: a NaN TTL would make every age
+        comparison false (live leases released, ``wait`` blind to them) and
+        an infinite one cannot pace the workers' heartbeat thread.
+
+    Attributes
+    ----------
+    stats:
+        This instance's :class:`SpoolStats` round-trip counters — give each
+        worker thread its own broker when aggregating across workers.
     """
 
     def __init__(self, spool: str | Path, lease_ttl: float = DEFAULT_LEASE_TTL):
-        if lease_ttl <= 0:
-            raise ValueError("lease_ttl must be positive")
+        if not (math.isfinite(lease_ttl) and lease_ttl > 0):
+            raise ValueError(f"lease_ttl must be positive and finite, got {lease_ttl!r}")
         self.root = Path(spool)
         self.lease_ttl = float(lease_ttl)
         self.tasks_dir = self.root / "tasks"
@@ -192,21 +303,30 @@ class SpoolBroker(Broker):
 
     # -- paths ------------------------------------------------------------
 
-    @property
-    def location(self) -> Path:
-        """The spool directory (shown in timeout diagnostics)."""
-        return self.root
+    def shard_for(self, spec: TrialSpec | str) -> str:
+        """Shard label a trial for *spec* is filed under.
+
+        The sanitised dataset name, so workers keep dataset affinity.  A
+        raw key carries no dataset, and a dataset name may have no safe
+        characters at all; both fall back to the key's first two hex
+        characters.
+        """
+        if isinstance(spec, TrialSpec):
+            name = sanitize_token(spec.dataset).strip("-")
+            if name:
+                return name
+        return key_of(spec)[:2]
 
     def task_path(self, spec: TrialSpec | str) -> Path:
         """Pending-task file path for a spec or key (under its home shard)."""
-        return self._task_home(self.key_of(spec), self.shard_for(spec))
+        return self._task_home(key_of(spec), self.shard_for(spec))
 
     def _task_home(self, key: str, shard: str) -> Path:
         return self.tasks_dir / shard / f"{key}.task"
 
     def failure_path(self, spec: TrialSpec | str) -> Path:
         """Failure-log file path for a spec or key."""
-        return self.failed_dir / f"{self.key_of(spec)}.json"
+        return self.failed_dir / f"{key_of(spec)}.json"
 
     @staticmethod
     def _entry_key(entry: Path) -> str:
@@ -224,7 +344,7 @@ class SpoolBroker(Broker):
 
     def _leases_for(self, spec: TrialSpec | str) -> Iterator[Path]:
         if self.leases_dir.is_dir():
-            yield from self.leases_dir.glob(f"{self.key_of(spec)}.*.lease")
+            yield from self.leases_dir.glob(f"{key_of(spec)}.*.lease")
 
     def is_claimed(self, spec: TrialSpec | str) -> bool:
         """Whether any worker currently holds a lease on the trial."""
@@ -370,15 +490,125 @@ class SpoolBroker(Broker):
         except ValueError:
             return None  # half-written by a crashed worker: not actionable
 
-    # -- snapshot hooks for the generic wait loop -------------------------
+    def wait(
+        self,
+        specs: Sequence[TrialSpec],
+        cache: ResultCache,
+        timeout: float | None = None,
+        poll_initial: float = 0.05,
+        poll_max: float = 1.0,
+        on_result: Callable[[TrialSpec, RunHistory], None] | None = None,
+        on_released: Callable[[int], None] | None = None,
+    ) -> dict[str, RunHistory]:
+        """Block until every spec's result is in *cache*; return key->history.
+
+        Polls with exponential backoff (*poll_initial* doubling-ish up to
+        *poll_max* seconds), re-releasing expired claims and re-enqueueing
+        trials that disappeared from the queue entirely along the way.
+        Each round costs a constant number of snapshot queries/listings —
+        never a probe per pending key, which at up to 20 Hz early in the
+        backoff would hammer a shared queue on paper-scale grids.  The
+        expiry sweep is scoped to the pending keys *and* their shards, so
+        it inspects only the shards with leases of interest.
+
+        Raises :class:`RemoteTrialError` as soon as any trial has a failure
+        log, and :class:`SpoolTimeout` if *timeout* seconds pass with trials
+        still outstanding *and no live worker lease on any of them* — a
+        fresh heartbeat extends the deadline, so the timeout detects
+        abandonment, not trials that simply run long (``None`` waits
+        forever — only sensible when workers are known to be running).
+
+        *on_result* fires once per completed trial (the engine counts
+        remote completions with it); *on_released* fires with the number of
+        claims re-offered by each expiry sweep.
+        """
+        pending: dict[str, TrialSpec] = {spec.key: spec for spec in specs}
+        histories: dict[str, RunHistory] = {}
+        deadline = None if timeout is None else time.monotonic() + float(timeout)
+        interval = poll_initial
+        while pending:
+            progressed = False
+            # One snapshot per source per round: failure logs and the cache
+            # entries for our pending keys, then membership is dict lookups.
+            failed_keys = self._failed_key_snapshot()
+            done_keys = cache.keys_present(pending)
+            for key in list(pending):
+                if key in done_keys:
+                    history = cache.get(key)
+                    if history is not None:
+                        spec = pending.pop(key)
+                        histories[key] = history
+                        if on_result is not None:
+                            on_result(spec, history)
+                        progressed = True
+                        continue
+                    # get() just quarantined a corrupt entry: still pending,
+                    # and no longer "done" — drop it from the snapshot so
+                    # the self-healing pass below re-offers it this round.
+                    done_keys.discard(key)
+                if key in failed_keys:
+                    failure = self.failure_for(key)
+                    if failure is not None:
+                        raise RemoteTrialError(
+                            key,
+                            failure.get("worker", "<unknown>"),
+                            failure.get("error", "<unknown>"),
+                            failure.get("traceback", ""),
+                        )
+            if not pending:
+                break
+            leased_keys = self._leased_key_snapshot()
+            if any(key in leased_keys for key in pending):
+                # Only sweep for expiry while one of OUR trials is actually
+                # claimed — and restrict the sweep to the shards our trials
+                # could live in, so a busy shared queue full of other
+                # submitters' leases costs us nothing to police.
+                released = self.release_expired(
+                    keys=pending,
+                    shards={self.shard_for(spec) for spec in pending.values()},
+                )
+                if released and on_released is not None:
+                    on_released(released)
+            task_keys = self._task_key_snapshot()
+            for key, spec in pending.items():
+                # Vanished entirely (quarantined trial, manual queue wipe,
+                # the complete/release races): re-offer it from the spec we
+                # still hold, making the queue self-healing.  A key with
+                # a failure log is NOT re-offered — enqueue would clear the
+                # log a worker may have written since this round's failure
+                # check, and the next round must raise it instead.  The
+                # live cache probe here is fine: it only runs for keys
+                # already absent from every snapshot, which is the rare
+                # self-heal path, not the per-round hot path.
+                if key in task_keys or key in leased_keys or key in done_keys:
+                    continue
+                if not cache.path_for(key).exists() and self.failure_for(key) is None:
+                    self.enqueue(spec)
+            if progressed:
+                interval = poll_initial
+                continue
+            if deadline is not None and time.monotonic() >= deadline:
+                if self._any_fresh_lease(pending):
+                    # A worker is actively heartbeating one of our trials:
+                    # the timeout guards against *abandonment*, not against
+                    # trials longer than the timeout — push the deadline.
+                    deadline = time.monotonic() + float(timeout)
+                else:
+                    raise SpoolTimeout(
+                        f"{len(pending)} trial(s) still outstanding after "
+                        f"{timeout:g}s with no live worker lease — are any "
+                        f"workers running against {self.root}? "
+                        "(python -m repro.runner.worker --spool ...)"
+                    )
+            time.sleep(interval)
+            interval = min(interval * 1.5, poll_max)
+        return histories
+
+    # -- snapshots for the wait loop ----------------------------------------
 
     def _failed_key_snapshot(self) -> set[str]:
         """Content keys with a failure log (one ``failed/`` listing)."""
         return self._key_snapshot(self.failed_dir, "*.json")
-
-    def _pending_key_snapshot(self) -> set[str]:
-        """Content keys of every pending task (one ``tasks/`` sweep)."""
-        return self._task_key_snapshot()
 
     def _leased_key_snapshot(self) -> set[str]:
         """Content keys of every live lease (one ``leases/`` listing)."""
@@ -432,6 +662,16 @@ class SpoolBroker(Broker):
         return False
 
     # -- worker side ------------------------------------------------------
+
+    def lease_next(self, worker_id: str = "") -> LeasedTrial | None:
+        """Atomically claim one pending trial, or ``None`` if idle.
+
+        Equivalent to :meth:`lease_batch` with a batch of one — every claim
+        pays a fresh queue scan, so loops that expect sustained work should
+        prefer :meth:`lease_batch`.
+        """
+        claimed = self.lease_batch(worker_id, limit=1)
+        return claimed[0] if claimed else None
 
     def lease_batch(self, worker_id: str = "", limit: int = DEFAULT_CLAIM_BATCH) -> list[LeasedTrial]:
         """Claim up to *limit* pending trials, amortising listings over renames.

@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Hashable, Sequence
 
 from repro.core.results import RunHistory
-from repro.runner.brokers import DEFAULT_CLAIM_BATCH, DEFAULT_LEASE_TTL, SpoolBroker
+from repro.runner.brokers import DEFAULT_LEASE_TTL, SpoolBroker
 from repro.runner.executor import execute_trials
 from repro.runner.results import IndexedResultStore
 from repro.runner.spec import TrialSpec
@@ -80,11 +80,6 @@ class ExecutionConfig:
     wait_timeout:
         Give up (``SpoolTimeout``) after this many seconds with trials
         still outstanding; ``None`` waits forever.
-    claim_batch:
-        Tasks a worker claims per spool scan (the workers' ``--claim-batch``;
-        the submitter never claims, so this knob only matters to helpers
-        that spawn workers from this config, e.g.
-        ``examples/distributed_grid.py``).
     """
 
     workers: int = 1
@@ -94,15 +89,12 @@ class ExecutionConfig:
     spool_dir: str | Path | None = None
     lease_ttl: float = DEFAULT_LEASE_TTL
     wait_timeout: float | None = None
-    claim_batch: int = DEFAULT_CLAIM_BATCH
 
     def __post_init__(self):
         if self.mode not in ("local", "distributed"):
             raise ValueError(
                 f"mode must be 'local' or 'distributed', got {self.mode!r}"
             )
-        if self.claim_batch < 1:
-            raise ValueError("claim_batch must be at least 1")
         if self.mode == "distributed":
             if self.spool_dir is None:
                 raise ValueError(
@@ -126,8 +118,7 @@ class ExecutionConfig:
         passes through; a string names a preset — ``"serial"``,
         ``"parallel"`` (all cores) or ``"distributed"`` (spool/cache
         directories from the ``REPRO_SPOOL_DIR`` / ``REPRO_CACHE_DIR``
-        environment variables, the worker batch size from
-        ``REPRO_CLAIM_BATCH``).
+        environment variables).
         """
         if value is None:
             return cls()
@@ -143,9 +134,6 @@ class ExecutionConfig:
                     mode="distributed",
                     spool_dir=os.environ.get("REPRO_SPOOL_DIR"),
                     cache_dir=os.environ.get("REPRO_CACHE_DIR"),
-                    claim_batch=int(
-                        os.environ.get("REPRO_CLAIM_BATCH", DEFAULT_CLAIM_BATCH)
-                    ),
                 )
             raise ValueError(
                 f"unknown execution preset {value!r} "

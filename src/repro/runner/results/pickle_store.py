@@ -6,9 +6,20 @@ Layout: ``<root>/<first two hex chars>/<full key>.pkl``, one pickled
 covers every input that determines the trial outcome, re-running a grid only
 executes trials whose spec changed; everything else is served from disk.
 
-Writes are atomic (tempfile + ``os.replace``) so concurrent grid runs and
-interrupted processes never leave half-written entries, and unreadable
-entries are treated as misses rather than errors.
+The semantics every reader relies on
+(``tests/runner/test_result_store_contract.py`` pins them on this class and
+on :class:`~repro.runner.results.indexed.IndexedResultStore`, its
+subclass):
+
+* **content addressing** — one entry per content key; a re-``put`` of the
+  same key atomically replaces the previous bytes (tempfile +
+  ``os.replace``), so concurrent grid runs and interrupted processes never
+  leave half-written entries;
+* **quarantine on read** — an unreadable or wrong-typed entry is a miss,
+  and is moved aside (never silently deleted) so the recompute can land;
+* **cheap snapshots** — :meth:`ResultCache.keys_present` costs a bounded
+  number of listings per call, never a ``stat`` per key, so a polling
+  submitter can watch thousands of pending trials.
 """
 
 from __future__ import annotations
@@ -20,8 +31,7 @@ from pathlib import Path
 from typing import Iterable
 
 from repro.core.results import RunHistory
-from repro.runner.results.base import ResultStore
-from repro.runner.spec import TrialSpec
+from repro.runner.spec import TrialSpec, key_of
 
 
 def atomic_write_bytes(path: Path, data: bytes) -> None:
@@ -45,7 +55,7 @@ def atomic_write_bytes(path: Path, data: bytes) -> None:
         raise
 
 
-class ResultCache(ResultStore):
+class ResultCache:
     """Pickle-per-trial cache rooted at *root* (created lazily on first put)."""
 
     def __init__(self, root: str | Path):
@@ -53,7 +63,8 @@ class ResultCache(ResultStore):
 
     def path_for(self, spec: TrialSpec | str) -> Path:
         """Cache file path for a spec (or a raw content key)."""
-        return self.root / self.key_of(spec)[:2] / f"{self.key_of(spec)}.pkl"
+        key = key_of(spec)
+        return self.root / key[:2] / f"{key}.pkl"
 
     def get(self, spec: TrialSpec | str) -> RunHistory | None:
         """Return the cached history, or ``None`` on a miss or unreadable entry.
@@ -101,8 +112,10 @@ class ResultCache(ResultStore):
     ) -> Path:
         """Atomically store *history* under the spec's content key.
 
-        *wall_seconds* is accepted for protocol compatibility and ignored:
-        this layer stores blobs only.
+        *wall_seconds* is execution-time metadata that never reaches the
+        blob bytes: this class ignores it, and
+        :class:`~repro.runner.results.indexed.IndexedResultStore` records
+        it in its index row.  Returns the blob path written.
         """
         path = self.path_for(spec)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -114,12 +127,12 @@ class ResultCache(ResultStore):
 
         One directory listing per distinct key-prefix shard instead of one
         ``stat`` per key: this is what lets a polling submitter
-        (:meth:`Broker.wait <repro.runner.brokers.base.Broker.wait>`)
+        (:meth:`SpoolBroker.wait <repro.runner.brokers.spool.SpoolBroker.wait>`)
         watch thousands of pending trials without stat-storming a shared
         fileserver on every backoff round.  Entries appearing concurrently
         with the listing may be missed; the caller's next round sees them.
         """
-        wanted = {self.key_of(spec) for spec in specs}
+        wanted = {key_of(spec) for spec in specs}
         if len(wanted) <= 32:
             # For a handful of keys, a stat each beats listing whole
             # prefix directories: a long-lived shared cache can hold
@@ -137,7 +150,12 @@ class ResultCache(ResultStore):
                     present.add(name[:-4])
         return present
 
+    def __contains__(self, spec: TrialSpec | str) -> bool:
+        """Whether an entry for the spec's content key exists."""
+        return self.path_for(spec).exists()
+
     def __len__(self) -> int:
+        """Number of stored entries (quarantined blobs excluded)."""
         if not self.root.is_dir():
             return 0
         return sum(1 for _ in self.root.glob("*/*.pkl"))

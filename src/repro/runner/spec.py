@@ -199,3 +199,13 @@ class TrialSpec:
         if not isinstance(other, TrialSpec):
             return NotImplemented
         return self.key == other.key and self.group == other.group
+
+
+def key_of(spec: TrialSpec | str) -> str:
+    """Content key of a spec (or pass a raw key through).
+
+    The spool broker and the result cache both accept either form, so a
+    caller holding only a key (a failure log, a lease name) can address
+    the same trial.
+    """
+    return spec.key if isinstance(spec, TrialSpec) else str(spec)

@@ -13,8 +13,8 @@ Each control tick it:
    ``--idle-timeout``, finished their ``--max-trials`` budget, or crashed);
 2. **polices** the queue with ``release_expired()`` so a crashed worker's
    leases are re-offered after one TTL instead of wedging the grid;
-3. reads the scaling signals from :meth:`Broker.backlog
-   <repro.runner.brokers.base.Broker.backlog>` — queue depth says how much
+3. reads the scaling signals from :meth:`SpoolBroker.backlog
+   <repro.runner.brokers.spool.SpoolBroker.backlog>` — queue depth says how much
    work there is, the number of backlogged shards says how many workers can
    claim concurrently without racing each other under dataset affinity;
 4. **spawns** workers up to the target (never beyond ``max_workers``).
@@ -203,7 +203,7 @@ class Supervisor:
         return subprocess.Popen(command, env=subprocess_env())
 
     def target_workers(self, backlog: Mapping[str, int]) -> int:
-        """Fleet size for a :meth:`Broker.backlog` reading.
+        """Fleet size for a :meth:`SpoolBroker.backlog` reading.
 
         One worker per ``tasks_per_worker`` pending trials (rounded up),
         raised to one per backlogged shard (a wide-but-shallow queue still

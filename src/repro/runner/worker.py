@@ -6,14 +6,12 @@ and the cache directory::
     python -m repro.runner.worker --spool /shared/spool --cache-dir /shared/cache
 
 The worker claims trials from the filesystem
-:class:`~repro.runner.brokers.SpoolBroker` under ``--spool`` and talks to it
-only through the :class:`~repro.runner.brokers.Broker` protocol.  The worker
-loops forever (until ``--max-trials`` or
-``--idle-timeout``): claim a batch of pending trials (``--claim-batch``
-tasks per queue scan — one scan amortised over the whole batch, and
-consecutive batches stick to the same dataset shard so generated corpora
-stay warm), heartbeat every held lease from a background thread, and execute
-the batch with the engine's canonical
+:class:`~repro.runner.brokers.SpoolBroker` under ``--spool``.  It loops
+forever (until ``--max-trials`` or ``--idle-timeout``): claim a batch of
+pending trials (``--claim-batch`` tasks per queue scan — one scan amortised
+over the whole batch, and consecutive batches stick to the same dataset
+shard so generated corpora stay warm), heartbeat every held lease from a
+background thread, and execute the batch with the engine's canonical
 :func:`~repro.runner.executor.run_trial` loop.
 Each result is written through the shared
 :class:`~repro.runner.results.IndexedResultStore` (the pickle-shard blob,
@@ -42,12 +40,7 @@ import threading
 import time
 import traceback
 
-from repro.runner.brokers import (
-    DEFAULT_CLAIM_BATCH,
-    DEFAULT_LEASE_TTL,
-    Broker,
-    SpoolBroker,
-)
+from repro.runner.brokers import DEFAULT_CLAIM_BATCH, DEFAULT_LEASE_TTL, SpoolBroker
 from repro.runner.executor import run_trial
 from repro.runner.results import IndexedResultStore
 
@@ -71,7 +64,7 @@ class _Heartbeat(threading.Thread):
     #: Shared state the lock-discipline checker holds to `with self._lock:`.
     _GUARDED_BY_LOCK = ("_leases",)
 
-    def __init__(self, broker: Broker, leases: list, interval: float):
+    def __init__(self, broker: SpoolBroker, leases: list, interval: float):
         super().__init__(daemon=True)
         self._broker = broker
         self._leases = list(leases)
@@ -159,7 +152,7 @@ def run_worker(
 
     executed = 0
     idle_since = time.monotonic()
-    log(f"serving queue {broker.location} -> cache {cache.root}")
+    log(f"serving queue {broker.root} -> cache {cache.root}")
     while max_trials is None or executed < max_trials:
         want = claim_batch if max_trials is None else min(claim_batch, max_trials - executed)
         leases = broker.lease_batch(identity, limit=want)

@@ -13,10 +13,10 @@ dataset with these LFs, now" — as a long-running service:
   time, with LRU eviction of idle sessions to disk (``snapshot()`` /
   ``restore()`` give suspend-resume);
 * :mod:`~repro.serving.service` — the HTTP-independent core: warm requests
-  short-circuit through the :class:`~repro.runner.results.ResultStore`,
-  cold requests are enqueued through the
-  :class:`~repro.runner.brokers.Broker` to the worker fleet, and a watcher
-  thread completes jobs as results land;
+  short-circuit through the
+  :class:`~repro.runner.results.IndexedResultStore`, cold requests are
+  enqueued through the :class:`~repro.runner.brokers.SpoolBroker` to the
+  worker fleet, and a watcher thread completes jobs as results land;
 * :mod:`~repro.serving.server` — the stdlib HTTP layer
   (``python -m repro.serving.server --spool DIR --cache-dir DIR``) with
   ``/healthz`` + ``/stats`` and graceful drain on SIGINT.

@@ -436,7 +436,7 @@ class LabelingService:
         present = self.store.keys_present(pending)
         remaining = []
         for key, job in pending.items():
-            # Read, not just listed, as in `Broker.wait`: an unreadable blob
+            # Read, not just listed, as in `SpoolBroker.wait`: an unreadable blob
             # is quarantined by this `get` and its job stays pending, so the
             # self-heal below re-offers it.
             if key in present and self.store.get(job.spec) is not None:

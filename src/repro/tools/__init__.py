@@ -3,16 +3,14 @@
 The repo's headline guarantee — distributed/served runs are *byte-identical*
 to direct engine runs — rests on contracts that no example-based test can
 cover exhaustively: content-key hashing must be deterministic, any pickled
-payload change must bump ``CACHE_FORMAT_VERSION``, threaded subsystems
-must keep shared state under their locks, and every ``Broker`` or
-``ResultStore`` implementation must implement its full protocol surface.
+payload change must bump ``CACHE_FORMAT_VERSION``, and threaded subsystems
+must keep shared state under their locks.
 
 :mod:`repro.tools.check` is the AST-based checker suite that enforces those
 contracts statically (``python -m repro.tools.check``); the individual rule
 families live in :mod:`~repro.tools.determinism`,
-:mod:`~repro.tools.schema_version`, :mod:`~repro.tools.locks` and
-:mod:`~repro.tools.protocols`.  The rule catalogue is documented in
-``docs/static_analysis.md``.
+:mod:`~repro.tools.schema_version` and :mod:`~repro.tools.locks`.  The
+rule catalogue is documented in ``docs/static_analysis.md``.
 """
 
 __all__ = ["Checker", "CheckReport", "Finding", "run_checks"]

@@ -88,7 +88,7 @@ class Checker(abc.ABC):
     (:attr:`scope`: glob patterns relative to the scanned root), and
     implement either :meth:`check_file` (per-file AST rules) or override
     :meth:`check_root` entirely (cross-file rules like the schema
-    fingerprint and protocol conformance).
+    fingerprint).
     """
 
     #: Short family name (``"determinism"``, ...); a ``--rules`` selector.
@@ -185,14 +185,12 @@ def all_checkers() -> list[Checker]:
     """
     from repro.tools.determinism import DeterminismChecker
     from repro.tools.locks import LockDisciplineChecker
-    from repro.tools.protocols import ProtocolConformanceChecker
     from repro.tools.schema_version import SchemaVersionChecker
 
     return [
         DeterminismChecker(),
         SchemaVersionChecker(),
         LockDisciplineChecker(),
-        ProtocolConformanceChecker(),
     ]
 
 
@@ -320,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--rules",
         default=None,
         help="comma-separated rule selectors: family names (determinism, "
-        "schema, locks, protocols), exact ids (REPRO103) or id "
+        "schema, locks), exact ids (REPRO103) or id "
         "prefixes (REPRO1); default: all rules",
     )
     parser.add_argument(

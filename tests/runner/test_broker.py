@@ -15,8 +15,10 @@ Three layers, cheapest first:
 from __future__ import annotations
 
 import json
+import math
 import os
 import pickle
+import sqlite3
 import subprocess
 import sys
 import threading
@@ -153,9 +155,12 @@ class TestLeaseProtocol:
         assert broker.enqueue(spec) is True  # self-heal: a fresh task file
         assert broker.lease_next().spec == spec
 
-    def test_constructor_rejects_a_nonpositive_lease_ttl(self, tmp_path):
+    @pytest.mark.parametrize("ttl", [0, -1, math.nan, math.inf, -math.inf])
+    def test_constructor_rejects_a_nonpositive_lease_ttl(self, tmp_path, ttl):
+        # NaN makes every age comparison false (a fresh lease looks expired,
+        # a live one never looks fresh); inf cannot pace a heartbeat thread.
         with pytest.raises(ValueError, match="lease_ttl"):
-            SpoolBroker(tmp_path, lease_ttl=0)
+            SpoolBroker(tmp_path, lease_ttl=ttl)
 
     def test_leftover_sqlite_queue_file_is_ignored(self, tmp_path):
         # A spool directory once shared with the SQLite queue may still hold
@@ -676,6 +681,42 @@ class TestWorkerLoop:
         assert ResultCache(cache_dir).get(spec) is not None
         assert broker.counts() == {"tasks": 0, "leases": 0, "failed": 0, "corrupt": 0}
 
+    def test_failed_publish_reoffers_the_trial_and_the_retry_lands(self, tmp_path, monkeypatch):
+        """A blob write that dies mid-``put`` (disk full) is worker-side
+        infrastructure, not a trial failure: no failure log, the lease is
+        re-offered, and the retry publishes exactly one blob and index row."""
+        import repro.runner.results.pickle_store as pickle_store
+
+        spool, cache_dir = tmp_path / "spool", tmp_path / "cache"
+        spec = _spec()
+        broker = SpoolBroker(spool)
+        broker.enqueue(spec)
+        real_write = pickle_store.atomic_write_bytes
+        calls = []
+
+        def write_fails_once(path, data):
+            calls.append(path)
+            if len(calls) == 1:
+                raise OSError("disk full")
+            return real_write(path, data)
+
+        monkeypatch.setattr(pickle_store, "atomic_write_bytes", write_fails_once)
+        executed = run_worker(
+            spool, cache_dir, max_trials=1, idle_timeout=5, poll_interval=0.01, quiet=True
+        )
+        assert executed == 1
+        assert len(calls) == 2  # the failed publish, then the retry's
+        assert broker.failure_for(spec) is None
+        assert broker.counts() == {"tasks": 0, "leases": 0, "failed": 0, "corrupt": 0}
+        cache = ResultCache(cache_dir)
+        assert cache.get(spec) is not None
+        assert list(cache.path_for(spec).parent.glob("*.tmp")) == []
+        with sqlite3.connect(cache_dir / "results.sqlite3") as db:
+            (rows,) = db.execute(
+                "SELECT COUNT(*) FROM trials WHERE key = ?", (spec.key,)
+            ).fetchone()
+        assert rows == 1
+
     def test_enqueue_clears_stale_failure_logs(self, tmp_path):
         broker = SpoolBroker(tmp_path / "spool")
         bad = _spec(dataset="no-such-dataset")
@@ -716,17 +757,6 @@ class TestExecutionConfig:
         assert coerced.mode == "distributed"
         assert str(coerced.spool_dir) == str(tmp_path / "spool")
 
-    def test_claim_batch_knob_validated(self):
-        with pytest.raises(ValueError, match="claim_batch"):
-            ExecutionConfig(claim_batch=0)
-
-    def test_distributed_preset_reads_batch_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SPOOL_DIR", str(tmp_path / "spool"))
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        monkeypatch.setenv("REPRO_CLAIM_BATCH", "3")
-        coerced = ExecutionConfig.coerce("distributed")
-        assert coerced.claim_batch == 3
-
     def test_wait_timeout_without_workers(self, tmp_path):
         execution = ExecutionConfig(
             mode="distributed",
@@ -738,6 +768,45 @@ class TestExecutionConfig:
             run_experiment_grid(_grid_jobs()[:1], FAST, execution)
         # The trials stayed enqueued for whenever workers do appear.
         assert SpoolBroker(tmp_path / "spool").counts()["tasks"] == FAST.n_seeds
+
+
+def _start_worker(spool, cache_dir, ttl):
+    return run_worker(spool, cache_dir, lease_ttl=ttl, idle_timeout=0.05, quiet=True)
+
+
+def _start_supervisor(spool, cache_dir, ttl):
+    from repro.runner.supervisor import Supervisor
+
+    return Supervisor(spool, cache_dir, lease_ttl=ttl, quiet=True)
+
+
+def _start_service(spool, cache_dir, ttl):
+    from repro.serving import LabelingService
+
+    service = LabelingService(spool, cache_dir, lease_ttl=ttl)
+    service.close()  # only reached when the TTL was (wrongly) accepted
+
+
+def _submit_distributed_grid(spool, cache_dir, ttl):
+    execution = ExecutionConfig(
+        mode="distributed", spool_dir=spool, cache_dir=cache_dir,
+        lease_ttl=ttl, wait_timeout=0.3,
+    )
+    return run_experiment_grid(_grid_jobs()[:1], FAST, execution)
+
+
+@pytest.mark.parametrize(
+    "start",
+    [_start_worker, _start_supervisor, _start_service, _submit_distributed_grid],
+    ids=["worker", "supervisor", "service", "distributed-grid"],
+)
+def test_every_spool_user_rejects_a_nan_lease_ttl_before_touching_the_spool(tmp_path, start):
+    """The worker, supervisor and server CLIs pass ``--lease-ttl`` through
+    unchecked, so the spool's own validation is the one guard."""
+    spool = tmp_path / "spool"
+    with pytest.raises(ValueError, match="lease_ttl"):
+        start(spool, tmp_path / "cache", math.nan)
+    assert not spool.exists() or list(spool.rglob("*")) == []
 
 
 class TestDistributedGrid:

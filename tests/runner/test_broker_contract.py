@@ -1,9 +1,10 @@
-"""Protocol-level contract suite for :class:`~repro.runner.brokers.base.Broker`.
+"""Contract suite for :class:`~repro.runner.brokers.spool.SpoolBroker`.
 
 ``tests/runner/test_broker.py`` pins the spool's *implementation*
 (lease-file names, shard directories, listing counts); this module pins the
-:class:`~repro.runner.brokers.base.Broker` *contract* — the semantics the
-engine, the worker daemon and the supervisor rely on.  Each test runs
+queue's *contract* (listed in the :mod:`repro.runner.brokers.spool`
+docstring) — the semantics the engine, the worker daemon and the
+supervisor rely on.  Each test runs
 twice over one spool directory: once through a single
 :class:`~repro.runner.SpoolBroker` handle (``[spool]``) and once through
 :class:`_SplitHandles` (``[spool-split]``), which routes the submitter's

@@ -19,7 +19,11 @@ ENTRY_MODULES = [
     "repro.runner",
     "repro.runner.spec",
     "repro.runner.results.pickle_store",
+    "repro.runner.results.indexed",
     "repro.runner.results",
+    "repro.runner.brokers.spool",
+    "repro.runner.brokers",
+    "repro.runner.worker",
     "repro.runner.query",
     "repro.runner.executor",
     "repro.runner.engine",

@@ -1,8 +1,8 @@
-"""Contract suite: both result-store classes honour the ResultStore protocol.
+"""Contract suite: both result-store classes honour one set of semantics.
 
 Mirrors ``test_broker_contract.py`` — the same assertions run against the
 blob layer (``ResultCache``) and the store every layer holds
-(``IndexedResultStore``, which wraps it).  Indexed-only semantics (index
+(``IndexedResultStore``, its subclass).  Indexed-only semantics (index
 rows, crash-mid-put divergence, ``--reindex`` recovery, the engine's blob
 byte-identity) live in their own classes below.
 """
@@ -24,7 +24,6 @@ from repro.runner import (
 from repro.runner.results import (
     IndexedResultStore,
     ResultCache,
-    ResultStore,
     RunHistoryDB,
 )
 
@@ -64,9 +63,6 @@ def make_store(store_class, tmp_path):
 
 
 class TestContract:
-    def test_is_a_result_store(self, make_store):
-        assert isinstance(make_store(), ResultStore)
-
     def test_roundtrip(self, make_store):
         store = make_store()
         spec = _spec()
@@ -150,8 +146,39 @@ class TestContract:
         )
 
 
+def _count_calls(monkeypatch, cls, attr):
+    """Wrap ``cls.attr`` through the class dict, as the benchmark's span tracer does."""
+    raw = cls.__dict__[attr]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return raw(*args, **kwargs)
+
+    monkeypatch.setattr(cls, attr, counted)
+    return calls
+
+
 class TestIndexedStore:
     """Semantics only the SQLite-indexed store has."""
+
+    def test_get_runs_the_blob_layers_get_once(self, tmp_path, monkeypatch):
+        # Spans wrapped around ResultCache.get must see the reads of the
+        # store every layer holds.
+        store = IndexedResultStore(tmp_path)
+        spec = _spec()
+        store.put(spec, _history())
+        calls = _count_calls(monkeypatch, ResultCache, "get")
+        assert store.get(spec) is not None
+        assert len(calls) == 1 and calls[0][0] is store
+
+    def test_put_runs_the_blob_layers_put_once(self, tmp_path, monkeypatch):
+        store = IndexedResultStore(tmp_path)
+        spec = _spec()
+        calls = _count_calls(monkeypatch, ResultCache, "put")
+        store.put(spec, _history(), wall_seconds=1.5)
+        assert len(calls) == 1 and calls[0][0] is store
+        assert store.db.has_key(spec.key)
 
     def test_put_materialises_index_rows(self, tmp_path):
         store = IndexedResultStore(tmp_path)
