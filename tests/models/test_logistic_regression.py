@@ -91,6 +91,29 @@ class TestDegenerateInputs:
         with pytest.raises(ValueError):
             LogisticRegression(C=0.0)
 
+    def test_nan_C_raises(self):
+        with pytest.raises(ValueError, match="C must be positive"):
+            LogisticRegression(C=np.nan)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_weight_raises(self, rng, bad):
+        X, y = _separable_data(rng, n=20)
+        weights = np.ones(len(y))
+        weights[3] = bad
+        with pytest.raises(ValueError, match="sample_weight must be finite"):
+            LogisticRegression().fit(X, y, sample_weight=weights)
+
+    def test_zero_total_sample_weight_raises(self, rng):
+        X, y = _separable_data(rng, n=20)
+        with pytest.raises(ValueError, match="positive total"):
+            LogisticRegression().fit(X, y, sample_weight=np.zeros(len(y)))
+
+    def test_decision_function_feature_mismatch_raises(self, rng):
+        X, y = _separable_data(rng, n=50)
+        model = LogisticRegression().fit(X, y)
+        with pytest.raises(ValueError, match="features, model was fitted with"):
+            model.decision_function(rng.standard_normal((3, X.shape[1] + 1)))
+
     def test_negative_labels_raise(self, rng):
         X = rng.standard_normal((5, 2))
         with pytest.raises(ValueError):
