@@ -78,6 +78,5 @@ def test_engine_parallel_matches_serial_with_warm_cache(
 
     assert cold.average_accuracy == serial.average_accuracy
     assert warm.average_accuracy == serial.average_accuracy
-    if parallel.use_cache:
-        assert warm_report.n_executed == 0
-        assert warm_report.n_cached == warm_report.n_trials
+    assert warm_report.n_executed == 0
+    assert warm_report.n_cached == warm_report.n_trials

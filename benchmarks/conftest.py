@@ -99,7 +99,7 @@ def bench_execution(request) -> ExecutionConfig:
         return ExecutionConfig(
             mode="distributed", spool_dir=spool_dir, cache_dir=cache_dir
         )
-    return ExecutionConfig(workers=workers, cache_dir=cache_dir, use_cache=not no_cache)
+    return ExecutionConfig(workers=workers, cache_dir=None if no_cache else cache_dir)
 
 
 @pytest.fixture(scope="session")

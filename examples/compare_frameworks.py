@@ -46,7 +46,7 @@ def main() -> None:
         dataset_scale=args.scale,
     )
     execution = ExecutionConfig(
-        workers=args.workers, cache_dir=args.cache_dir, use_cache=not args.no_cache
+        workers=args.workers, cache_dir=None if args.no_cache else args.cache_dir
     )
     kind = DATASET_PROFILES[args.dataset].kind
 

@@ -20,8 +20,7 @@ shared spool/cache directory, e.g. an NFS mount):
 Usage::
 
     python examples/distributed_grid.py [--dataset youtube] [--iterations 10] \
-        [--num-workers 2] [--seeds 2] [--supervise] [--claim-batch 8] \
-        [--keep-dirs]
+        [--num-workers 2] [--seeds 2] [--supervise] [--keep-dirs]
 
 The workers also record every published result in the cache's
 ``results.sqlite3`` run-history index, and the example finishes by smoking
@@ -42,7 +41,6 @@ import tempfile
 from repro.datasets import DATASET_PROFILES
 from repro.experiments import EvaluationProtocol
 from repro.runner import (
-    DEFAULT_CLAIM_BATCH,
     ExecutionConfig,
     GridJob,
     last_report,
@@ -56,25 +54,20 @@ from repro.runner.fleet import (
 )
 
 
-def spawn_worker(
-    spool: str, cache_dir: str, index: int, claim_batch: int,
-) -> subprocess.Popen:
+def spawn_worker(spool: str, cache_dir: str, index: int) -> subprocess.Popen:
     """Start one worker daemon as a fully independent subprocess."""
     return subprocess.Popen(
         worker_command(
             spool,
             cache_dir,
             idle_timeout=5,
-            claim_batch=claim_batch,
             worker_id=f"example-{index}",
         ),
         env=subprocess_env(),
     )
 
 
-def spawn_supervisor(
-    spool: str, cache_dir: str, max_workers: int, claim_batch: int,
-) -> subprocess.Popen:
+def spawn_supervisor(spool: str, cache_dir: str, max_workers: int) -> subprocess.Popen:
     """Start the elastic fleet supervisor (it spawns the workers itself)."""
     return subprocess.Popen(
         supervisor_command(
@@ -83,7 +76,6 @@ def spawn_supervisor(
             max_workers=max_workers,
             tasks_per_worker=1,
             worker_idle_timeout=5,
-            claim_batch=claim_batch,
             interval=0.3,
         ),
         env=subprocess_env(),
@@ -125,8 +117,6 @@ def main() -> None:
     parser.add_argument("--supervise", action="store_true",
                         help="replace the hand-spawned workers with one "
                              "elastic supervisor process")
-    parser.add_argument("--claim-batch", type=int, default=DEFAULT_CLAIM_BATCH,
-                        help="tasks each worker claims per queue scan")
     parser.add_argument("--work-dir", default=None,
                         help="spool/cache parent directory (default: a temp dir)")
     parser.add_argument("--keep-dirs", action="store_true",
@@ -152,16 +142,10 @@ def main() -> None:
     if args.supervise:
         print(f"Spawning a supervisor (max {args.num_workers} workers) against "
               f"{spool} ...")
-        supervisor = spawn_supervisor(
-            spool, cache_dir, args.num_workers, args.claim_batch
-        )
+        supervisor = spawn_supervisor(spool, cache_dir, args.num_workers)
     else:
-        print(f"Spawning {args.num_workers} worker daemon(s) against {spool} "
-              f"[claim_batch={args.claim_batch}] ...")
-        workers = [
-            spawn_worker(spool, cache_dir, i, args.claim_batch)
-            for i in range(args.num_workers)
-        ]
+        print(f"Spawning {args.num_workers} worker daemon(s) against {spool} ...")
+        workers = [spawn_worker(spool, cache_dir, i) for i in range(args.num_workers)]
     try:
         print(f"Submitting {len(jobs)} job(s) x {args.seeds} seed(s) distributed ...")
         distributed = run_experiment_grid(
@@ -187,7 +171,7 @@ def main() -> None:
 
     print("Re-running the same grid serially in-process (no cache) ...")
     serial = run_experiment_grid(
-        jobs, protocol, ExecutionConfig(workers=1, use_cache=False)
+        jobs, protocol, ExecutionConfig(workers=1)
     )
 
     for key in serial:

@@ -9,8 +9,9 @@ Demonstrates the serving layer over a live worker fleet:
 3. submit a cold label request over HTTP, poll it to completion, and
    verify the response is **byte-identical** to a direct in-process engine
    run of the same canonicalised spec;
-4. repeat the request and verify it is served warm from the result store
-   with **zero** new broker enqueues (``/stats`` proves it);
+4. repeat the request, then again with a mixed-case dataset name, and
+   verify both are served warm from the result store with **zero** new
+   broker enqueues (``/stats`` proves it);
 5. stream LFs into an interactive session, force an eviction to disk
    mid-stream, resume, and verify the final labels match an uninterrupted
    session;
@@ -139,12 +140,15 @@ def main() -> None:
         assert served == direct, "served payload differs from the direct engine run"
         print(f"  {len(served)} bytes, identical")
 
-        print("Repeating the request (must be warm, zero new enqueues) ...")
+        print("Repeating the request, then with a mixed-case dataset name "
+              "(must be warm, zero new enqueues) ...")
         warm = http_raw(base, "POST", "/label", body)
         assert warm == served
+        mixed = http_raw(base, "POST", "/label", {**body, "dataset": args.dataset.title()})
+        assert mixed == served, "a mixed-case dataset name became a different trial"
         _, stats = http(base, "GET", "/stats")
         assert stats["requests"]["enqueued"] == 1, stats["requests"]
-        assert stats["requests"]["warm_hits"] == 1, stats["requests"]
+        assert stats["requests"]["warm_hits"] == 2, stats["requests"]
         print(f"  warm hit; broker enqueues still {stats['requests']['enqueued']}")
 
         print("Streaming LFs into a session (evict + resume mid-stream) ...")

@@ -13,6 +13,7 @@ from repro.runner.brokers.spool import (
     DEFAULT_CLAIM_BATCH,
     DEFAULT_LEASE_TTL,
     LeasedTrial,
+    PollRound,
     RemoteTrialError,
     SpoolBroker,
     SpoolStats,
@@ -23,6 +24,7 @@ __all__ = [
     "DEFAULT_CLAIM_BATCH",
     "DEFAULT_LEASE_TTL",
     "LeasedTrial",
+    "PollRound",
     "RemoteTrialError",
     "SpoolBroker",
     "SpoolStats",

@@ -22,7 +22,8 @@ The queue's operations (one method per state transition):
 ``release(lease)``        voluntarily re-offer a claimed trial
 ``release_expired(...)``  re-offer claims whose heartbeat outlived the TTL
 ``fail(lease, ...)``      record a failure log (if the claim is still held)
-``wait(specs, cache)``    the submitter's polling loop until all results land
+``poll(pending, cache)``  one completion round: done, failed, re-offered
+``wait(specs, cache)``    the submitter's backoff loop of ``poll`` rounds
 ``counts()``              queue snapshot: tasks / leases / failed / corrupt
 ``backlog()``             scaling signals: queue depth and backlogged shards
 ``stats``                 per-instance round-trip counters (measurability)
@@ -82,7 +83,9 @@ How the spool implements each transition:
   the holder, a worker can always tell whether a lease is still its own (see
   **fail** below).
 * **heartbeat** — while executing, the worker periodically touches its lease
-  file; the mtime is the liveness signal.
+  file; the mtime is the liveness signal.  The claim stamps it first: a
+  rename keeps the task file's old mtime, which would make a claim on a
+  trial that waited longer than the TTL look abandoned at once.
 * **complete** — the worker writes the result through the shared
   :class:`~repro.runner.results.pickle_store.ResultCache` *first*, then
   unlinks the lease.  Completion is therefore observable before the lease
@@ -118,9 +121,11 @@ the submitter's self-healing re-enqueue files a fresh copy under its shard.
 :attr:`SpoolBroker.stats` counts listings and rename attempts so contention
 is measurable (``benchmarks/bench_spool.py``).
 
-The submitter side (:meth:`SpoolBroker.wait`) polls with one
-directory-listing snapshot per spool directory per round instead of a stat
-per pending key per round.
+The submitter side is one round, :meth:`SpoolBroker.poll`: the single
+place that decides when a spooled trial counts as done, failed or lost.
+It takes one directory-listing snapshot per spool directory per round
+instead of a stat per pending key.  :meth:`SpoolBroker.wait` (the engine)
+and the labeling service's watcher both loop over it.
 """
 
 # repro: noqa-file[REPRO101] -- lease heartbeats are wall-clock TTLs by
@@ -140,9 +145,9 @@ import random
 import re
 import time
 import uuid
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.results import RunHistory
 from repro.runner.results.pickle_store import ResultCache, atomic_write_bytes
@@ -152,6 +157,7 @@ __all__ = [
     "DEFAULT_CLAIM_BATCH",
     "DEFAULT_LEASE_TTL",
     "LeasedTrial",
+    "PollRound",
     "RemoteTrialError",
     "SpoolBroker",
     "SpoolStats",
@@ -227,6 +233,31 @@ class LeasedTrial:
     key: str
     spec: TrialSpec
     lease_path: Path
+
+
+@dataclass
+class PollRound:
+    """What one :meth:`SpoolBroker.poll` round found and did.
+
+    Attributes
+    ----------
+    done:
+        Content key -> history of every pending trial whose result is in
+        the store and readable.
+    failed:
+        Content key -> failure log (``{key, worker, error, traceback}``) of
+        every pending trial a worker recorded as failed.
+    released:
+        Expired claims on the still-open trials re-offered to the workers.
+    requeued:
+        Still-open trials that had vanished from the queue and were
+        enqueued again.
+    """
+
+    done: dict[str, RunHistory] = field(default_factory=dict)
+    failed: dict[str, dict] = field(default_factory=dict)
+    released: int = 0
+    requeued: int = 0
 
 
 @dataclass
@@ -490,6 +521,69 @@ class SpoolBroker:
         except ValueError:
             return None  # half-written by a crashed worker: not actionable
 
+    def poll(self, pending: Mapping[str, TrialSpec], cache: ResultCache) -> PollRound:
+        """One completion round over *pending* (content key -> spec).
+
+        Reports each trial whose result is in *cache* and reads back as
+        done, and each trial with a failure log as failed.  For the rest it
+        re-offers claims whose heartbeat outlived the TTL (sweeping only
+        those trials' shards) and re-enqueues trials that vanished from the
+        queue.  A round costs a constant number of listings, never a probe
+        per pending key.  This is the spool's one completion policy:
+        :meth:`wait` loops over it, and so does the labeling service.
+        """
+        round_ = PollRound()
+        # One snapshot per source per round: failure logs and the cache
+        # entries for our pending keys, then membership is set lookups.
+        failed_keys = self._failed_key_snapshot()
+        done_keys = cache.keys_present(pending)
+        for key in pending:
+            if key in done_keys:
+                history = cache.get(key)
+                if history is not None:
+                    round_.done[key] = history
+                    continue
+                # get() just quarantined a corrupt entry: still pending,
+                # and no longer "done" — drop it from the snapshot so the
+                # self-healing pass below re-offers it this round.
+                done_keys.discard(key)
+            if key in failed_keys:
+                failure = self.failure_for(key)
+                if failure is not None:
+                    round_.failed[key] = failure
+        settled = round_.done.keys() | round_.failed.keys()
+        still_open = {key: spec for key, spec in pending.items() if key not in settled}
+        if not still_open:
+            return round_
+        leased_keys = self._leased_key_snapshot()
+        if any(key in leased_keys for key in still_open):
+            # Only sweep for expiry while one of OUR trials is actually
+            # claimed — and restrict the sweep to the shards our trials
+            # could live in, so a busy shared queue full of other
+            # submitters' leases costs us nothing to police.
+            round_.released = self.release_expired(
+                keys=still_open,
+                shards={self.shard_for(spec) for spec in still_open.values()},
+            )
+        task_keys = self._task_key_snapshot()
+        for key, spec in still_open.items():
+            # Vanished entirely (quarantined trial or blob, manual queue
+            # wipe, the complete/release races): re-offer it from the spec
+            # we still hold, making the queue self-healing.  A key with a
+            # failure log is NOT re-offered — enqueue would clear the log a
+            # worker may have written since this round's failure check, and
+            # the next round must report it instead.  The live cache probe
+            # here is fine: it only runs for keys already absent from every
+            # snapshot, which is the rare self-heal path, not the per-round
+            # hot path.
+            if key in task_keys or key in leased_keys or key in done_keys:
+                continue
+            if cache.path_for(key).exists() or self.failure_for(key) is not None:
+                continue
+            if self.enqueue(spec):
+                round_.requeued += 1
+        return round_
+
     def wait(
         self,
         specs: Sequence[TrialSpec],
@@ -502,14 +596,8 @@ class SpoolBroker:
     ) -> dict[str, RunHistory]:
         """Block until every spec's result is in *cache*; return key->history.
 
-        Polls with exponential backoff (*poll_initial* doubling-ish up to
-        *poll_max* seconds), re-releasing expired claims and re-enqueueing
-        trials that disappeared from the queue entirely along the way.
-        Each round costs a constant number of snapshot queries/listings —
-        never a probe per pending key, which at up to 20 Hz early in the
-        backoff would hammer a shared queue on paper-scale grids.  The
-        expiry sweep is scoped to the pending keys *and* their shards, so
-        it inspects only the shards with leases of interest.
+        Runs :meth:`poll` rounds with exponential backoff (*poll_initial*
+        doubling-ish up to *poll_max* seconds) until nothing is pending.
 
         Raises :class:`RemoteTrialError` as soon as any trial has a failure
         log, and :class:`SpoolTimeout` if *timeout* seconds pass with trials
@@ -527,64 +615,25 @@ class SpoolBroker:
         deadline = None if timeout is None else time.monotonic() + float(timeout)
         interval = poll_initial
         while pending:
-            progressed = False
-            # One snapshot per source per round: failure logs and the cache
-            # entries for our pending keys, then membership is dict lookups.
-            failed_keys = self._failed_key_snapshot()
-            done_keys = cache.keys_present(pending)
-            for key in list(pending):
-                if key in done_keys:
-                    history = cache.get(key)
-                    if history is not None:
-                        spec = pending.pop(key)
-                        histories[key] = history
-                        if on_result is not None:
-                            on_result(spec, history)
-                        progressed = True
-                        continue
-                    # get() just quarantined a corrupt entry: still pending,
-                    # and no longer "done" — drop it from the snapshot so
-                    # the self-healing pass below re-offers it this round.
-                    done_keys.discard(key)
-                if key in failed_keys:
-                    failure = self.failure_for(key)
-                    if failure is not None:
-                        raise RemoteTrialError(
-                            key,
-                            failure.get("worker", "<unknown>"),
-                            failure.get("error", "<unknown>"),
-                            failure.get("traceback", ""),
-                        )
+            round_ = self.poll(pending, cache)
+            for key, history in round_.done.items():
+                spec = pending.pop(key)
+                histories[key] = history
+                if on_result is not None:
+                    on_result(spec, history)
+            if round_.failed:
+                key, failure = next(iter(round_.failed.items()))
+                raise RemoteTrialError(
+                    key,
+                    failure.get("worker", "<unknown>"),
+                    failure.get("error", "<unknown>"),
+                    failure.get("traceback", ""),
+                )
+            if round_.released and on_released is not None:
+                on_released(round_.released)
             if not pending:
                 break
-            leased_keys = self._leased_key_snapshot()
-            if any(key in leased_keys for key in pending):
-                # Only sweep for expiry while one of OUR trials is actually
-                # claimed — and restrict the sweep to the shards our trials
-                # could live in, so a busy shared queue full of other
-                # submitters' leases costs us nothing to police.
-                released = self.release_expired(
-                    keys=pending,
-                    shards={self.shard_for(spec) for spec in pending.values()},
-                )
-                if released and on_released is not None:
-                    on_released(released)
-            task_keys = self._task_key_snapshot()
-            for key, spec in pending.items():
-                # Vanished entirely (quarantined trial, manual queue wipe,
-                # the complete/release races): re-offer it from the spec we
-                # still hold, making the queue self-healing.  A key with
-                # a failure log is NOT re-offered — enqueue would clear the
-                # log a worker may have written since this round's failure
-                # check, and the next round must raise it instead.  The
-                # live cache probe here is fine: it only runs for keys
-                # already absent from every snapshot, which is the rare
-                # self-heal path, not the per-round hot path.
-                if key in task_keys or key in leased_keys or key in done_keys:
-                    continue
-                if not cache.path_for(key).exists() and self.failure_for(key) is None:
-                    self.enqueue(spec)
-            if progressed:
+            if round_.done:
                 interval = poll_initial
                 continue
             if deadline is not None and time.monotonic() >= deadline:
@@ -604,7 +653,7 @@ class SpoolBroker:
             interval = min(interval * 1.5, poll_max)
         return histories
 
-    # -- snapshots for the wait loop ----------------------------------------
+    # -- snapshots for the poll round ---------------------------------------
 
     def _failed_key_snapshot(self) -> set[str]:
         """Content keys with a failure log (one ``failed/`` listing)."""
@@ -773,6 +822,14 @@ class SpoolBroker:
         except OSError:
             self.stats.failed_renames += 1
             return None  # another worker won this task
+        try:
+            # The rename keeps the task's mtime (its enqueue time, or a dead
+            # holder's last heartbeat): stamp the claim itself, or a trial
+            # that waited longer than the TTL is revoked before its first
+            # heartbeat.
+            os.utime(lease)
+        except OSError:
+            pass  # revoked already; the expiry sweep owns it now
         try:
             spec = pickle.loads(lease.read_bytes())
         except Exception:

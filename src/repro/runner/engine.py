@@ -62,9 +62,6 @@ class ExecutionConfig:
         ``results.sqlite3`` run-history index; ``None`` disables caching
         entirely.  Distributed execution *requires* a cache: it is the
         channel results travel back through.
-    use_cache:
-        Master switch; ``False`` ignores ``cache_dir`` (the ``--no-cache``
-        knob).
     mode:
         ``"local"`` (default) executes trials in this process or its
         process pool; ``"distributed"`` enqueues them on the filesystem
@@ -84,7 +81,6 @@ class ExecutionConfig:
 
     workers: int = 1
     cache_dir: str | Path | None = None
-    use_cache: bool = True
     mode: str = "local"
     spool_dir: str | Path | None = None
     lease_ttl: float = DEFAULT_LEASE_TTL
@@ -150,7 +146,7 @@ class ExecutionConfig:
         The pickle-shard blobs plus the ``results.sqlite3`` run-history
         index: every ``put`` writes the blob, then its index row.
         """
-        if self.cache_dir is None or not self.use_cache:
+        if self.cache_dir is None:
             return None
         return IndexedResultStore(self.cache_dir)
 

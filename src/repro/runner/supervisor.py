@@ -367,8 +367,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--claim-batch",
         type=int,
-        default=int(os.environ.get("REPRO_CLAIM_BATCH", DEFAULT_CLAIM_BATCH)),
-        help="tasks each worker claims per queue scan (env REPRO_CLAIM_BATCH)",
+        default=DEFAULT_CLAIM_BATCH,
+        help="tasks each worker claims per queue scan",
     )
     parser.add_argument(
         "--lease-ttl",

@@ -286,9 +286,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--claim-batch",
         type=int,
-        default=int(os.environ.get("REPRO_CLAIM_BATCH", DEFAULT_CLAIM_BATCH)),
-        help="tasks claimed per spool scan (env REPRO_CLAIM_BATCH; "
-        f"default {DEFAULT_CLAIM_BATCH}; 1 = one listing per claim)",
+        default=DEFAULT_CLAIM_BATCH,
+        help="tasks claimed per spool scan "
+        f"(default {DEFAULT_CLAIM_BATCH}; 1 = one listing per claim)",
     )
     parser.add_argument(
         "--worker-id", default=None, help="identity recorded in failure logs"

@@ -19,7 +19,7 @@ from repro.core.config import ActiveDPConfig
 from repro.core.results import RunHistory
 from repro.experiments.protocol import EvaluationProtocol
 from repro.labeling.wire import WireFormatError, canonical_wire_lfs
-from repro.runner.spec import TrialSpec
+from repro.runner.spec import TrialSpec, key_of
 
 
 class RequestError(ValueError):
@@ -55,7 +55,9 @@ def parse_label_request(body: dict) -> TrialSpec:
     evaluation at the end), ``end_model_C`` (default 1.0) and
     ``config_overrides`` (plain-JSON ActiveDP config fields).  Equivalent
     requests normalise to identical specs and therefore share one content
-    key — the dedup/cache unit of the whole serving path.
+    key — the dedup/cache unit of the whole serving path.  Dataset names
+    are case-insensitive in the registry, so they are lower-cased here:
+    ``"YouTube"`` and ``"youtube"`` are one trial.
 
     Raises :class:`RequestError` on anything malformed; the trial itself is
     *not* validated against the dataset registry here (an unknown dataset
@@ -102,7 +104,7 @@ def parse_label_request(body: dict) -> TrialSpec:
             pipeline_kwargs["config_overrides"] = config_overrides
         return TrialSpec(
             framework="lfset",
-            dataset=dataset,
+            dataset=dataset.lower(),
             seed=seed,
             protocol=protocol,
             pipeline_kwargs=pipeline_kwargs,
@@ -111,19 +113,21 @@ def parse_label_request(body: dict) -> TrialSpec:
         raise RequestError(str(error)) from error
 
 
-def label_payload(spec: TrialSpec, history: RunHistory) -> dict:
+def label_payload(spec: TrialSpec | str, history: RunHistory) -> dict:
     """The canonical response payload for a completed label request.
 
-    Deterministically derived from the spec and its stored history — the
-    serving layer and a direct :func:`~repro.runner.executor.run_trial`
-    produce identical payloads for identical specs, which the end-to-end
-    suite pins byte-for-byte via :func:`canonical_json`.
+    Deterministically derived from the content key of *spec* (a spec or a
+    raw key) and its stored history, which records the framework, dataset
+    and seed — so a poll by raw key, the warm path and a direct
+    :func:`~repro.runner.executor.run_trial` produce identical payloads,
+    which the end-to-end suite pins byte-for-byte via
+    :func:`canonical_json`.
     """
     return {
-        "key": spec.key,
-        "framework": spec.framework,
-        "dataset": spec.dataset,
-        "seed": spec.seed,
+        "key": key_of(spec),
+        "framework": history.framework,
+        "dataset": history.dataset,
+        "seed": history.seed,
         "status": "done",
         "n_iterations": history.n_iterations,
         "evaluation_points": [

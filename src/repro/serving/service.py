@@ -7,9 +7,11 @@ worker fleet), an :class:`~repro.runner.results.IndexedResultStore` (warm
 requests short-circuit straight to the stored history), an
 :class:`~repro.serving.admission.AdmissionController` (bounded in-flight)
 and a :class:`~repro.serving.sessions.SessionManager` (interactive
-sessions).  A background watcher thread completes pending jobs as their
-results land, polices expired worker leases, surfaces worker failures and
-re-enqueues lost tasks.
+sessions).  A background watcher thread runs one
+:meth:`~repro.runner.brokers.SpoolBroker.poll` round over the pending jobs
+per tick and maps it onto them: results that landed complete their jobs,
+failure logs fail them, and the round itself polices expired worker leases
+and re-enqueues lost tasks.
 
 Every public request method returns ``(http_status, payload, headers)`` so
 the stdlib HTTP layer (:mod:`repro.serving.server`) is a thin translation
@@ -21,19 +23,16 @@ Dedup layers, cheapest first:
    (no new enqueue, no admission charge);
 2. *warm hit* — the result store already holds the key: answered
    immediately (HTTP 200), bypassing admission entirely;
-3. *index hit* — the store's run-history index
-   (:class:`~repro.runner.results.history_db.RunHistoryDB`) knows the key
-   even though the blob read missed (e.g. the blob is still landing): the
-   job is registered pending *without* an enqueue, and only the watcher's
-   periodic self-heal re-offers it, if the blob never shows up.  A
-   failing index probe counts as "not indexed";
-4. *broker idempotency* — even an enqueued duplicate key is a no-op at
+3. *broker idempotency* — even an enqueued duplicate key is a no-op at
    the queue.
+
+The run-history index is not a dedup layer: the store writes a blob
+before its index row, so an index row without a blob means the blob is
+gone, and such a request is cold.
 """
 
 from __future__ import annotations
 
-import sqlite3
 import threading
 from pathlib import Path
 
@@ -53,24 +52,16 @@ from repro.serving.sessions import (
     UnknownSessionError,
 )
 
-#: How many watcher ticks between self-heal re-enqueue sweeps.  Failures
-#: are checked every tick; re-enqueueing less often keeps the common path
-#: cheap and — because ``enqueue`` clears a task's failure log when it
-#: actually rewrites — guarantees a failure is observed before any retry
-#: could mask it.
-REQUEUE_EVERY_TICKS = 10
-
 
 class _Job:
     """One pending/terminal label job (service-internal)."""
 
-    __slots__ = ("spec", "status", "error", "admitted")
+    __slots__ = ("spec", "status", "error")
 
-    def __init__(self, spec: TrialSpec, admitted: bool):
+    def __init__(self, spec: TrialSpec):
         self.spec = spec
         self.status = "pending"
         self.error: dict | None = None
-        self.admitted = admitted
 
 
 class LabelingService:
@@ -100,7 +91,7 @@ class LabelingService:
 
     #: Shared state the lock-discipline checker holds to `with self._lock:`
     #: (the watcher thread and request threads race on all of these).
-    _GUARDED_BY_LOCK = ("_jobs", "_counters", "_tick", "_draining")
+    _GUARDED_BY_LOCK = ("_jobs", "_counters", "_draining")
 
     def __init__(
         self,
@@ -129,14 +120,12 @@ class LabelingService:
             "submitted": 0,
             "warm_hits": 0,
             "coalesced": 0,
-            "index_hits": 0,
             "enqueued": 0,
             "requeues": 0,
             "completed": 0,
             "failed": 0,
             "watch_errors": 0,
         }
-        self._tick = 0
         self._draining = False
         self._stop = threading.Event()
         self._watcher = threading.Thread(
@@ -182,16 +171,6 @@ class LabelingService:
                 self._counters["coalesced"] += 1
                 return 202, {"key": key, "status": "pending", "coalesced": True}, {}
 
-        if self._index_knows(key):
-            # The run-history index has this key even though the blob read
-            # missed (it may still be landing): register the job and let the
-            # watcher pick the result up.  No enqueue here; the self-heal
-            # re-offers the trial only if its blob is really gone.
-            with self._lock:
-                self._counters["index_hits"] += 1
-                self._jobs[key] = _Job(spec, admitted=False)
-            return 202, {"key": key, "status": "pending", "indexed": True}, {}
-
         if not self.admission.try_acquire():
             retry_after = self.admission.retry_after
             payload = {
@@ -204,7 +183,7 @@ class LabelingService:
         with self._lock:
             if written:
                 self._counters["enqueued"] += 1
-            self._jobs[key] = _Job(spec, admitted=True)
+            self._jobs[key] = _Job(spec)
         return 202, {"key": key, "status": "pending"}, {}
 
     def status(self, key: str) -> tuple[int, dict, dict]:
@@ -215,18 +194,15 @@ class LabelingService:
         """
         with self._lock:
             job = self._jobs.get(key)
-        if job is None:
-            history = self.store.get(key)
-            if history is None:
-                return 404, {"key": key, "error": "unknown label key"}, {}
-            return 200, self._payload_for_key(key, history), {}
-        if job.status == "failed":
+        if job is not None and job.status == "failed":
             return 500, {"key": key, "status": "failed", "error": job.error}, {}
-        history = self.store.get(job.spec)
+        history = self.store.get(key)
         if history is None:
+            if job is None:
+                return 404, {"key": key, "error": "unknown label key"}, {}
             return 202, {"key": key, "status": "pending"}, {}
         self._finish(key, "done")
-        return 200, label_payload(job.spec, history), {}
+        return 200, label_payload(key, history), {}
 
     # -- sessions ----------------------------------------------------------
 
@@ -378,40 +354,6 @@ class LabelingService:
         except (TypeError, ValueError) as error:
             return 400, {"error": str(error)}, {}
 
-    def _index_knows(self, key: str) -> bool:
-        """Whether the run-history index has this key; a failing probe says no.
-
-        The index is derived state, so a probe that fails (a locked or
-        corrupt ``results.sqlite3``) is soft like the store's index writes:
-        the request is enqueued as a cold one and served from its blob.
-        """
-        try:
-            return self.store.db.has_key(key)
-        except sqlite3.Error:
-            return False
-
-    def _payload_for_key(self, key: str, history) -> dict:
-        """A label payload for a raw key (store probe; no spec in hand).
-
-        Field-identical to :func:`label_payload` because every spec field
-        the payload carries is also materialised on the stored history.
-        """
-        return {
-            "key": key,
-            "framework": history.framework,
-            "dataset": history.dataset,
-            "seed": history.seed,
-            "status": "done",
-            "n_iterations": history.n_iterations,
-            "evaluation_points": [
-                [iteration, accuracy]
-                for iteration, accuracy in history.evaluation_points()
-            ],
-            "average_test_accuracy": history.average_test_accuracy(),
-            "final_test_accuracy": history.final_test_accuracy(),
-            "artifacts": history.artifacts,
-        }
-
     def _watch_loop(self) -> None:
         """Watcher thread body: tick until stopped."""
         while not self._stop.wait(self.poll_interval):
@@ -425,50 +367,21 @@ class LabelingService:
                     self._counters["watch_errors"] += 1
 
     def _watch_once(self) -> None:
-        """One watcher tick: complete, police leases, surface failures, heal."""
+        """One watcher tick: one broker poll round, mapped onto the jobs."""
         with self._lock:
             pending = {
-                key: job for key, job in self._jobs.items() if job.status == "pending"
+                key: job.spec for key, job in self._jobs.items() if job.status == "pending"
             }
         if not pending:
             return
-
-        present = self.store.keys_present(pending)
-        remaining = []
-        for key, job in pending.items():
-            # Read, not just listed, as in `SpoolBroker.wait`: an unreadable blob
-            # is quarantined by this `get` and its job stays pending, so the
-            # self-heal below re-offers it.
-            if key in present and self.store.get(job.spec) is not None:
-                self._finish(key, "done")
-            else:
-                remaining.append(key)
-        if not remaining:
-            return
-
-        # Re-offer tasks whose worker died mid-lease, then surface failures
-        # *before* any re-enqueue: enqueue clears a task's failure log when
-        # it actually rewrites, so checking failures first prevents an
-        # infinite execute/fail/requeue loop.
-        self.broker.release_expired(keys=remaining)
-        for key in remaining:
-            failure = self.broker.failure_for(key)
-            if failure is not None:
-                self._finish(key, "failed", error=failure)
-
-        with self._lock:
-            self._tick += 1
-            if self._tick % REQUEUE_EVERY_TICKS != 0:
-                return
-            lost = [job.spec for job in self._jobs.values() if job.status == "pending"]
-        for spec in lost:
-            # Idempotent: a no-op while the task is queued or leased; an
-            # actual rewrite means the task vanished (e.g. a spool wiped
-            # mid-run, a quarantined blob, an index hit whose blob is gone)
-            # and this is the self-heal.
-            if self.broker.enqueue(spec):
-                with self._lock:
-                    self._counters["requeues"] += 1
+        round_ = self.broker.poll(pending, self.store)
+        for key in round_.done:
+            self._finish(key, "done")
+        for key, failure in round_.failed.items():
+            self._finish(key, "failed", error=failure)
+        if round_.requeued:
+            with self._lock:
+                self._counters["requeues"] += round_.requeued
 
     def _finish(self, key: str, status: str, error: dict | None = None) -> None:
         """Move one job to a terminal state exactly once.
@@ -483,6 +396,4 @@ class LabelingService:
             job.status = status
             job.error = error
             self._counters["completed" if status == "done" else "failed"] += 1
-            if job.admitted:
-                job.admitted = False
-                self.admission.release()
+            self.admission.release()

@@ -733,11 +733,7 @@ class TestExecutionConfig:
         with pytest.raises(ValueError, match="spool_dir"):
             ExecutionConfig(mode="distributed", cache_dir=tmp_path)
         with pytest.raises(ValueError, match="cache_dir"):
-            ExecutionConfig(mode="distributed", spool_dir=tmp_path)
-        with pytest.raises(ValueError, match="cache_dir"):
-            ExecutionConfig(
-                mode="distributed", spool_dir=tmp_path, cache_dir=tmp_path, use_cache=False
-            )
+            ExecutionConfig(mode="distributed", spool_dir=tmp_path, cache_dir=None)
 
     def test_unknown_mode_and_preset_rejected(self):
         with pytest.raises(ValueError, match="mode"):

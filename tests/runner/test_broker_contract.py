@@ -332,6 +332,17 @@ class TestExpiryContract:
         counts = broker.counts()
         assert counts["tasks"] == 1 and counts["leases"] == 0
 
+    def test_a_claim_on_a_long_pending_trial_starts_fresh(self, make_broker):
+        broker = make_broker(lease_ttl=1.0)
+        spec = _spec()
+        broker.enqueue(spec)
+        task = broker.task_path(spec)
+        stamp = task.stat().st_mtime - 3600.0
+        os.utime(task, (stamp, stamp))  # waited far longer than the TTL
+        broker.lease_next("w1")
+        assert broker.release_expired() == 0
+        assert broker.is_claimed(spec)
+
     def test_heartbeat_keeps_a_claim_alive(self, make_broker):
         broker = make_broker(lease_ttl=0.4)
         broker.enqueue(_spec())
@@ -568,6 +579,69 @@ class TestWaitContract:
             broker.wait([spec], cache, timeout=0.3)
         assert not blob.exists()  # quarantined by the read
         assert broker.counts()["tasks"] == 1  # and the trial re-offered
+
+
+class TestPollContract:
+    def test_poll_returns_landed_results_as_done(self, make_broker, tmp_path):
+        broker = make_broker()
+        cache = ResultCache(tmp_path / "cache")
+        spec = _spec()
+        cache.put(spec.key, _history(spec))
+        round_ = broker.poll({spec.key: spec}, cache)
+        assert list(round_.done) == [spec.key]
+        assert round_.done[spec.key].seed == spec.seed
+        assert (round_.failed, round_.released, round_.requeued) == ({}, 0, 0)
+        assert broker.counts()["tasks"] == 0
+
+    def test_poll_re_offers_a_vanished_trial_once(self, make_broker, tmp_path):
+        broker = make_broker()
+        cache = ResultCache(tmp_path / "cache")
+        spec = _spec()
+        pending = {spec.key: spec}
+        first = broker.poll(pending, cache)
+        assert (first.done, first.failed, first.released, first.requeued) == ({}, {}, 0, 1)
+        assert broker.poll(pending, cache).requeued == 0  # now pending again
+        assert broker.counts()["tasks"] == 1
+
+    def test_poll_reports_a_failure_without_re_offering_it(self, make_broker, tmp_path):
+        broker = make_broker()
+        cache = ResultCache(tmp_path / "cache")
+        bad, fine = _spec(seed=0), _spec(seed=1)
+        broker.enqueue(bad)
+        lease = broker.lease_next("w1")
+        broker.fail(lease, "w1", RuntimeError("boom"), "tb")
+        round_ = broker.poll({bad.key: bad, fine.key: fine}, cache)
+        assert list(round_.failed) == [bad.key]
+        assert "boom" in round_.failed[bad.key]["error"]
+        assert round_.failed[bad.key]["worker"] == "w1"
+        assert round_.requeued == 1  # only the never-enqueued trial
+        assert not broker.task_path(bad).exists()
+        assert broker.failure_for(bad.key) is not None  # evidence kept
+
+    def test_poll_quarantines_and_re_offers_a_garbage_result(self, make_broker, tmp_path):
+        broker = make_broker()
+        cache = ResultCache(tmp_path / "cache")
+        spec = _spec()
+        blob = cache.path_for(spec.key)
+        blob.parent.mkdir(parents=True, exist_ok=True)
+        blob.write_bytes(b"not a pickle")
+        round_ = broker.poll({spec.key: spec}, cache)
+        assert round_.done == {}
+        assert round_.requeued == 1
+        assert not blob.exists() and cache.n_quarantined() == 1
+        assert broker.counts()["tasks"] == 1
+
+    def test_poll_releases_expired_claims_of_pending_keys_only(self, make_broker, tmp_path):
+        broker = make_broker()
+        cache = ResultCache(tmp_path / "cache")
+        mine, other = _spec(seed=0), _spec(seed=1)
+        broker.enqueue_batch([mine, other])
+        for lease in _claim_all(broker, "crashed-worker"):
+            _backdate_lease(lease)
+        round_ = broker.poll({mine.key: mine}, cache)
+        assert (round_.released, round_.requeued) == (1, 0)
+        assert broker.task_path(mine).exists()
+        assert broker.is_claimed(other) and not broker.is_claimed(mine)
 
 
 class TestIntrospectionContract:

@@ -75,7 +75,7 @@ class TestCaching:
                 assert pickle.dumps(ours) == pickle.dumps(theirs)
 
     def test_no_cache_flag_disables_cache(self, tmp_path):
-        execution = ExecutionConfig(cache_dir=tmp_path, use_cache=False)
+        execution = ExecutionConfig(cache_dir=None)
         run_experiment_grid(_grid_jobs()[:1], FAST, execution)
         assert last_report().n_cached == 0
         run_experiment_grid(_grid_jobs()[:1], FAST, execution)

@@ -318,7 +318,7 @@ class TestEngineByteIdentity:
             jobs, protocol, ExecutionConfig(workers=1, cache_dir=cache_dir)
         )
         uncached = run_experiment_grid(
-            jobs, protocol, ExecutionConfig(workers=1, use_cache=False)
+            jobs, protocol, ExecutionConfig(workers=1, cache_dir=None)
         )
         assert pickle.dumps(cached["u"].histories) == pickle.dumps(
             uncached["u"].histories

@@ -6,9 +6,10 @@ The acceptance contract of the serving layer, pinned over a real socket:
   and the polled response is byte-identical to a direct engine run of the
   same spec;
 * an immediate repeat is served warm from the result store with zero new
-  broker enqueues;
-* an indexed key whose blob read misses is not enqueued at submit, and is
-  re-offered by the watcher's self-heal only when its blob is really gone;
+  broker enqueues, whatever the case of its dataset name;
+* a poll by raw key on a service that never saw the request answers with
+  the same bytes as the warm path;
+* an indexed key whose blob is gone is an ordinary cold request;
 * a blob that is unreadable when the watcher sees it, and a corrupt
   run-history index, each still end in a byte-identical 200.
 """
@@ -77,34 +78,30 @@ def _expected_bytes(body) -> bytes:
     return canonical_json(label_payload(spec, run_trial(spec)))
 
 
-def test_indexed_key_never_reexecutes(harness_factory):
+def test_mixed_case_dataset_is_one_trial_and_raw_key_polls_match(harness_factory):
     harness = harness_factory()
-    client = harness.client
-
-    status, payload, _ = client.post("/label", _body())
+    mixed = {**_body(), "dataset": "YouTube"}
+    status, payload, _ = harness.client.post("/label", mixed)
     assert status == 202
     key = payload["key"]
+    assert key == parse_label_request(_body()).key
     harness.start_worker(max_trials=1)
     harness.poll_until_done(key)
     harness.join_workers()
 
-    # Simulate the blob lagging the index (e.g. still landing on a shared
-    # filesystem): the run-history index still knows the key, so a fresh
-    # service must register the job without re-enqueueing it.
-    spec = parse_label_request(_body())
-    harness.service.store.path_for(spec).unlink()
+    # The lower-case spelling is the same trial: a warm hit, no enqueue.
+    status, _, _ = harness.client.post("/label", _body())
+    assert status == 200
+    _, stats, _ = harness.client.get("/stats")
+    assert stats["requests"]["enqueued"] == 1
 
+    # A service that never saw the request answers a raw-key poll from the
+    # store, with the bytes of the warm path and of a direct run.
     fresh = harness_factory()
-    # Point the fresh service's store/broker at the first harness's state.
     fresh.service.store = harness.service.store
-    fresh.service.broker = harness.service.broker
-    status, payload, _ = fresh.client.post("/label", _body())
-    assert status == 202
-    assert payload["indexed"] is True
-    _, stats, _ = fresh.client.get("/stats")
-    assert stats["requests"]["index_hits"] == 1
-    assert stats["requests"]["enqueued"] == 0
-    assert harness.service.broker.counts()["tasks"] == 0
+    expected = _expected_bytes(mixed)
+    assert fresh.client.raw("GET", f"/label/{key}") == expected
+    assert harness.client.raw("GET", f"/label/{key}") == expected
 
 
 def test_indexed_key_whose_blob_is_gone_is_reoffered(harness_factory):
@@ -116,22 +113,22 @@ def test_indexed_key_whose_blob_is_gone_is_reoffered(harness_factory):
     harness.join_workers()
     spec = parse_label_request(_body())
     harness.service.store.path_for(spec).unlink()
+    assert harness.service.store.db.has_key(key)
 
     fresh = harness_factory()
     fresh.service.store = harness.service.store
     fresh.service.broker = harness.service.broker
+    # The store writes a blob before its index row, so an index row with no
+    # blob is a lost result: the request is cold and enqueued at once.
     status, payload, _ = fresh.client.post("/label", _body())
-    assert (status, payload["indexed"]) == (202, True)
+    assert (status, payload) == (202, {"key": key, "status": "pending"})
+    _, stats, _ = fresh.client.get("/stats")
+    assert stats["requests"]["enqueued"] == 1
 
-    # The index hit enqueued nothing; the watcher's self-heal offers the
-    # trial to the worker because its blob never shows up.
     harness.start_worker(max_trials=1)
     status, _, _ = fresh.poll_until_done(key, timeout=10.0)
     assert status == 200
     assert fresh.client.raw("GET", f"/label/{key}") == _expected_bytes(_body())
-    _, stats, _ = fresh.client.get("/stats")
-    assert stats["requests"]["enqueued"] == 0
-    assert stats["requests"]["requeues"] == 1
 
 
 def test_result_unreadable_when_watched_is_reoffered(harness_factory):

@@ -37,6 +37,15 @@ class TestParseLabelRequest:
         )
         assert base.key == explicit.key
 
+    def test_dataset_name_case_is_one_trial(self):
+        # The registry resolves names case-insensitively, so the spellings
+        # must share one content key (and one spool shard) too.
+        lower = parse_label_request({"dataset": "youtube", "lfs": LFS})
+        mixed = parse_label_request({"dataset": "YouTube", "lfs": LFS})
+        assert mixed == lower
+        assert mixed.key == lower.key
+        assert mixed.dataset == "youtube"
+
     def test_distinct_knobs_get_distinct_keys(self):
         base = parse_label_request({"dataset": "youtube", "lfs": LFS})
         for variation in (
