@@ -60,7 +60,11 @@ def test_replay_selects_the_historical_blankets_faster(bench_record, monkeypatch
     walls = {"reference_s": 0.0, "production_s": 0.0}
     column_lassos = 0
     for number, (args, kwargs) in enumerate(calls):
-        expected, reference_s = _timed(reference.graphical_lasso, args, kwargs)
+        # The oracle defaults to the historical absolute stopping rule; the
+        # recorded calls ran under the relative rule, LabelPick's only one.
+        expected, reference_s = _timed(
+            reference.graphical_lasso, args, {**kwargs, "early_stop": True}
+        )
         result, production_s = _timed(graphical_lasso, args, kwargs)
         walls["reference_s"] += reference_s
         walls["production_s"] += production_s

@@ -1,15 +1,13 @@
-"""Benchmark EXP-PS: paper-scale protocol runs with warm-started refits.
+"""Benchmark EXP-PS: paper-scale protocol runs, warm refits against a cold reference.
 
-Runs the same ActiveDP grid through the experiment engine once per warm-start
-variant — all knobs off (the historical cold-start behaviour), then
-incrementally enabling intersection-mapped label-model warm starts,
-incremental LabelPick (glasso resumed from the previous precision estimate)
-and AL-model warm starts, then adaptive early stopping on top of all three
-(the ``adaptive`` variant, today's default configuration) — and reports
-wall-clock, total EM iterations and the *warm-refit rate* (fraction of
-post-first fits that were warm-started), asserting the headline metric stays
-within tolerance, that warm starts actually engage, and that the adaptive
-variant cuts EM work below the cold fixed-budget baseline outright.
+Runs the same ActiveDP trials twice: the shipped configuration through the
+experiment engine, and the cold reference (``tests/core/reference_cold.py``:
+the same framework with every label-model, LabelPick and AL-model refit
+cold-started) in this process.  It reports wall-clock, total EM iterations
+and the *warm-refit rate* (fraction of post-first fits that were
+warm-started), and asserts that the headline metric stays within tolerance,
+that the shipped warm starts actually engage, and that they spend no more EM
+iterations than the cold reference.
 
 Scaled down by default so it completes in about a minute; environment
 variables restore the paper's protocol:
@@ -19,81 +17,39 @@ variables restore the paper's protocol:
 * ``REPRO_PAPER_BENCH_ITERATIONS``    labelling budget (default 30);
 * ``REPRO_PAPER_BENCH_SEEDS``         repetitions (default 1);
 * ``REPRO_PAPER_BENCH_SCALE``         dataset scale factor (default 0.3);
-* ``REPRO_PAPER_BENCH_MIN_WARM_RATE`` floor asserted on the all-warm
-  variant's label-model warm-refit rate (default 0.5; CI uses it to guard
-  against silent regressions to cold starts).
+* ``REPRO_PAPER_BENCH_MIN_WARM_RATE`` floor asserted on the shipped
+  configuration's label-model warm-refit rate (default 0.5; CI uses it to
+  guard against silent regressions to cold starts).
 
 The engine's ``--workers`` / ``--cache-dir`` / ``--no-cache`` options apply
-as in every other benchmark (each variant hashes to distinct cache entries
-through its ``pipeline_kwargs``), as does ``--distributed --spool-dir DIR``
-to fan the grid out over ``python -m repro.runner.worker`` daemons —
-useful for the full ``REPRO_PAPER_BENCH_FULL=1`` protocol, which is exactly
-the paper-scale workload the distributed backend exists for.
+to the shipped run as in every other benchmark, as does ``--distributed
+--spool-dir DIR`` to fan it out over ``python -m repro.runner.worker``
+daemons.  The reference always runs in this process and is never cached: it
+shares the shipped trials' content keys.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from repro.experiments import EvaluationProtocol
-from repro.runner.engine import GridJob, run_experiment_grid
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests" / "core"))
 
-#: Headline-metric tolerance between warm- and cold-start runs.  Warm starts
-#: change the optimisation trajectories, not the models, so the average test
-#: accuracy must agree to within a few points.
+from reference_cold import cold_pipelines  # noqa: E402
+
+from repro.experiments import EvaluationProtocol  # noqa: E402
+from repro.experiments.protocol import summarize_histories  # noqa: E402
+from repro.runner import run_trial  # noqa: E402
+from repro.runner.engine import GridJob, expand_jobs, run_experiment_grid  # noqa: E402
+
+#: Headline-metric tolerance between the shipped and the cold-reference runs.
+#: Warm starts change the optimisation trajectories, not the models, so the
+#: average test accuracy must agree to within a few points.
 ACCURACY_TOLERANCE = 0.05
-
-#: The warm-start grid: each variant toggles the three ActiveDPConfig knobs.
-#: The warm-vs-cold iteration thresholds below are calibrated for the
-#: historical fixed-budget stopping rule, so every warm-start variant pins
-#: ``adaptive_early_stop=False``; the ``adaptive`` variant then layers the
-#: new default (relative-loss early stopping) on top of all warm starts and
-#: must beat the cold fixed-budget baseline outright.
-VARIANTS = {
-    "cold": {
-        "warm_start_label_model": False,
-        "warm_start_labelpick": False,
-        "warm_start_al_model": False,
-        "adaptive_early_stop": False,
-    },
-    "warm-lm": {
-        "warm_start_label_model": True,
-        "warm_start_labelpick": False,
-        "warm_start_al_model": False,
-        "adaptive_early_stop": False,
-    },
-    "warm-lm+lp": {
-        "warm_start_label_model": True,
-        "warm_start_labelpick": True,
-        "warm_start_al_model": False,
-        "adaptive_early_stop": False,
-    },
-    "warm-all": {
-        "warm_start_label_model": True,
-        "warm_start_labelpick": True,
-        "warm_start_al_model": True,
-        "adaptive_early_stop": False,
-    },
-    "adaptive": {
-        "warm_start_label_model": True,
-        "warm_start_labelpick": True,
-        "warm_start_al_model": True,
-        "adaptive_early_stop": True,
-    },
-}
-
-#: Slack factor on each warm variant's EM-iteration total relative to the
-#: cold baseline (see the in-test comment); the adaptive variant must *cut*
-#: EM work, not just match it.
-EM_ITERATION_SLACK = {
-    "warm-lm": 1.05,
-    "warm-lm+lp": 1.25,
-    "warm-all": 1.25,
-    "adaptive": 1.0,
-}
 
 
 @pytest.fixture(scope="module")
@@ -154,36 +110,30 @@ def _warm_rates(results) -> dict[str, tuple[float, int]]:
 def test_paper_scale_warm_vs_cold(
     benchmark, paper_protocol, smallest_bench_dataset, bench_execution, bench_record
 ):
-    """Warm-started refits must cut EM work without moving the headline metric."""
+    """Warm-started refits must not cost EM work or move the headline metric."""
+    job = GridJob(key="shipped", framework="activedp", dataset=smallest_bench_dataset)
 
     def run():
-        results = {}
-        timings = {}
-        for variant, knobs in VARIANTS.items():
-            jobs = [
-                GridJob(
-                    key=(variant, smallest_bench_dataset),
-                    framework="activedp",
-                    dataset=smallest_bench_dataset,
-                    pipeline_kwargs={"config_overrides": dict(knobs)},
-                )
-            ]
-            start = time.perf_counter()
-            results[variant] = run_experiment_grid(
-                jobs, paper_protocol, bench_execution
-            )
-            timings[variant] = time.perf_counter() - start
-        return results, timings
+        start = time.perf_counter()
+        shipped = run_experiment_grid([job], paper_protocol, bench_execution)
+        timings = {"shipped": time.perf_counter() - start}
+        start = time.perf_counter()
+        with cold_pipelines():
+            histories = [run_trial(spec) for _, spec in expand_jobs([job], paper_protocol)]
+        reference = {
+            job.key: summarize_histories(job.framework, job.dataset, histories)
+        }
+        timings["reference_cold"] = time.perf_counter() - start
+        return {"shipped": shipped, "reference_cold": reference}, timings
 
     results, timings = benchmark.pedantic(run, rounds=1, iterations=1)
 
     summary = {}
-    for variant in VARIANTS:
-        cell = results[variant][(variant, smallest_bench_dataset)]
+    for variant, result in results.items():
         summary[variant] = {
-            "accuracy": cell.average_accuracy,
-            "em_iterations": _total_em_iterations(results[variant]),
-            "rates": _warm_rates(results[variant]),
+            "accuracy": result[job.key].average_accuracy,
+            "em_iterations": _total_em_iterations(result),
+            "rates": _warm_rates(result),
             "seconds": timings[variant],
         }
 
@@ -194,7 +144,7 @@ def test_paper_scale_warm_vs_cold(
     for variant, row in summary.items():
         rates = row["rates"]
         print(
-            f"  {variant:10s} avg_acc={row['accuracy']:.4f} "
+            f"  {variant:14s} avg_acc={row['accuracy']:.4f} "
             f"em_iterations={row['em_iterations']:6d} "
             f"warm_rate(lm/glasso/al)={rates['lm'][0]:.2f}/"
             f"{rates['glasso'][0]:.2f}/{rates['al'][0]:.2f} "
@@ -221,36 +171,20 @@ def test_paper_scale_warm_vs_cold(
         },
     )
 
-    # The headline metric must agree within tolerance across every variant.
-    # EM-iteration totals are not a strict per-fit ordering: an
-    # intersection-mapped seed can occasionally start farther from the new
-    # optimum than the cold init, and the labelpick/AL knobs change the run
-    # trajectory up to solver tolerance — so every warm variant gets a small
-    # slack factor rather than a hard <= (measured headroom is ~0.7x).
-    for variant in VARIANTS:
-        if variant == "cold":
-            continue
-        assert (
-            abs(summary[variant]["accuracy"] - summary["cold"]["accuracy"])
-            <= ACCURACY_TOLERANCE
-        )
-        assert (
-            summary[variant]["em_iterations"]
-            <= EM_ITERATION_SLACK[variant] * summary["cold"]["em_iterations"]
-        )
+    shipped, reference = summary["shipped"], summary["reference_cold"]
+    assert abs(shipped["accuracy"] - reference["accuracy"]) <= ACCURACY_TOLERANCE
+    assert shipped["em_iterations"] <= reference["em_iterations"]
 
-    # With all knobs off, nothing may warm-start; with them on, warm refits
-    # must actually engage (> 0 guards CI against silent cold-start
-    # regressions; the env floor pins the measured rate).  Families that
-    # never refit on very short protocols (post-first fits = 0) are skipped.
-    cold_rates = summary["cold"]["rates"]
-    assert all(rate == 0.0 for rate, _ in cold_rates.values())
-    all_rates = summary["warm-all"]["rates"]
+    # The reference never warm-starts; the shipped warm refits must actually
+    # engage (> 0 guards CI against silent cold-start regressions; the env
+    # floor pins the measured rate).  Families that never refit on very
+    # short protocols (post-first fits = 0) are skipped.
+    assert all(rate == 0.0 for rate, _ in reference["rates"].values())
     for family in ("lm", "glasso", "al"):
-        rate, post_first = all_rates[family]
+        rate, post_first = shipped["rates"][family]
         if post_first:
             assert rate > 0.0
     min_warm_rate = float(os.environ.get("REPRO_PAPER_BENCH_MIN_WARM_RATE", 0.5))
-    lm_rate, lm_post_first = all_rates["lm"]
+    lm_rate, lm_post_first = shipped["rates"]["lm"]
     if lm_post_first:
         assert lm_rate >= min_warm_rate

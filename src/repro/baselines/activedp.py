@@ -37,7 +37,7 @@ class ActiveDPPipeline(InteractivePipeline):
         Individual :class:`ActiveDPConfig` fields to replace on top of the
         per-kind defaults (or on top of *config* when both are given).  A
         plain dict, so engine grids can vary single knobs (e.g.
-        ``{"warm_start_label_model": False}``) through content-hashed
+        ``{"glasso_alpha": 0.02}``) through content-hashed
         ``pipeline_kwargs`` without spelling out a whole config.
     noise_rate:
         Label-noise rate for the simulated user (Table 5; default 0).
@@ -89,7 +89,3 @@ class ActiveDPPipeline(InteractivePipeline):
         """ConFusion-aggregated training labels (indices, hard labels)."""
         indices, labels, _ = self.framework.generate_labels()
         return indices, labels
-
-    def refit_counters(self) -> dict:
-        """Cumulative fit counters (including evaluation-time flush refits)."""
-        return self.framework.state.fit_counters()

@@ -69,17 +69,6 @@ class InteractivePipeline(abc.ABC):
         """
         return None
 
-    def refit_counters(self) -> dict | None:
-        """Current cumulative fit counters, or ``None`` for pipelines without them.
-
-        Evaluation can itself trigger refits (the dirty-state flush with
-        ``retrain_every > 1``), *after* the iteration's record was built; the
-        trial loop re-reads these counters post-evaluation so that work is
-        attributed to the iteration whose evaluation caused it.  Keys must
-        match :class:`~repro.core.results.IterationRecord` field names.
-        """
-        return None
-
     # ------------------------------------------------- downstream evaluation
     def train_end_model(self, C: float = 1.0) -> LogisticRegression | None:
         """Train the downstream logistic-regression model on generated labels."""

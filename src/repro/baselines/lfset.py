@@ -164,10 +164,6 @@ class LFSetPipeline(InteractivePipeline):
         indices, labels, _ = self.framework.generate_labels()
         return indices, labels
 
-    def refit_counters(self) -> dict:
-        """Cumulative fit counters (including evaluation-time flush refits)."""
-        return self.framework.state.fit_counters()
-
     def export_artifacts(self) -> dict:
         """The request's product: labels, per-LF diagnostics, predictions."""
         return export_labeling_artifacts(

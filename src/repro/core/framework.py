@@ -73,7 +73,6 @@ class ActiveDP:
             glasso_alpha=self.config.glasso_alpha,
             min_queries=self.config.min_labelpick_queries,
             accuracy_threshold=self.config.accuracy_threshold,
-            early_stop=self.config.adaptive_early_stop,
         )
         self.confusion = ConFusion()
 
@@ -130,30 +129,6 @@ class ActiveDP:
     def iteration(self, value: int) -> None:
         self.state.iteration = int(value)
 
-    @property
-    def _train_matrix(self) -> np.ndarray:
-        return self.state.train_matrix.matrix
-
-    @property
-    def _valid_matrix(self) -> np.ndarray:
-        return self.state.valid_matrix.matrix
-
-    @property
-    def _lm_proba_train(self) -> np.ndarray | None:
-        return self.state.lm_proba_train
-
-    @property
-    def _lm_proba_valid(self) -> np.ndarray | None:
-        return self.state.lm_proba_valid
-
-    @property
-    def _al_proba_train(self) -> np.ndarray | None:
-        return self.state.al_proba_train
-
-    @property
-    def _al_proba_valid(self) -> np.ndarray | None:
-        return self.state.al_proba_valid
-
     # ------------------------------------------------------ snapshot/resume
     def snapshot(self) -> TrainingState:
         """Deep copy of the run state, suitable for forking or persisting."""
@@ -186,8 +161,7 @@ class ActiveDP:
             # Duplicate LF: still record the pseudo-label for the query.
             pseudo_label = self._record_pseudo_label(lf, query_index)
 
-        if state.iteration % self.config.retrain_every == 0:
-            self.refit()
+        self.refit()
 
         record = IterationRecord(
             iteration=state.iteration,
@@ -251,9 +225,9 @@ class ActiveDP:
         the pseudo-labelled set changed since the last refit; stages whose
         inputs are unchanged keep their (deterministic) fitted models and
         cached predictions.  ``force=True`` reruns every stage regardless —
-        except that with ``warm_start_label_model`` enabled a label-model fit
-        whose selection (and therefore input matrix) is unchanged reuses the
-        carried converged fit instead of re-running EM over it.
+        except that a label-model fit whose selection (and therefore input
+        matrix) is unchanged reuses the carried converged fit instead of
+        re-running EM over it.
         """
         state = self.state
         lfs_dirty = force or state.lfs_dirty
@@ -291,14 +265,10 @@ class ActiveDP:
         labels (no LFs collected yet).
 
         Aggregation always reflects *all* collected LFs and pseudo-labels:
-        with ``retrain_every > 1`` the models may be stale between training
-        refits, so any dirty state is flushed (a regular :meth:`refit`)
-        before aggregating.  With ``retrain_every=1`` the state is never
-        dirty here and behaviour is unchanged.  Note that the flush updates
-        the live state, so with sparse retraining an evaluation point acts
-        as an extra retrain boundary — subsequent query selection sees the
-        refreshed models (deterministic per protocol; the eval cadence is
-        part of the trial description).
+        :meth:`step` refits before returning, but an LF added through
+        :meth:`add_lf` without a :meth:`refit` leaves the models stale, so
+        any dirty state is flushed (a regular :meth:`refit`) before
+        aggregating.
         """
         state = self.state
         if state.lfs_dirty or state.pseudo_dirty:
@@ -306,7 +276,7 @@ class ActiveDP:
         n_train = len(self.train)
         lm_proba = state.lm_proba_train
         al_proba = state.al_proba_train
-        lm_covered = self._lm_covered(self._train_matrix)
+        lm_covered = self._lm_covered(state.train_matrix.matrix)
 
         if lm_proba is None and al_proba is None:
             uniform = np.full((n_train, self.n_classes), 1.0 / self.n_classes)
@@ -422,12 +392,12 @@ class ActiveDP:
         )
         state.selection = self.labelpick.select(
             state.lfs,
-            self._valid_matrix,
+            state.valid_matrix.matrix,
             self.valid.labels,
             query_matrix,
             state.pseudo.labels,
             self.n_classes,
-            state=state.labelpick if self.config.warm_start_labelpick else None,
+            state=state.labelpick,
         )
 
     def _fit_label_model(self) -> None:
@@ -444,11 +414,7 @@ class ActiveDP:
         # Columns are append-only, so an identical selection means the carried
         # model was fitted on this exact matrix — EM from a converged fit is a
         # no-op, skip it entirely (only forced refits land here unchanged).
-        reuse = (
-            self.config.warm_start_label_model
-            and model is not None
-            and state.lm_fit_selection == selected
-        )
+        reuse = model is not None and state.lm_fit_selection == selected
         if reuse and state.lm_proba_train is not None and state.lm_proba_valid is not None:
             # The cached probabilities were computed from this exact model and
             # matrix; recomputing them would reproduce them bit for bit.
@@ -457,7 +423,7 @@ class ActiveDP:
             warm_start = self._label_model_warm_start(selected)
             kwargs = {}
             if self.config.label_model in EM_LABEL_MODELS:
-                kwargs = {"early_stop": self.config.adaptive_early_stop}
+                kwargs = {"early_stop": True}
             model = get_label_model(
                 self.config.label_model, n_classes=self.n_classes, **kwargs
             )
@@ -481,16 +447,13 @@ class ActiveDP:
     def _label_model_warm_start(self, selected: list[int]):
         """Warm-start payload for fitting the *selected* columns, or ``None``.
 
-        The previous fit seeds the next one whenever warm starts are enabled
-        and the selections *intersect*: every selected column the previous
-        fit covered maps onto its carried parameters and brand-new columns
-        keep their cold initialisation.  Columns the previous fit covered
-        but the new selection dropped simply fall out of the map — LabelPick
-        churn (supersets, subsets, partial swaps) no longer forces a cold
-        start.
+        The previous fit seeds the next one whenever the selections
+        *intersect*: every selected column the previous fit covered maps
+        onto its carried parameters and brand-new columns keep their cold
+        initialisation.  Columns the previous fit covered but the new
+        selection dropped simply fall out of the map — LabelPick churn
+        (supersets, subsets, partial swaps) never forces a cold start.
         """
-        if not self.config.warm_start_label_model:
-            return None
         state = self.state
         prev_model = state.label_model
         prev_selection = state.lm_fit_selection
@@ -538,8 +501,6 @@ class ActiveDP:
         initialisation.  Shape mismatches are handled (ignored) by
         ``LogisticRegression.fit`` itself.
         """
-        if not self.config.warm_start_al_model:
-            return None, None
         prev = self.state.al_model
         if prev is None or getattr(prev, "_constant_class", None) is not None:
             return None, None
@@ -562,7 +523,7 @@ class ActiveDP:
             lm_proba_valid = np.full(
                 (len(self.valid), self.n_classes), 1.0 / self.n_classes
             )
-        lm_covered_valid = self._lm_covered(self._valid_matrix, selected_only=True)
+        lm_covered_valid = self._lm_covered(state.valid_matrix.matrix)
         state.threshold = self.confusion.tune_threshold(
             state.al_proba_valid,
             lm_proba_valid,
@@ -570,13 +531,9 @@ class ActiveDP:
             self.valid.labels,
         )
 
-    def _lm_covered(self, matrix: np.ndarray, selected_only: bool = True) -> np.ndarray:
+    def _lm_covered(self, matrix: np.ndarray) -> np.ndarray:
         """Mask of instances with at least one activated *selected* LF."""
-        if matrix.shape[1] == 0:
-            return np.zeros(matrix.shape[0], dtype=bool)
         selected = self.state.selection.selected_indices
-        if selected_only and selected:
-            matrix = matrix[:, selected]
-        elif selected_only and not selected:
+        if matrix.shape[1] == 0 or not selected:
             return np.zeros(matrix.shape[0], dtype=bool)
-        return np.any(matrix != ABSTAIN, axis=1)
+        return np.any(matrix[:, selected] != ABSTAIN, axis=1)

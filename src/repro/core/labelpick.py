@@ -117,11 +117,9 @@ class LabelPick:
     accuracy_threshold:
         Validation accuracy below which an LF is pruned.  ``None`` uses the
         better-than-random bound ``1 / n_classes``.
-    early_stop:
-        Judge glasso convergence relative to the covariance iterate's own
-        scale (threshold :attr:`GLASSO_EARLY_STOP_RTOL`) instead of the
-        absolute :attr:`GLASSO_TOL`.  ``False`` (default) keeps the
-        historical stopping rule.
+
+    The graphical lasso stops once a sweep changes the covariance iterate by
+    less than :attr:`GLASSO_RTOL` of its own mean absolute entry.
     """
 
     def __init__(
@@ -129,7 +127,6 @@ class LabelPick:
         glasso_alpha: float = 0.01,
         min_queries: int = 8,
         accuracy_threshold: float | None = None,
-        early_stop: bool = False,
     ):
         if glasso_alpha < 0:
             raise ValueError("glasso_alpha must be non-negative")
@@ -138,7 +135,6 @@ class LabelPick:
         self.glasso_alpha = glasso_alpha
         self.min_queries = min_queries
         self.accuracy_threshold = accuracy_threshold
-        self.early_stop = early_stop
 
     # ---------------------------------------------------------------- select
     def select(
@@ -248,13 +244,11 @@ class LabelPick:
     #: Identity shrinkage applied to the query-set covariance before the
     #: graphical lasso (the labelled subset is tiny early in a run).
     COV_SHRINKAGE = 0.1
-    #: Outer-sweep budget and tolerance of the per-refit graphical lasso.
+    #: Outer-sweep budget of the per-refit graphical lasso.
     GLASSO_MAX_ITER = 20
-    GLASSO_TOL = 1e-3
-    #: Relative tolerance used instead of :attr:`GLASSO_TOL` when
-    #: ``early_stop`` is on: sweeps stop once the covariance changes by less
-    #: than 1% of its own mean absolute entry.
-    GLASSO_EARLY_STOP_RTOL = 1e-2
+    #: Relative tolerance of the per-refit graphical lasso: sweeps stop once
+    #: the covariance changes by less than 1% of its own mean absolute entry.
+    GLASSO_RTOL = 1e-2
 
     def _markov_blanket_select(
         self,
@@ -280,8 +274,7 @@ class LabelPick:
                 alpha=self.glasso_alpha,
                 shrinkage=self.COV_SHRINKAGE,
                 max_iter=self.GLASSO_MAX_ITER,
-                tol=self._glasso_tol(),
-                early_stop=self.early_stop,
+                tol=self.GLASSO_RTOL,
             )
         else:
             result = self._incremental_glasso(
@@ -343,10 +336,9 @@ class LabelPick:
             alpha=self.glasso_alpha,
             from_covariance=True,
             max_iter=self.GLASSO_MAX_ITER,
-            tol=self._glasso_tol(),
+            tol=self.GLASSO_RTOL,
             warm_start=state.glasso_result,
             warm_start_map=warm_start_map,
-            early_stop=self.early_stop,
         )
         state.glasso_result = result
         state.glasso_survivors = list(survivors)
@@ -355,7 +347,3 @@ class LabelPick:
         if result.warm_started:
             state.n_warm_fits += 1
         return result
-
-    def _glasso_tol(self) -> float:
-        """The glasso tolerance matching the configured stopping semantics."""
-        return self.GLASSO_EARLY_STOP_RTOL if self.early_stop else self.GLASSO_TOL

@@ -39,9 +39,10 @@ class IterationRecord:
         Same cumulative counters for the active-learning model.
     glasso_fits, glasso_warm_fits:
         Same cumulative counters for LabelPick's graphical-lasso structure
-        learning — *incremental path only*: with ``warm_start_labelpick``
-        off, structure learning runs statelessly and these stay 0 (they
-        measure carried-state fits, not whether the glasso ran at all).
+        learning — *incremental path only*: a ``LabelPick.select`` call
+        without a carried state runs statelessly and leaves these at 0
+        (they measure carried-state fits, not whether the glasso ran at
+        all).
     lm_converged_fits:
         Cumulative label-model fits that stopped on their convergence
         criterion before exhausting ``max_iter`` (``None`` for pipelines

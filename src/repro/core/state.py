@@ -62,8 +62,8 @@ class TrainingState:
         selection count as neither).
     lm_converged_fits:
         How many of those fits stopped on their convergence criterion before
-        exhausting ``max_iter`` (under adaptive early stopping this should be
-        nearly all of them).
+        exhausting ``max_iter`` (EM stops on the relative loss change, so
+        this should be nearly all of them).
     lm_final_loss:
         Mean per-instance negative log-likelihood of the most recent EM fit
         (``None`` until an EM model fits, or when the configured model does
@@ -73,11 +73,7 @@ class TrainingState:
     labelpick:
         Carried :class:`~repro.core.labelpick.LabelPickState` making the
         structure-learning step incremental (its own ``n_fits`` /
-        ``n_warm_fits`` counters track graphical-lasso fits *on the
-        incremental path only*).  Unused — and its counters deliberately
-        stay 0, unlike ``lm_fits``/``al_fits`` — when
-        ``warm_start_labelpick`` is off: structure learning then runs
-        statelessly and leaves no trace here.
+        ``n_warm_fits`` counters track graphical-lasso fits).
     threshold:
         ConFusion confidence threshold (``None`` before the AL model exists).
     lm_proba_train, lm_proba_valid, al_proba_train, al_proba_valid:
@@ -150,10 +146,9 @@ class TrainingState:
     def fit_counters(self) -> dict:
         """Cumulative fit counters, keyed by ``IterationRecord`` field names.
 
-        The single source of the counter→record mapping: both the
-        per-iteration record construction and the evaluation-time counter
-        refresh (:meth:`~repro.baselines.base.InteractivePipeline.refit_counters`)
-        read it, so the two can never drift apart.
+        The single source of the counter→record mapping: every pipeline
+        that builds an ActiveDP ``IterationRecord`` reads it, so the record
+        fields can never drift apart.
         """
         return {
             "lm_em_iterations": self.lm_em_iterations,

@@ -56,7 +56,6 @@ def graphical_lasso(
     shrinkage: float = 0.05,
     warm_start: GraphicalLassoResult | None = None,
     warm_start_map: np.ndarray | None = None,
-    early_stop: bool = False,
 ) -> GraphicalLassoResult:
     """Estimate a sparse precision matrix with an L1 penalty *alpha*.
 
@@ -74,7 +73,9 @@ def graphical_lasso(
         Maximum number of outer block-coordinate sweeps.
     tol:
         Convergence threshold on the mean absolute change of the covariance
-        estimate between sweeps.
+        estimate between sweeps, *relative to the iterate's own scale*
+        (its mean absolute entry), so the stopping rule is invariant to the
+        units of the data.
     shrinkage:
         Identity shrinkage applied to the empirical covariance for numerical
         stability (ignored when ``from_covariance=True``).
@@ -92,11 +93,6 @@ def graphical_lasso(
         new variable keep the cold covariance and a zero precision entry.
         An inapplicable payload (wrong dimensions, out-of-range map)
         degrades to a cold start, never raises.
-    early_stop:
-        Judge the mean absolute covariance change against ``tol`` *relative
-        to the iterate's own scale* instead of as an absolute threshold,
-        making the stopping rule invariant to the covariance's units.
-        ``False`` (default) keeps the historical stopping rule.
     """
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
@@ -143,7 +139,6 @@ def graphical_lasso(
         alpha,
         max_iter=max_iter,
         tol=tol,
-        early_stop=early_stop,
     )
 
     precision = 0.5 * (precision + precision.T)

@@ -152,7 +152,6 @@ def glasso_block_sweeps(
     alpha: float,
     max_iter: int,
     tol: float,
-    early_stop: bool = False,
     lasso_max_iter: int = 200,
     lasso_tol: float = 1e-6,
 ):
@@ -160,12 +159,11 @@ def glasso_block_sweeps(
 
     Each sweep updates every row/column of the covariance iterate by a lasso
     regression on the remaining block and recovers the matching precision
-    entries.  Convergence is declared on the mean absolute change of the
-    covariance between sweeps — against the fixed threshold *tol* by
-    default (the historical semantics), or, with ``early_stop=True``,
-    against ``tol`` *relative to the iterate's own scale* (mean absolute
-    entry), which makes the stopping rule invariant to the covariance's
-    units and lets warm-started near-solutions stop after a single sweep.
+    entries.  Convergence is declared when the mean absolute change of the
+    covariance between sweeps falls below *tol* times the iterate's own
+    scale (its mean absolute entry), which makes the stopping rule
+    invariant to the covariance's units and lets warm-started
+    near-solutions stop after a single sweep.
 
     Column j's lasso starts from ``-precision[rest, j] / precision[j, j]``,
     so the *precision* passed in seeds the first sweep and every later
@@ -226,9 +224,7 @@ def glasso_block_sweeps(
             precision[j, rest] = precision[rest, j]
         change = np.mean(np.abs(covariance - previous))
         final_change = float(change)
-        threshold = tol
-        if early_stop:
-            threshold = tol * max(float(np.mean(np.abs(previous))), 1e-12)
+        threshold = tol * max(float(np.mean(np.abs(previous))), 1e-12)
         if change < threshold:
             converged = True
             break

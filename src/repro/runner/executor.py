@@ -59,14 +59,6 @@ def run_trial_on_split(
             quality = pipeline.label_quality()
             record.label_coverage = quality["coverage"]
             record.label_accuracy = quality["accuracy"]
-            # Evaluation may itself have refit stale state (retrain_every > 1
-            # flushes dirty inputs before aggregating); re-read the cumulative
-            # counters so that work lands in this iteration's record instead
-            # of the next one's (or, at the last iteration, nowhere).
-            counters = pipeline.refit_counters()
-            if counters:
-                for field, value in counters.items():
-                    setattr(record, field, value)
         history.add(record)
     exporter = getattr(pipeline, "export_artifacts", None)
     if exporter is not None:

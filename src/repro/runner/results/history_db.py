@@ -420,7 +420,7 @@ class RunHistoryDB:
         fields; *where* is a raw SQL predicate over the ``trials`` columns
         (metric predicates like ``"final_accuracy < 0.8 AND lm_warm_fits =
         0"``, or spec predicates like ``"pipeline_kwargs LIKE
-        '%warm_start_label_model%'"``).  Rows come back as plain dicts,
+        '%glasso_alpha%'"``).  Rows come back as plain dicts,
         *without unpickling a single blob*.
         """
         clause, params = self._predicates(framework, dataset, seed, where)

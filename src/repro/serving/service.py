@@ -165,25 +165,36 @@ class LabelingService:
                 self._counters["warm_hits"] += 1
             return 200, label_payload(spec, history), {}
 
+        # Coalesce check, admission and registration are one critical
+        # section: two racing identical requests must not both take a slot.
         with self._lock:
-            job = self._jobs.get(key)
-            if job is not None and job.status == "pending":
+            previous = self._jobs.get(key)
+            if previous is not None and previous.status == "pending":
                 self._counters["coalesced"] += 1
                 return 202, {"key": key, "status": "pending", "coalesced": True}, {}
+            if not self.admission.try_acquire():
+                retry_after = self.admission.retry_after
+                payload = {
+                    "error": "label queue at capacity",
+                    "retry_after": retry_after,
+                }
+                return 429, payload, {"Retry-After": f"{retry_after:g}"}
+            job = self._jobs[key] = _Job(spec)
 
-        if not self.admission.try_acquire():
-            retry_after = self.admission.retry_after
-            payload = {
-                "error": "label queue at capacity",
-                "retry_after": retry_after,
-            }
-            return 429, payload, {"Retry-After": f"{retry_after:g}"}
-
-        written = self.broker.enqueue(spec)
-        with self._lock:
-            if written:
+        try:
+            written = self.broker.enqueue(spec)
+        except BaseException:
+            with self._lock:
+                if self._jobs.get(key) is job and job.status == "pending":
+                    if previous is None:
+                        del self._jobs[key]
+                    else:
+                        self._jobs[key] = previous
+                    self.admission.release()
+            raise
+        if written:
+            with self._lock:
                 self._counters["enqueued"] += 1
-            self._jobs[key] = _Job(spec)
         return 202, {"key": key, "status": "pending"}, {}
 
     def status(self, key: str) -> tuple[int, dict, dict]:

@@ -77,12 +77,14 @@ class TestActiveDPPipeline:
         pipeline = ActiveDPPipeline(
             tiny_text_split,
             random_state=0,
-            config_overrides={"warm_start_label_model": False, "retrain_every": 3},
+            config_overrides={"glasso_alpha": 0.02, "min_labelpick_queries": 5},
         )
         # Overrides land on top of the per-kind defaults.
         assert pipeline.config.alpha == 0.5
-        assert not pipeline.config.warm_start_label_model
-        assert pipeline.config.retrain_every == 3
+        assert pipeline.config.glasso_alpha == 0.02
+        assert pipeline.config.min_labelpick_queries == 5
+        assert pipeline.framework.labelpick.glasso_alpha == 0.02
+        assert pipeline.framework.labelpick.min_queries == 5
 
     def test_config_overrides_compose_with_explicit_config(self, tiny_text_split):
         from repro.core import ActiveDPConfig
@@ -91,12 +93,12 @@ class TestActiveDPPipeline:
             tiny_text_split,
             random_state=0,
             config=config,
-            config_overrides={"warm_start_label_model": False},
+            config_overrides={"glasso_alpha": 0.02},
         )
         assert pipeline.framework.sampler.name == "passive"
-        assert not pipeline.config.warm_start_label_model
+        assert pipeline.config.glasso_alpha == 0.02
         # The caller's config object is not mutated.
-        assert config.warm_start_label_model
+        assert config.glasso_alpha == 0.01
 
     def test_accumulates_labels_over_iterations(self, tiny_text_split):
         pipeline = ActiveDPPipeline(tiny_text_split, random_state=0)

@@ -33,7 +33,6 @@ class TestActiveDPConfig:
             {"alpha": 1.5},
             {"glasso_alpha": -0.1},
             {"al_model_C": 0.0},
-            {"retrain_every": 0},
             {"min_labelpick_queries": 1},
         ],
     )

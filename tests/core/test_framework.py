@@ -29,8 +29,9 @@ class TestTrainingLoop:
     def test_lfs_accumulate_and_matrices_grow(self, framework, user):
         framework.run(user, 8)
         assert len(framework.lfs) > 0
-        assert framework._train_matrix.shape == (len(framework.train), len(framework.lfs))
-        assert framework._valid_matrix.shape == (len(framework.valid), len(framework.lfs))
+        state = framework.state
+        assert state.train_matrix.matrix.shape == (len(framework.train), len(framework.lfs))
+        assert state.valid_matrix.matrix.shape == (len(framework.valid), len(framework.lfs))
 
     def test_queried_instances_are_unique(self, framework, user):
         framework.run(user, 15)
@@ -50,7 +51,7 @@ class TestTrainingLoop:
     def test_add_lf_manually(self, framework):
         framework.add_lf(KeywordLF("good", 0))
         assert len(framework.lfs) == 1
-        assert framework._train_matrix.shape[1] == 1
+        assert framework.state.train_matrix.matrix.shape[1] == 1
 
     def test_exhausted_pool_raises(self, tiny_text_split):
         config = ActiveDPConfig.for_dataset_kind("text")
@@ -120,36 +121,30 @@ class TestAblationSwitches:
         framework = ActiveDP(tiny_text_split.train, tiny_text_split.valid, config, random_state=0)
         assert framework.sampler.name == "passive"
 
-    def test_retrain_every_reduces_refits(self, tiny_text_split):
-        config = ActiveDPConfig.for_dataset_kind("text", retrain_every=5)
-        framework = ActiveDP(tiny_text_split.train, tiny_text_split.valid, config, random_state=0)
-        user = SimulatedUser(tiny_text_split.train, random_state=0)
-        framework.run(user, 6)
-        # The framework still produces a usable state after sparse refits.
-        assert framework._train_matrix.shape[1] == len(framework.lfs)
-
 
 class TestStaleStateEvaluation:
-    """With retrain_every > 1, evaluation must flush dirty state first."""
+    """An LF added without a refit leaves stale models; evaluation flushes them."""
 
     @staticmethod
-    def _run(tiny_text_split, n_iterations, retrain_every):
-        config = ActiveDPConfig.for_dataset_kind(
-            "text", retrain_every=retrain_every, min_labelpick_queries=5
-        )
+    def _run(tiny_text_split, n_iterations, add_stale_lf=True):
+        """Run *n_iterations* steps, then (optionally) add one LF and no refit."""
+        config = ActiveDPConfig.for_dataset_kind("text", min_labelpick_queries=5)
         framework = ActiveDP(
             tiny_text_split.train, tiny_text_split.valid, config, random_state=0
         )
         user = SimulatedUser(tiny_text_split.train, random_state=0)
         framework.run(user, n_iterations)
+        if add_stale_lf:
+            candidates = [KeywordLF(word, label) for word, label in (
+                ("great", 0), ("awful", 1), ("good", 0), ("bad", 1),
+            )]
+            framework.add_lf(next(lf for lf in candidates if lf not in framework.lfs))
         return framework
 
     def test_eval_at_non_boundary_iteration_flushes_dirty_state(self, tiny_text_split):
-        # retrain_every=3 refits during steps 1, 4 and 7 (iterations 0, 3,
-        # 6); after 8 steps the LF added at iteration 7 has not been seen by
-        # any model.
-        framework = self._run(tiny_text_split, 8, retrain_every=3)
-        assert framework.state.lfs_dirty or framework.state.pseudo_dirty
+        # The LF added after the last step has not been seen by any model.
+        framework = self._run(tiny_text_split, 8)
+        assert framework.state.lfs_dirty
 
         framework.aggregate_labels()
         assert not framework.state.lfs_dirty
@@ -157,8 +152,8 @@ class TestStaleStateEvaluation:
 
     def test_flushed_aggregation_matches_explicit_refit(self, tiny_text_split):
         """Aggregating stale state equals refitting first — the regression pin."""
-        framework = self._run(tiny_text_split, 8, retrain_every=3)
-        assert framework.state.lfs_dirty or framework.state.pseudo_dirty
+        framework = self._run(tiny_text_split, 8)
+        assert framework.state.lfs_dirty
 
         twin = ActiveDP(
             tiny_text_split.train,
@@ -177,7 +172,7 @@ class TestStaleStateEvaluation:
         assert aggregated.threshold == reference.threshold
 
     def test_label_quality_and_end_model_see_all_lfs(self, tiny_text_split):
-        framework = self._run(tiny_text_split, 8, retrain_every=3)
+        framework = self._run(tiny_text_split, 8)
         n_lfs = len(framework.lfs)
         framework.label_quality()
         # The flushed selection was computed over the full LF set.
@@ -186,47 +181,9 @@ class TestStaleStateEvaluation:
         accuracy = framework.evaluate_end_model(tiny_text_split.test)
         assert 0.0 <= accuracy <= 1.0
 
-    def test_flush_refits_are_attributed_to_the_evaluating_iteration(
-        self, tiny_text_split
-    ):
-        """Counters in trial histories include evaluation-time flush refits."""
-        from repro.experiments import EvaluationProtocol
-        from repro.runner.executor import run_trial_on_split
-
-        protocol = EvaluationProtocol(n_iterations=8, eval_every=4, n_seeds=1)
-        history = run_trial_on_split(
-            "activedp",
-            tiny_text_split,
-            protocol,
-            seed=0,
-            pipeline_kwargs={"config_overrides": {"retrain_every": 3}},
-        )
-        final = history.records[-1]
-        # The final evaluation happens after the final step's record was
-        # built; the flush refit it triggers must still land in the history.
-        assert final.test_accuracy is not None
-        assert final.lm_fits is not None and final.lm_fits > 0
-        # A fresh identical run confirms the recorded counters match the
-        # pipeline's end state (i.e. nothing was dropped after the snapshot).
-        from repro.baselines import get_pipeline
-
-        pipeline = get_pipeline(
-            "activedp",
-            tiny_text_split,
-            random_state=0,
-            config_overrides={"retrain_every": 3},
-        )
-        for _ in range(protocol.n_iterations):
-            pipeline.step()
-        pipeline.evaluate_end_model(C=protocol.end_model_C)
-        pipeline.label_quality()
-        assert final.lm_fits == pipeline.framework.state.lm_fits
-        assert final.al_fits == pipeline.framework.state.al_fits
-        assert final.lm_em_iterations == pipeline.framework.state.lm_em_iterations
-
-    def test_retrain_every_one_behaviour_unchanged(self, tiny_text_split):
-        """With per-step refits the flush is a no-op: no extra fits happen."""
-        framework = self._run(tiny_text_split, 8, retrain_every=1)
+    def test_per_step_refits_leave_nothing_to_flush(self, tiny_text_split):
+        """Every step refits, so the flush is a no-op: no extra fits happen."""
+        framework = self._run(tiny_text_split, 8, add_stale_lf=False)
         assert not framework.state.lfs_dirty
         assert not framework.state.pseudo_dirty
         fits_before = (
@@ -234,14 +191,14 @@ class TestStaleStateEvaluation:
             framework.state.al_fits,
             framework.state.labelpick.n_fits,
         )
-        proba_before = framework._lm_proba_train.copy()
+        proba_before = framework.state.lm_proba_train.copy()
         framework.aggregate_labels()
         assert (
             framework.state.lm_fits,
             framework.state.al_fits,
             framework.state.labelpick.n_fits,
         ) == fits_before
-        np.testing.assert_array_equal(framework._lm_proba_train, proba_before)
+        np.testing.assert_array_equal(framework.state.lm_proba_train, proba_before)
 
 
 class TestTabularFramework:

@@ -72,16 +72,17 @@ class TestDirtyFlagRefit:
     def test_incremental_refit_matches_forced_refit(self, framework, user):
         """Skipped stages hold exactly the values a full recompute produces."""
         framework.run(user, 12)
+        state = framework.state
         before = (
-            None if framework._lm_proba_train is None else framework._lm_proba_train.copy(),
-            None if framework._al_proba_train is None else framework._al_proba_train.copy(),
+            None if state.lm_proba_train is None else state.lm_proba_train.copy(),
+            None if state.al_proba_train is None else state.al_proba_train.copy(),
             framework.threshold,
             list(framework.selection.selected_indices),
         )
         framework.refit(force=True)
         after = (
-            framework._lm_proba_train,
-            framework._al_proba_train,
+            state.lm_proba_train,
+            state.al_proba_train,
             framework.threshold,
             list(framework.selection.selected_indices),
         )
@@ -101,9 +102,9 @@ class TestDirtyFlagRefit:
                 raise AssertionError("label model must not be refit without new inputs")
 
         framework.state.label_model = Exploder()
-        lm_before = framework._lm_proba_train
+        lm_before = framework.state.lm_proba_train
         framework.refit()  # nothing dirty: every stage must be skipped
-        assert framework._lm_proba_train is lm_before
+        assert framework.state.lm_proba_train is lm_before
 
 
 class TestPseudoLabelPropagation:

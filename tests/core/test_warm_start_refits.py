@@ -1,24 +1,26 @@
-"""Tests for warm-started label-model refits wired through the framework."""
+"""Tests for the warm-started refits wired through the framework.
+
+Warm runs are compared with ``reference_cold.ColdActiveDP``: the same
+framework with every refit cold-started.
+"""
 
 import numpy as np
-import pytest
+from reference_cold import ColdActiveDP
 
 from repro.core import ActiveDP, ActiveDPConfig
-from repro.label_models import get_label_model
 from repro.simulation import SimulatedUser
 
 
-def _framework(tiny_text_split, **overrides):
-    config = ActiveDPConfig.for_dataset_kind(
-        "text", min_labelpick_queries=5, **overrides
-    )
-    return ActiveDP(
+def _framework(tiny_text_split, cold=False):
+    config = ActiveDPConfig.for_dataset_kind("text", min_labelpick_queries=5)
+    framework_class = ColdActiveDP if cold else ActiveDP
+    return framework_class(
         tiny_text_split.train, tiny_text_split.valid, config, random_state=0
     )
 
 
-def _run(tiny_text_split, n_iterations, **overrides):
-    framework = _framework(tiny_text_split, **overrides)
+def _run(tiny_text_split, n_iterations, cold=False):
+    framework = _framework(tiny_text_split, cold=cold)
     user = SimulatedUser(tiny_text_split.train, random_state=0)
     framework.run(user, n_iterations)
     return framework
@@ -26,8 +28,8 @@ def _run(tiny_text_split, n_iterations, **overrides):
 
 class TestWarmColdEquivalence:
     def test_headline_metrics_within_tol_and_fewer_em_iterations(self, tiny_text_split):
-        cold = _run(tiny_text_split, 25, warm_start_label_model=False)
-        warm = _run(tiny_text_split, 25, warm_start_label_model=True)
+        cold = _run(tiny_text_split, 25, cold=True)
+        warm = _run(tiny_text_split, 25)
 
         assert warm.state.lm_em_iterations < cold.state.lm_em_iterations
         cold_quality = cold.label_quality()
@@ -39,40 +41,21 @@ class TestWarmColdEquivalence:
         assert warm.queried[:10] == cold.queried[:10]
 
     def test_warm_start_actually_triggers(self, tiny_text_split):
-        warm = _run(tiny_text_split, 25, warm_start_label_model=True)
+        warm = _run(tiny_text_split, 25)
         assert warm.state.label_model is not None
         assert warm.state.lm_fit_selection == list(warm.selection.selected_indices)
 
-    def test_cold_flag_reproduces_cold_start_fit_bitwise(self, tiny_text_split):
-        """With the flag off every refit is a cold fit of the selected columns."""
-        framework = _run(tiny_text_split, 20, warm_start_label_model=False)
-        state = framework.state
-        selected = list(state.selection.selected_indices)
-        assert selected
-
-        reference = get_label_model(
-            framework.config.label_model,
-            n_classes=framework.n_classes,
-            early_stop=framework.config.adaptive_early_stop,
-        )
-        reference.fit(state.train_matrix.columns(selected))
-        np.testing.assert_array_equal(
-            state.lm_proba_train,
-            reference.predict_proba(state.train_matrix.columns(selected)),
-        )
-        assert not getattr(state.label_model, "warm_started_", True)
-
     def test_forced_refit_with_unchanged_selection_keeps_probas(self, tiny_text_split):
-        for warm in (False, True):
-            framework = _run(tiny_text_split, 15, warm_start_label_model=warm)
-            before = framework._lm_proba_train.copy()
+        for cold in (True, False):
+            framework = _run(tiny_text_split, 15, cold=cold)
+            before = framework.state.lm_proba_train.copy()
             framework.refit(force=True)
-            np.testing.assert_array_equal(framework._lm_proba_train, before)
+            np.testing.assert_array_equal(framework.state.lm_proba_train, before)
 
 
 class TestSnapshotRoundTrip:
     def test_snapshot_restores_carried_fit(self, tiny_text_split):
-        framework = _run(tiny_text_split, 15, warm_start_label_model=True)
+        framework = _run(tiny_text_split, 15)
         snapshot = framework.snapshot()
         assert snapshot.lm_fit_selection == framework.state.lm_fit_selection
         assert snapshot.lm_em_iterations == framework.state.lm_em_iterations
@@ -86,7 +69,7 @@ class TestSnapshotRoundTrip:
         assert snapshot.lm_em_iterations == em_iterations
 
     def test_restored_run_replays_identically_with_warm_start(self, tiny_text_split):
-        framework = _framework(tiny_text_split, warm_start_label_model=True)
+        framework = _framework(tiny_text_split)
         user = SimulatedUser(tiny_text_split.train, random_state=0)
         framework.run(user, 10)
         # Drain a second user's RNG to the 10-step point for the replay below.
@@ -114,7 +97,7 @@ class TestSnapshotRoundTrip:
         assert first == second
 
     def test_carried_model_is_deep_copied(self, tiny_text_split):
-        framework = _run(tiny_text_split, 15, warm_start_label_model=True)
+        framework = _run(tiny_text_split, 15)
         snapshot = framework.snapshot()
         model = framework.state.label_model
         snapshot_model = snapshot.label_model
@@ -132,35 +115,19 @@ class TestIntersectionMappedFrameworkWarmStarts:
         that gets swapped) may stay cold — under the superset-only rule about
         half of the early refits were.
         """
-        framework = _run(tiny_text_split, 30, warm_start_label_model=True)
+        framework = _run(tiny_text_split, 30)
         state = framework.state
         assert state.lm_fits > 1
         warm_rate = state.lm_warm_fits / (state.lm_fits - 1)
         assert warm_rate >= 0.9
 
-    def test_cold_flag_never_warm_starts(self, tiny_text_split):
-        framework = _run(tiny_text_split, 30, warm_start_label_model=False)
-        assert framework.state.lm_fits > 1
-        assert framework.state.lm_warm_fits == 0
-
 
 class TestAllKnobsEquivalence:
-    """All three warm-start knobs on vs off on the same seeded run."""
-
-    ALL_ON = dict(
-        warm_start_label_model=True,
-        warm_start_labelpick=True,
-        warm_start_al_model=True,
-    )
-    ALL_OFF = dict(
-        warm_start_label_model=False,
-        warm_start_labelpick=False,
-        warm_start_al_model=False,
-    )
+    """All three warm starts against the cold reference on the same seeded run."""
 
     def test_end_label_quality_within_tol_and_all_paths_warm(self, tiny_text_split):
-        warm = _run(tiny_text_split, 30, **self.ALL_ON)
-        cold = _run(tiny_text_split, 30, **self.ALL_OFF)
+        warm = _run(tiny_text_split, 30)
+        cold = _run(tiny_text_split, 30, cold=True)
 
         warm_quality = warm.label_quality()
         cold_quality = cold.label_quality()
@@ -181,29 +148,17 @@ class TestAllKnobsEquivalence:
         assert state.labelpick.n_warm_fits / (state.labelpick.n_fits - 1) >= 0.9
         assert state.lm_em_iterations < cold.state.lm_em_iterations
 
-    def test_all_off_reproduces_historical_state(self, tiny_text_split):
-        """Knobs off: no warm machinery runs and no carried state is built."""
-        cold = _run(tiny_text_split, 25, **self.ALL_OFF)
-        state = cold.state
+    def test_the_reference_never_warm_starts(self, tiny_text_split):
+        """The oracle is cold: no warm fit and no carried structure state."""
+        state = _run(tiny_text_split, 30, cold=True).state
+        assert state.lm_fits > 1 and state.al_fits > 1
         assert state.lm_warm_fits == 0
         assert state.al_warm_fits == 0
         assert state.labelpick.n_fits == 0
-        assert state.labelpick.covariance is None
         assert state.labelpick.glasso_result is None
-        assert not getattr(state.al_model, "warm_started_", False)
-
-    def test_all_off_runs_are_deterministically_identical(self, tiny_text_split):
-        first = _run(tiny_text_split, 20, **self.ALL_OFF)
-        second = _run(tiny_text_split, 20, **self.ALL_OFF)
-        assert first.queried == second.queried
-        assert (
-            first.selection.selected_indices == second.selection.selected_indices
-        )
-        np.testing.assert_array_equal(first._lm_proba_train, second._lm_proba_train)
-        np.testing.assert_array_equal(first._al_proba_train, second._al_proba_train)
 
     def test_labelpick_state_survives_snapshot_round_trip(self, tiny_text_split):
-        framework = _run(tiny_text_split, 20, **self.ALL_ON)
+        framework = _run(tiny_text_split, 20)
         snapshot = framework.snapshot()
         assert snapshot.labelpick is not framework.state.labelpick
         assert snapshot.labelpick.n_fits == framework.state.labelpick.n_fits
@@ -231,7 +186,7 @@ class TestWarmFitCounters:
 
 class TestEmIterationAccounting:
     def test_records_carry_cumulative_em_iterations(self, tiny_text_split):
-        framework = _framework(tiny_text_split, warm_start_label_model=True)
+        framework = _framework(tiny_text_split)
         user = SimulatedUser(tiny_text_split.train, random_state=0)
         records = framework.run(user, 10)
         counters = [r.lm_em_iterations for r in records]

@@ -279,9 +279,9 @@ class TestEmpiricalCovariance:
 
 
 class TestRelativeStoppingCriterion:
-    """``early_stop=True`` switches the sweep criterion from an absolute mean
-    covariance-change threshold to one relative to the covariance's own
-    scale, so the sweep count no longer depends on the units of the data."""
+    """The sweeps stop on the mean covariance change relative to the
+    covariance's own scale, so the sweep count does not depend on the units
+    of the data."""
 
     def _scaled_runs(self, rng, **kwargs):
         data = rng.multivariate_normal(
@@ -299,18 +299,11 @@ class TestRelativeStoppingCriterion:
         ]
 
     def test_relative_criterion_is_scale_invariant(self, rng):
-        unit, scaled = self._scaled_runs(rng, early_stop=True, tol=1e-4)
+        unit, scaled = self._scaled_runs(rng, tol=1e-4)
         assert unit.converged and scaled.converged
         assert unit.n_iter == scaled.n_iter
 
-    def test_legacy_absolute_criterion_is_not(self, rng):
-        """Regression pin for the historical behaviour the knob preserves:
-        the absolute threshold effectively tightens as the precision scale
-        shrinks, so the rescaled run needs extra sweeps."""
-        unit, scaled = self._scaled_runs(rng, tol=1e-4)
-        assert scaled.n_iter > unit.n_iter
-
     def test_early_stop_reports_final_change(self, rng):
-        result, _ = self._scaled_runs(rng, early_stop=True, tol=1e-4)
+        result, _ = self._scaled_runs(rng, tol=1e-4)
         assert result.final_change is not None
         assert 0.0 <= result.final_change <= 1e-4

@@ -169,7 +169,9 @@ class TestExactSupportSolve:
         options = dict(tol=1e-10, lasso_max_iter=5000, lasso_tol=1e-12)
 
         covariance, precision, _, converged, _ = _sweep(emp_cov, alpha, **options)
-        expected = _sweep(emp_cov, alpha, sweeps=reference.glasso_block_sweeps, **options)
+        expected = _sweep(
+            emp_cov, alpha, sweeps=reference.glasso_block_sweeps, early_stop=True, **options
+        )
 
         assert converged and expected[3]
         np.testing.assert_allclose(covariance, expected[0], atol=1e-6)
@@ -394,8 +396,8 @@ class TestGlassoBlockSweeps:
         # same sweep.
         scale = 8.0
 
-        base = _sweep(emp_cov, 0.05, tol=1e-4, early_stop=True)
-        scaled = _sweep(emp_cov * scale, 0.05 * scale, tol=1e-4, early_stop=True)
+        base = _sweep(emp_cov, 0.05, tol=1e-4)
+        scaled = _sweep(emp_cov * scale, 0.05 * scale, tol=1e-4)
 
         np.testing.assert_array_equal(scaled[0], base[0] * scale)
         np.testing.assert_array_equal(scaled[1], base[1] / scale)

@@ -49,11 +49,23 @@ def _counters(service):
     return stats["requests"], stats["admission"], stats["broker"]
 
 
+#: ActiveDPConfig fields deleted when the refit path lost its switches.
+REMOVED_REFIT_FIELDS = {
+    "warm_start_label_model": False,
+    "warm_start_labelpick": False,
+    "warm_start_al_model": False,
+    "adaptive_early_stop": False,
+    "retrain_every": 3,
+}
+
+
 class TestConfigOverrides:
     @pytest.mark.parametrize(
         "overrides",
-        [{"backend": "numpy"}, {"glasso_alpah": 0.02}],
-        ids=["removed-field", "misspelled-field"],
+        [{"backend": "numpy"}, {"glasso_alpah": 0.02}]
+        + [{name: value} for name, value in REMOVED_REFIT_FIELDS.items()],
+        ids=["removed-field", "misspelled-field"]
+        + [f"removed-field-{name}" for name in REMOVED_REFIT_FIELDS],
     )
     def test_label_request_with_unknown_key_is_rejected_before_admission(
         self, make_service, overrides
@@ -65,13 +77,19 @@ class TestConfigOverrides:
         assert sorted(overrides)[0] in payload["error"]
         assert _counters(service) == before
 
-    def test_session_with_unknown_key_is_rejected(self, make_service):
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"backend": "numpy"}]
+        + [{name: value} for name, value in REMOVED_REFIT_FIELDS.items()],
+        ids=["backend", *REMOVED_REFIT_FIELDS],
+    )
+    def test_session_with_unknown_key_is_rejected(self, make_service, overrides):
         service = make_service()
         status, payload, _ = service.create_session(
-            {"dataset": "youtube", "scale": 0.15, "config_overrides": {"backend": "numpy"}}
+            {"dataset": "youtube", "scale": 0.15, "config_overrides": overrides}
         )
         assert status == 400
-        assert "backend" in payload["error"]
+        assert sorted(overrides)[0] in payload["error"]
         assert service.list_sessions()[1]["sessions"] == []
 
 
@@ -94,6 +112,66 @@ class TestAdmissionRelease:
         # The released slot is usable at once.
         status, _, _ = service.submit({**BODY, "seed": 1})
         assert status == 202
+
+
+class TestRacingSubmits:
+    def test_identical_cold_requests_take_one_admission_slot(self, make_service):
+        """Two identical cold requests racing past the store probe: one job,
+        one slot, and the slot comes back when the result lands."""
+        service = make_service()
+        barrier = threading.Barrier(2, timeout=5.0)
+        real_enqueue = service.broker.enqueue
+
+        def racing_enqueue(spec):
+            # Holds the first enqueue until the second request also reaches
+            # enqueue — which only happens if it was admitted too.
+            try:
+                barrier.wait()
+            except threading.BrokenBarrierError:
+                pass
+            return real_enqueue(spec)
+
+        service.broker.enqueue = racing_enqueue
+        responses = []
+
+        def client():
+            responses.append(service.submit(BODY))
+            # A request answered without reaching enqueue frees the other.
+            barrier.abort()
+
+        threads = [threading.Thread(target=client) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+
+        assert [status for status, _, _ in responses] == [202, 202]
+        coalesced = [payload.get("coalesced", False) for _, payload, _ in responses]
+        assert sorted(coalesced) == [False, True]
+        _, stats, _ = service.stats()
+        assert stats["admission"]["inflight"] == 1
+
+        spec = parse_label_request(BODY)
+        service.store.put(spec, run_trial(spec))
+        status, _, _ = service.status(spec.key)
+        assert status == 200
+        _, stats, _ = service.stats()
+        assert stats["admission"]["inflight"] == 0
+        assert stats["jobs"] == {"pending": 0, "done": 1, "failed": 0}
+
+    def test_failed_enqueue_rolls_back_the_job_and_its_slot(self, make_service):
+        service = make_service(max_inflight=1)
+
+        def broken_enqueue(spec):
+            raise OSError("spool is read-only")
+
+        service.broker.enqueue = broken_enqueue
+        with pytest.raises(OSError):
+            service.submit(BODY)
+        _, stats, _ = service.stats()
+        assert stats["admission"]["inflight"] == 0
+        assert stats["jobs"] == {"pending": 0, "done": 0, "failed": 0}
+        assert service.status(parse_label_request(BODY).key)[0] == 404
 
 
 class TestWatcherErrors:
