@@ -83,6 +83,36 @@ def _total_em_iterations(results) -> int:
     )
 
 
+def _em_iterations_per_fit(results) -> list[list[tuple[int, int]]]:
+    """``(iteration, EM iterations)`` of every label-model fit, per trial.
+
+    The records carry cumulative counters, so a fit's EM iterations are the
+    difference of ``lm_em_iterations`` across an iteration whose
+    ``lm_fits`` moved.
+    """
+    per_trial = []
+    for result in results.values():
+        for history in result.histories:
+            fits, previous_fits, previous_em = [], 0, 0
+            for record in history.records:
+                n_fits = record.lm_fits or 0
+                em_iterations = record.lm_em_iterations or 0
+                if n_fits != previous_fits:
+                    fits.append((record.iteration, em_iterations - previous_em))
+                previous_fits, previous_em = n_fits, em_iterations
+            per_trial.append(fits)
+    return per_trial
+
+
+def _print_em_iterations_per_fit(results) -> None:
+    """Print each variant's per-fit EM iterations, trial by trial."""
+    print("\nEM iterations per label-model fit (iteration:em_iterations):")
+    for variant, result in results.items():
+        for number, fits in enumerate(_em_iterations_per_fit(result)):
+            listed = " ".join(f"{iteration}:{count}" for iteration, count in fits)
+            print(f"  {variant:14s} trial {number}: {listed}")
+
+
 def _warm_rates(results) -> dict[str, tuple[float, int]]:
     """``(warm-refit rate, post-first fits)`` per model family.
 
@@ -173,6 +203,8 @@ def test_paper_scale_warm_vs_cold(
 
     shipped, reference = summary["shipped"], summary["reference_cold"]
     assert abs(shipped["accuracy"] - reference["accuracy"]) <= ACCURACY_TOLERANCE
+    if shipped["em_iterations"] > reference["em_iterations"]:
+        _print_em_iterations_per_fit(results)
     assert shipped["em_iterations"] <= reference["em_iterations"]
 
     # The reference never warm-starts; the shipped warm refits must actually

@@ -419,7 +419,9 @@ class ActiveDP:
             # The cached probabilities were computed from this exact model and
             # matrix; recomputing them would reproduce them bit for bit.
             return
-        if not reuse:
+        if reuse:
+            state.lm_proba_train = model.predict_proba(train_matrix)
+        else:
             warm_start = self._label_model_warm_start(selected)
             kwargs = {}
             if self.config.label_model in EM_LABEL_MODELS:
@@ -427,7 +429,9 @@ class ActiveDP:
             model = get_label_model(
                 self.config.label_model, n_classes=self.n_classes, **kwargs
             )
-            model.fit(train_matrix, warm_start=warm_start)
+            state.lm_proba_train = model.fit_predict_proba(
+                train_matrix, warm_start=warm_start
+            )
             state.label_model = model
             state.lm_fit_selection = selected
             state.lm_em_iterations += int(getattr(model, "n_iter_", 0) or 0)
@@ -439,7 +443,6 @@ class ActiveDP:
             final_loss = getattr(model, "final_loss_", None)
             if final_loss is not None:
                 state.lm_final_loss = float(final_loss)
-        state.lm_proba_train = model.predict_proba(train_matrix)
         state.lm_proba_valid = model.predict_proba(
             state.valid_matrix.columns(selected)
         )

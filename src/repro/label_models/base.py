@@ -144,6 +144,34 @@ class BaseLabelModel(abc.ABC):
     def predict_proba(self, label_matrix: np.ndarray) -> np.ndarray:
         """Return ``(n_instances, n_classes)`` probabilistic labels."""
 
+    def fit_predict_proba(
+        self,
+        label_matrix: np.ndarray,
+        warm_start: LabelModelWarmStart | None = None,
+    ) -> np.ndarray:
+        """``fit(label_matrix, warm_start=...)``, then ``predict_proba(label_matrix)``.
+
+        The EM models end their fit on the posterior of the fitted rows under
+        the final parameters, which is bit for bit what ``predict_proba``
+        would compute; it is returned instead of being computed again.
+        """
+        self.fit(label_matrix, warm_start=warm_start)
+        kept = self.__dict__.pop("_fit_posterior", None)
+        if kept is None:
+            return self.predict_proba(label_matrix)
+        pattern_proba, inverse = kept
+        return pattern_proba[inverse]
+
+    def _keep_fit_posterior(
+        self, pattern_proba: np.ndarray, uncovered: np.ndarray, inverse: np.ndarray
+    ) -> None:
+        """Keep a fit's final pattern posterior for :meth:`fit_predict_proba`.
+
+        Uncovered patterns get the class prior, as in ``predict_proba``.
+        """
+        pattern_proba[uncovered] = self.class_priors_
+        self._fit_posterior = (pattern_proba, inverse)
+
     def predict(self, label_matrix: np.ndarray, abstain_uncovered: bool = False) -> np.ndarray:
         """Return hard labels; optionally abstain on fully-uncovered rows."""
         label_matrix = self._validate_matrix(label_matrix)

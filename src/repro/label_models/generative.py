@@ -26,7 +26,14 @@ import numpy as np
 from repro.label_models.base import BaseLabelModel, LabelModelWarmStart
 from repro.labeling.lf import ABSTAIN
 from repro.numerics import RelativeLossStop
-from repro.numerics.em import generative_masks, generative_posterior, generative_step
+from repro.numerics.em import (
+    generative_masks,
+    generative_posterior,
+    generative_step,
+    mean_abs_change,
+    pattern_sums,
+    vote_patterns,
+)
 from repro.utils.rng import RandomState, ensure_rng
 
 
@@ -54,7 +61,8 @@ class GenerativeLabelModel(BaseLabelModel):
         early stopping on the *relative* change of the mean per-instance
         negative log-likelihood — a size-independent rule under which
         warm-started refits converge in a couple of iterations.  ``False``
-        (default) keeps the historical semantics exactly.
+        (default) keeps the fixed ``max_iter`` budget with the
+        absolute-change stop at ``tol``.
     early_stop_rtol:
         Relative loss-change threshold of the early-stop rule.
     """
@@ -71,6 +79,9 @@ class GenerativeLabelModel(BaseLabelModel):
         early_stop_rtol: float = 1e-5,
     ):
         super().__init__(n_classes=n_classes)
+        if max_iter < 1:
+            # A fit ends on its last E-step's posterior; zero steps leave none.
+            raise ValueError("max_iter must be >= 1")
         self.max_iter = max_iter
         self.tol = tol
         self.smoothing = smoothing
@@ -95,12 +106,15 @@ class GenerativeLabelModel(BaseLabelModel):
     ) -> "GenerativeLabelModel":
         """Run EM to estimate the per-LF conditional probability tables.
 
-        ``warm_start`` (a previous fit's :meth:`export_warm_start`) seeds the
-        initial responsibilities from the carried CPTs of every column the
-        payload's map covers; columns new to this fit receive their CPTs from
-        the first M-step under those responsibilities.  An inapplicable
-        payload falls back to the cold jittered-majority-vote start.
+        EM runs over the matrix's distinct vote rows, weighted by their
+        counts (:func:`repro.numerics.em.vote_patterns`).  ``warm_start`` (a
+        previous fit's :meth:`export_warm_start`) seeds the initial
+        responsibilities from the carried CPTs of every column the payload's
+        map covers; columns new to this fit receive their CPTs from the
+        first M-step under those responsibilities.  An inapplicable payload
+        falls back to the cold jittered-majority-vote start.
         """
+        self._fit_posterior = None
         matrix = self._validate_matrix(label_matrix)
         n_instances, n_lfs = matrix.shape
 
@@ -117,8 +131,9 @@ class GenerativeLabelModel(BaseLabelModel):
             self.warm_started_ = False
             return self
 
+        patterns, inverse, counts = vote_patterns(matrix, self.n_classes)
         # Outcome encoding: column 0 = abstain, column 1+c = vote for class c.
-        outcomes = self._encode(matrix)
+        outcomes = self._encode(patterns)
 
         responsibilities = None
         applicable = self._check_warm_start(warm_start, n_lfs)
@@ -134,21 +149,21 @@ class GenerativeLabelModel(BaseLabelModel):
                     outcomes[:, mapped], carried[column_map[mapped]]
                 )
         self.warm_started_ = responsibilities is not None
-        if responsibilities is None:
-            rng = ensure_rng(self.random_state)
-            cold_start = self._initial_responsibilities(matrix, rng)
-            responsibilities, warm_reference = cold_start, False
-        else:
-            warm_reference = True
-
-        masks = generative_masks(outcomes, self.n_classes + 1)
-        log_priors = np.log(np.clip(self.class_priors_, 1e-12, 1.0))
-
         # A warm initialisation is already a model posterior, so it is a valid
         # convergence reference: a refit of an (almost) converged model can
         # stop after a single EM iteration.  The cold jittered-majority-vote
         # start is not a posterior, hence previous=None there.
-        previous = responsibilities if warm_reference else None
+        previous = responsibilities
+        if responsibilities is None:
+            rng = ensure_rng(self.random_state)
+            mass = pattern_sums(
+                self._initial_responsibilities(matrix, rng), inverse, len(counts)
+            )
+        else:
+            mass = counts[:, None] * responsibilities
+
+        masks = generative_masks(outcomes, self.n_classes + 1)
+        log_priors = np.log(np.clip(self.class_priors_, 1e-12, 1.0))
         stopper = RelativeLossStop(self.early_stop_rtol) if self.early_stop else None
 
         cpts = None
@@ -157,27 +172,33 @@ class GenerativeLabelModel(BaseLabelModel):
         self.final_loss_ = None
         for iteration in range(1, self.max_iter + 1):
             cpts, responsibilities, loss = generative_step(
-                masks, responsibilities, log_priors, self.smoothing
+                masks, mass, counts, log_priors, self.smoothing
             )
+            mass = counts[:, None] * responsibilities
             self.n_iter_ = iteration
-            self.final_loss_ = float(loss)
+            self.final_loss_ = loss
             if stopper is not None:
                 if stopper.update(self.final_loss_):
                     self.converged_ = True
                     break
             else:
                 if previous is not None:
-                    change = float(np.mean(np.abs(responsibilities - previous)))
-                    if change < self.tol:
+                    if mean_abs_change(responsibilities, previous, counts) < self.tol:
                         self.converged_ = True
                         break
                 previous = responsibilities
         self.cpts_ = cpts
+        # The last E-step ran under exactly these CPTs, so it is
+        # predict_proba's pattern posterior for this matrix.
+        self._keep_fit_posterior(responsibilities, ~np.any(outcomes, axis=1), inverse)
         return self
 
     # -------------------------------------------------------------- predict
     def predict_proba(self, label_matrix: np.ndarray) -> np.ndarray:
-        """Posterior class probabilities under the fitted CPTs."""
+        """Posterior class probabilities under the fitted CPTs.
+
+        Computed once per distinct vote row and scattered back to the rows.
+        """
         if not hasattr(self, "cpts_"):
             raise RuntimeError("GenerativeLabelModel is not fitted yet; call fit() first")
         matrix = self._validate_matrix(label_matrix)
@@ -188,12 +209,13 @@ class GenerativeLabelModel(BaseLabelModel):
             )
         if matrix.shape[1] == 0:
             return self._prior_proba(matrix.shape[0])
-        proba = self._posterior(self._encode(matrix), self.cpts_)
+        patterns, inverse, _ = vote_patterns(matrix, self.n_classes)
+        proba = self._posterior(self._encode(patterns), self.cpts_)
         # No LF fired: the posterior is the class prior, not blanket 1/C —
         # a configured non-uniform class_balance must survive the fallback.
-        uncovered = ~np.any(matrix != ABSTAIN, axis=1)
+        uncovered = ~np.any(patterns != ABSTAIN, axis=1)
         proba[uncovered] = self.class_priors_
-        return proba
+        return proba[inverse]
 
     # -------------------------------------------------- derived diagnostics
     @property
@@ -228,23 +250,6 @@ class GenerativeLabelModel(BaseLabelModel):
             counts[:, cls] = np.sum(matrix == cls, axis=1)
         counts += 0.5 + 0.05 * rng.random(counts.shape)
         return counts / counts.sum(axis=1, keepdims=True)
-
-    def _m_step(self, outcomes: np.ndarray, responsibilities: np.ndarray) -> np.ndarray:
-        """Responsibility-weighted outcome counts, one matmul per outcome.
-
-        The per-LF Python loop is replaced with ``n_classes + 1`` BLAS calls
-        of shape ``(n_lfs, n) @ (n, n_classes)`` — one EM iteration is plain
-        O(n * k * C) numpy work.
-        """
-        n_outcomes = self.n_classes + 1
-        masks = generative_masks(outcomes, n_outcomes)
-        cpts = np.stack(
-            [masks[outcome].T @ responsibilities for outcome in range(n_outcomes)],
-            axis=2,
-        )
-        cpts += self.smoothing
-        cpts /= cpts.sum(axis=2, keepdims=True)
-        return cpts
 
     def _posterior(self, outcomes: np.ndarray, cpts: np.ndarray) -> np.ndarray:
         """E-step under the given CPTs (shared with the fit loop's step)."""

@@ -37,7 +37,14 @@ import numpy as np
 from repro.label_models.base import BaseLabelModel, LabelModelWarmStart
 from repro.labeling.lf import ABSTAIN
 from repro.numerics import RelativeLossStop
-from repro.numerics.em import metal_masks, metal_posterior, metal_step
+from repro.numerics.em import (
+    mean_abs_change,
+    metal_masks,
+    metal_posterior,
+    metal_step,
+    pattern_sums,
+    vote_patterns,
+)
 from repro.utils.rng import RandomState, ensure_rng
 
 
@@ -68,8 +75,8 @@ class MeTaLLabelModel(BaseLabelModel):
     early_stop:
         Replace the absolute responsibility-change criterion with adaptive
         early stopping on the *relative* change of the mean per-instance
-        negative log-likelihood.  ``False`` (default) keeps the historical
-        semantics exactly.
+        negative log-likelihood.  ``False`` (default) keeps the fixed
+        ``max_iter`` budget with the absolute-change stop at ``tol``.
     early_stop_rtol:
         Relative loss-change threshold of the early-stop rule.
     """
@@ -88,6 +95,9 @@ class MeTaLLabelModel(BaseLabelModel):
         early_stop_rtol: float = 1e-5,
     ):
         super().__init__(n_classes=n_classes)
+        if max_iter < 1:
+            # A fit ends on its last E-step's posterior; zero steps leave none.
+            raise ValueError("max_iter must be >= 1")
         if not 0.5 < prior_accuracy < 1.0:
             raise ValueError("prior_accuracy must be in (0.5, 1.0)")
         low, high = accuracy_bounds
@@ -119,13 +129,16 @@ class MeTaLLabelModel(BaseLabelModel):
     ) -> "MeTaLLabelModel":
         """Estimate per-LF accuracies and class-conditional propensities by EM.
 
-        ``warm_start`` (a previous fit's :meth:`export_warm_start`) seeds the
+        EM runs over the matrix's distinct vote rows, weighted by their
+        counts (:func:`repro.numerics.em.vote_patterns`).  ``warm_start`` (a
+        previous fit's :meth:`export_warm_start`) seeds the
         accuracies/propensities of every column the payload's map covers and
         the initial responsibilities are the posterior under those carried
         parameters; columns new to this fit keep the cold prior-accuracy /
         marginal-firing initialisation.  An inapplicable payload falls back
         to the cold jittered-majority-vote start.
         """
+        self._fit_posterior = None
         matrix = self._validate_matrix(label_matrix)
         n_instances, n_lfs = matrix.shape
         self.n_lfs_ = n_lfs
@@ -143,6 +156,7 @@ class MeTaLLabelModel(BaseLabelModel):
             self.warm_started_ = False
             return self
 
+        patterns, inverse, counts = vote_patterns(matrix, self.n_classes)
         self.accuracies_ = np.full(n_lfs, self.prior_accuracy)
         marginal_fire = np.clip(np.mean(matrix != ABSTAIN, axis=0), 1e-3, 1.0)
         self.propensities_ = np.tile(marginal_fire[:, None], (1, self.n_classes))
@@ -162,25 +176,27 @@ class MeTaLLabelModel(BaseLabelModel):
                 mapped = column_map >= 0
                 self.accuracies_[mapped] = carried_acc[column_map[mapped]]
                 self.propensities_[mapped] = carried_prop[column_map[mapped]]
-                responsibilities = self._posterior(matrix)
+                responsibilities = self._posterior(patterns)
         self.warm_started_ = responsibilities is not None
-        warm_reference = responsibilities is not None
-        if responsibilities is None:
-            rng = ensure_rng(self.random_state)
-            responsibilities = self._initial_responsibilities(matrix, rng)
-
-        fired, not_fired, vote_masks, vote_index = metal_masks(
-            matrix, self.n_classes, ABSTAIN
-        )
-        never_fired = ~(matrix != ABSTAIN).any(axis=0)
-        log_priors = np.log(np.clip(self.class_priors_, 1e-12, 1.0))
-        low, high = self.accuracy_bounds
-
         # A warm initialisation is already a model posterior, so it is a valid
         # convergence reference: a refit of an (almost) converged model can
         # stop after a single EM iteration.  The cold jittered-majority-vote
         # start is not a posterior, hence previous=None there.
-        previous = responsibilities if warm_reference else None
+        previous = responsibilities
+        if responsibilities is None:
+            rng = ensure_rng(self.random_state)
+            mass = pattern_sums(
+                self._initial_responsibilities(matrix, rng), inverse, len(counts)
+            )
+        else:
+            mass = counts[:, None] * responsibilities
+
+        fired, not_fired, vote_masks, vote_index = metal_masks(
+            patterns, self.n_classes, ABSTAIN
+        )
+        never_fired = ~fired.any(axis=0)
+        log_priors = np.log(np.clip(self.class_priors_, 1e-12, 1.0))
+        low, high = self.accuracy_bounds
         stopper = RelativeLossStop(self.early_stop_rtol) if self.early_stop else None
 
         accuracies = propensities = None
@@ -190,29 +206,35 @@ class MeTaLLabelModel(BaseLabelModel):
         for iteration in range(1, self.max_iter + 1):
             accuracies, propensities, responsibilities, loss = metal_step(
                 fired, not_fired, vote_masks, vote_index, never_fired,
-                responsibilities, log_priors, self.smoothing,
+                mass, counts, log_priors, self.smoothing,
                 self.prior_accuracy, low, high,
             )
+            mass = counts[:, None] * responsibilities
             self.n_iter_ = iteration
-            self.final_loss_ = float(loss)
+            self.final_loss_ = loss
             if stopper is not None:
                 if stopper.update(self.final_loss_):
                     self.converged_ = True
                     break
             else:
                 if previous is not None:
-                    change = float(np.mean(np.abs(responsibilities - previous)))
-                    if change < self.tol:
+                    if mean_abs_change(responsibilities, previous, counts) < self.tol:
                         self.converged_ = True
                         break
                 previous = responsibilities
         self.accuracies_ = accuracies
         self.propensities_ = propensities
+        # The last E-step ran under exactly these parameters, so it is
+        # predict_proba's pattern posterior for this matrix.
+        self._keep_fit_posterior(responsibilities, ~fired.any(axis=1), inverse)
         return self
 
     # -------------------------------------------------------------- predict
     def predict_proba(self, label_matrix: np.ndarray) -> np.ndarray:
-        """Posterior class probabilities under the fitted parameters."""
+        """Posterior class probabilities under the fitted parameters.
+
+        Computed once per distinct vote row and scattered back to the rows.
+        """
         if not hasattr(self, "accuracies_"):
             raise RuntimeError("MeTaLLabelModel is not fitted yet; call fit() first")
         matrix = self._validate_matrix(label_matrix)
@@ -223,12 +245,13 @@ class MeTaLLabelModel(BaseLabelModel):
             )
         if self.n_lfs_ == 0:
             return self._prior_proba(matrix.shape[0])
-        proba = self._posterior(matrix)
+        patterns, inverse, _ = vote_patterns(matrix, self.n_classes)
+        proba = self._posterior(patterns)
         # No LF fired: the posterior is the class prior, not blanket 1/C —
         # a configured non-uniform class_balance must survive the fallback.
-        uncovered = ~np.any(matrix != ABSTAIN, axis=1)
+        uncovered = ~np.any(patterns != ABSTAIN, axis=1)
         proba[uncovered] = self.class_priors_
-        return proba
+        return proba[inverse]
 
     # ------------------------------------------------------------- internals
     def _initial_responsibilities(
@@ -240,50 +263,16 @@ class MeTaLLabelModel(BaseLabelModel):
         counts += 0.5 + 0.05 * rng.random(counts.shape)
         return counts / counts.sum(axis=1, keepdims=True)
 
-    def _posterior(self, matrix: np.ndarray) -> np.ndarray:
-        """E-step under the fitted parameters (shared with the fit loop's step)."""
+    def _posterior(self, patterns: np.ndarray) -> np.ndarray:
+        """E-step of vote rows under the fitted parameters (shared with the fit loop's step)."""
         return metal_posterior(
-            matrix,
+            patterns,
             ABSTAIN,
             self.accuracies_,
             self.propensities_,
             self.class_priors_,
             self.n_classes,
         )
-
-    def _m_step(self, matrix: np.ndarray, responsibilities: np.ndarray) -> None:
-        """M-step: re-estimate accuracies (clamped) and class-conditional propensities.
-
-        Vectorised over LFs: the fired-vote masses are one ``(k, n) @ (n, C)``
-        matmul and the agreement weights one ``take_along_axis`` gather.
-        """
-        low, high = self.accuracy_bounds
-        fired = matrix != ABSTAIN
-        fired_f = fired.astype(float)
-        class_mass = responsibilities.sum(axis=0) + 1e-12
-        fired_mass = fired_f.T @ responsibilities
-        self.propensities_ = np.clip(
-            (fired_mass + self.smoothing * 0.1)
-            / (class_mass[None, :] + self.smoothing * 0.2),
-            1e-4,
-            1.0 - 1e-4,
-        )
-        # responsibilities[i, votes[i, j]] for every (instance, LF) pair; the
-        # clip only feeds abstains a valid index, their weight is masked out.
-        agree_weight = np.take_along_axis(
-            responsibilities, np.clip(matrix, 0, None), axis=1
-        )
-        expected_correct = (fired_f * agree_weight).sum(axis=0)
-        total = fired_mass.sum(axis=1)
-        accuracy = np.clip(
-            (expected_correct + self.smoothing * self.prior_accuracy)
-            / (total + self.smoothing),
-            low,
-            high,
-        )
-        # LFs that never fire carry no evidence; keep the prior accuracy.
-        accuracy[~fired.any(axis=0)] = self.prior_accuracy
-        self.accuracies_ = accuracy
 
     def _warm_start_params(self) -> dict | None:
         if not hasattr(self, "accuracies_") or self.accuracies_.shape[0] == 0:

@@ -7,7 +7,8 @@ test suites spawning all of the above — needs the same three pieces of
 setup, which had accumulated by copy-paste:
 
 * :func:`subprocess_env` — an environment in which the child resolves
-  ``repro`` the same way this process did (PYTHONPATH propagation);
+  ``repro`` the same way this process did (PYTHONPATH propagation) and
+  runs its BLAS on one thread unless told otherwise;
 * :func:`fleet_paths` — the conventional spool/cache directory layout under
   one shared work directory;
 * :func:`worker_command` / :func:`supervisor_command` — the daemon argv
@@ -24,6 +25,9 @@ import os
 import sys
 from pathlib import Path
 
+#: Thread-count variables of the BLAS builds numpy may link against.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 def subprocess_env(extra: dict[str, str] | None = None) -> dict[str, str]:
     """Environment for fresh-interpreter ``repro`` subprocesses.
@@ -33,11 +37,19 @@ def subprocess_env(extra: dict[str, str] | None = None) -> dict[str, str]:
     it the same way this process did — whether the parent was launched via
     ``PYTHONPATH=src``, an editable install, or anything else.  *extra*
     entries are merged on top of the inherited environment.
+
+    ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS``
+    default to ``"1"``: a fleet runs one trial per process, and the trials'
+    small matrices only lose time to a second BLAS thread competing with the
+    other workers for the cores.  A value set in the inherited environment
+    or in *extra* is kept.
     """
     src_dir = str(Path(__file__).resolve().parents[2])
     env = dict(os.environ)
     if extra:
         env.update(extra)
+    for variable in BLAS_THREAD_VARIABLES:
+        env.setdefault(variable, "1")
     paths = env.get("PYTHONPATH", "")
     if src_dir not in paths.split(os.pathsep):
         env["PYTHONPATH"] = src_dir + (os.pathsep + paths if paths else "")

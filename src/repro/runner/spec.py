@@ -46,7 +46,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #:    old one on every selected Markov blanket, not bit for bit.
 #: 6: each glasso column's lasso is solved by feature-sign search to an exact
 #:    KKT point instead of to the coordinate-descent tolerance.
-CACHE_FORMAT_VERSION = 6
+#: 7: label-model EM runs over distinct vote patterns weighted by their
+#:    counts; ``lm_final_loss`` moves in its last bits.
+CACHE_FORMAT_VERSION = 7
 
 
 def canonical_value(obj):

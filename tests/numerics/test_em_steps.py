@@ -1,12 +1,20 @@
-"""Tests for the EM step functions and the relative-loss stopping rule."""
+"""Tests for the EM step functions and the relative-loss stopping rule.
+
+The full-row steps are the test oracle in ``tests/label_models/reference_em.py``;
+the property tests below pin them, and ``TestPatternStepsMatchOracle`` pins
+the production pattern steps of :mod:`repro.numerics.em` against them.
+"""
+
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.label_models import GenerativeLabelModel, MeTaLLabelModel
-from repro.labeling.lf import ABSTAIN
-from repro.numerics import RelativeLossStop, relative_change
-from repro.numerics.em import (
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "label_models"))
+
+import reference_em  # noqa: E402
+from reference_em import (  # noqa: E402
     generative_masks,
     generative_posterior,
     generative_step,
@@ -14,6 +22,10 @@ from repro.numerics.em import (
     metal_posterior,
     metal_step,
 )
+
+from repro.label_models import GenerativeLabelModel, MeTaLLabelModel  # noqa: E402
+from repro.labeling.lf import ABSTAIN  # noqa: E402
+from repro.numerics import RelativeLossStop, em, relative_change  # noqa: E402
 
 N_CLASSES = 2
 
@@ -40,7 +52,7 @@ class TestStepsMatchModels:
         )
 
     def test_generative_step_composes_m_then_e(self, matrix):
-        model = GenerativeLabelModel(n_classes=N_CLASSES).fit(matrix)
+        model = reference_em.GenerativeLabelModel(n_classes=N_CLASSES).fit(matrix)
         outcomes = np.where(matrix == ABSTAIN, 0, matrix + 1)
         resp = model._posterior(outcomes, model.cpts_)
         log_priors = np.log(np.clip(model.class_priors_, 1e-12, 1.0))
@@ -78,12 +90,75 @@ class TestStepsMatchModels:
             resp, np.log(np.clip(model.class_priors_, 1e-12, 1.0)),
             model.smoothing, model.prior_accuracy, low, high,
         )
-        reference = MeTaLLabelModel(n_classes=N_CLASSES)
+        reference = reference_em.MeTaLLabelModel(n_classes=N_CLASSES)
         reference.class_priors_ = model.class_priors_
         reference._m_step(matrix, resp)
         np.testing.assert_allclose(acc, reference.accuracies_, atol=1e-15)
         np.testing.assert_allclose(prop, reference.propensities_, atol=1e-15)
         np.testing.assert_allclose(new_resp, reference._posterior(matrix), atol=1e-15)
+
+
+class TestPatternStepsMatchOracle:
+    """One pattern step from pattern mass equals one full-row step from rows."""
+
+    @pytest.fixture()
+    def repeated(self, matrix):
+        # Every row three times, shuffled: the pattern mass sums distinct rows.
+        rng = np.random.default_rng(21)
+        return np.repeat(matrix, 3, axis=0)[rng.permutation(3 * matrix.shape[0])]
+
+    def test_generative_step(self, repeated):
+        rng = np.random.default_rng(22)
+        resp = rng.dirichlet(np.ones(N_CLASSES), size=repeated.shape[0])
+        log_priors = np.log(np.full(N_CLASSES, 1.0 / N_CLASSES))
+        outcomes = np.where(repeated == ABSTAIN, 0, repeated + 1)
+        patterns, inverse, counts = em.vote_patterns(repeated, N_CLASSES)
+        pattern_masks = em.generative_masks(
+            np.where(patterns == ABSTAIN, 0, patterns + 1), N_CLASSES + 1
+        )
+
+        cpts, pattern_resp, loss = em.generative_step(
+            pattern_masks, em.pattern_sums(resp, inverse, len(counts)), counts,
+            log_priors, 1.0,
+        )
+        expected_cpts, expected_resp, expected_loss = generative_step(
+            generative_masks(outcomes, N_CLASSES + 1), resp, log_priors, 1.0
+        )
+
+        np.testing.assert_allclose(cpts, expected_cpts, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pattern_resp[inverse], expected_resp, rtol=0, atol=1e-12)
+        assert loss == pytest.approx(expected_loss, rel=1e-12)
+
+    def test_metal_step(self, repeated):
+        rng = np.random.default_rng(23)
+        resp = rng.dirichlet(np.ones(N_CLASSES), size=repeated.shape[0])
+        log_priors = np.log(np.full(N_CLASSES, 1.0 / N_CLASSES))
+        patterns, inverse, counts = em.vote_patterns(repeated, N_CLASSES)
+        masks = em.metal_masks(patterns, N_CLASSES, ABSTAIN)
+        never_fired = ~masks[0].any(axis=0)
+
+        acc, prop, pattern_resp, loss = em.metal_step(
+            *masks, never_fired, em.pattern_sums(resp, inverse, len(counts)), counts,
+            log_priors, 1.0, 0.7, 0.55, 0.98,
+        )
+        expected = metal_step(
+            *metal_masks(repeated, N_CLASSES, ABSTAIN), never_fired, resp,
+            log_priors, 1.0, 0.7, 0.55, 0.98,
+        )
+
+        np.testing.assert_allclose(acc, expected[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(prop, expected[1], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pattern_resp[inverse], expected[2], rtol=0, atol=1e-12)
+        assert loss == pytest.approx(expected[3], rel=1e-12)
+
+    def test_mean_abs_change_is_the_full_row_mean(self, repeated):
+        rng = np.random.default_rng(24)
+        patterns, inverse, counts = em.vote_patterns(repeated, N_CLASSES)
+        new, old = (rng.dirichlet(np.ones(N_CLASSES), size=len(counts)) for _ in range(2))
+
+        assert em.mean_abs_change(new, old, counts) == pytest.approx(
+            np.mean(np.abs(new[inverse] - old[inverse])), rel=1e-12
+        )
 
 
 class TestRelativeLossStop:

@@ -18,6 +18,7 @@ from repro.runner import (
     supervisor_command,
     worker_command,
 )
+from repro.runner.fleet import BLAS_THREAD_VARIABLES
 
 SRC_DIR = str(Path(subprocess_env.__code__.co_filename).resolve().parents[2])
 
@@ -43,6 +44,24 @@ class TestSubprocessEnv:
         env = subprocess_env(extra={"REPRO_FLEET_TEST_SENTINEL": "1"})
         assert env["REPRO_FLEET_TEST_SENTINEL"] == "1"
         assert os.environ.get("REPRO_FLEET_TEST_SENTINEL") is None
+
+    def test_blas_threads_default_to_one(self, monkeypatch):
+        for variable in BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(variable, raising=False)
+        env = subprocess_env()
+        assert {variable: env[variable] for variable in BLAS_THREAD_VARIABLES} == {
+            "OPENBLAS_NUM_THREADS": "1",
+            "OMP_NUM_THREADS": "1",
+            "MKL_NUM_THREADS": "1",
+        }
+
+    def test_blas_threads_keep_the_callers_value(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        env = subprocess_env(extra={"OMP_NUM_THREADS": "2"})
+        assert env["OPENBLAS_NUM_THREADS"] == "4"
+        assert env["OMP_NUM_THREADS"] == "2"
+        assert env["MKL_NUM_THREADS"] == "1"
 
     def test_child_interpreter_resolves_repro(self):
         result = subprocess.run(
