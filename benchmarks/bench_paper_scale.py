@@ -7,7 +7,10 @@ cold-started) in this process.  It reports wall-clock, total EM iterations
 and the *warm-refit rate* (fraction of post-first fits that were
 warm-started), and asserts that the headline metric stays within tolerance,
 that the shipped warm starts actually engage, and that they spend no more EM
-iterations than the cold reference.
+iterations than the cold reference.  When that EM gate fails it prints both
+runs' per-fit EM iterations, and refits every warm fit's matrix of the
+shipped run cold with the production model, printing warm and cold
+``n_iter_`` of the same matrix side by side.
 
 Scaled down by default so it completes in about a minute; environment
 variables restore the paper's protocol:
@@ -37,10 +40,13 @@ from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests" / "core"))
+TESTS = Path(__file__).resolve().parent.parent / "tests"
+sys.path[:0] = [str(TESTS / "core"), str(TESTS / "label_models")]
 
 from reference_cold import cold_pipelines  # noqa: E402
+from reference_em import record_label_model_calls  # noqa: E402
 
+import repro.label_models as label_models  # noqa: E402
 from repro.experiments import EvaluationProtocol  # noqa: E402
 from repro.experiments.protocol import summarize_histories  # noqa: E402
 from repro.runner import run_trial  # noqa: E402
@@ -111,6 +117,35 @@ def _print_em_iterations_per_fit(results) -> None:
         for number, fits in enumerate(_em_iterations_per_fit(result)):
             listed = " ".join(f"{iteration}:{count}" for iteration, count in fits)
             print(f"  {variant:14s} trial {number}: {listed}")
+
+
+def _print_warm_against_cold(job, protocol) -> None:
+    """Refit every warm fit of the shipped trials cold on the same matrix.
+
+    The trials' label-model calls are recorded again in this process; each
+    warm fit is replayed warm and cold (no ``warm_start``) through the
+    production model, so the two ``n_iter_`` compare the same matrix.
+    """
+    print("\nWarm fits refitted cold on the same matrix (fit:warm/cold EM iterations):")
+    for _, spec in expand_jobs([job], protocol):
+        calls = record_label_model_calls(
+            spec.dataset, spec.seed, protocol.dataset_scale, protocol.n_iterations
+        )
+        fits = [call for call in calls if call[0] != "predict_proba"]
+        pairs = []
+        for number, (_, name, params, matrix, warm_start) in enumerate(fits, start=1):
+            model_class = getattr(label_models, name)
+            warm = model_class(**params).fit(matrix, warm_start=warm_start)
+            if warm.warm_started_:
+                cold = model_class(**params).fit(matrix)
+                pairs.append((number, warm.n_iter_, cold.n_iter_))
+        listed = " ".join(f"{number}:{warm}/{cold}" for number, warm, cold in pairs)
+        print(f"  seed {spec.seed}: {listed}")
+        print(
+            f"  seed {spec.seed}: warm > cold in {sum(w > c for _, w, c in pairs)} of "
+            f"{len(pairs)} warm fits; EM iterations warm {sum(w for _, w, _ in pairs)},"
+            f" cold {sum(c for _, _, c in pairs)}"
+        )
 
 
 def _warm_rates(results) -> dict[str, tuple[float, int]]:
@@ -205,6 +240,7 @@ def test_paper_scale_warm_vs_cold(
     assert abs(shipped["accuracy"] - reference["accuracy"]) <= ACCURACY_TOLERANCE
     if shipped["em_iterations"] > reference["em_iterations"]:
         _print_em_iterations_per_fit(results)
+        _print_warm_against_cold(job, paper_protocol)
     assert shipped["em_iterations"] <= reference["em_iterations"]
 
     # The reference never warm-starts; the shipped warm refits must actually

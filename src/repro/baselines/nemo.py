@@ -110,5 +110,4 @@ class NemoPipeline(InteractivePipeline):
 
     def _retrain(self) -> None:
         self.label_model = get_label_model(self.label_model_name, n_classes=self.n_classes)
-        self.label_model.fit(self._train_matrix)
-        self._lm_proba = self.label_model.predict_proba(self._train_matrix)
+        self._lm_proba = self.label_model.fit_predict_proba(self._train_matrix)

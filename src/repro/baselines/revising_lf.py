@@ -138,5 +138,4 @@ class RevisingLFPipeline(InteractivePipeline):
             self._lm_proba = None
             return
         self.label_model = get_label_model(self.label_model_name, n_classes=self.n_classes)
-        self.label_model.fit(self._matrix)
-        self._lm_proba = self.label_model.predict_proba(self._matrix)
+        self._lm_proba = self.label_model.fit_predict_proba(self._matrix)

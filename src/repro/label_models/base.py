@@ -6,16 +6,25 @@ previous fit is an excellent EM initialiser for the next one; the
 :class:`LabelModelWarmStart` payload carries a fitted model's parameters
 (plus a column map aligning them with the new matrix) into the next
 ``fit(matrix, warm_start=...)`` call.
+
+:class:`EMLabelModel` is the one EM fit both EM models run: validation, the
+cold start, the loop with its two stopping rules and the pattern
+``predict_proba`` path.  A subclass supplies only its parameters and their
+EM step.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from repro.labeling.lf import ABSTAIN
+from repro.numerics import RelativeLossStop
+from repro.numerics.em import mean_abs_change, pattern_sums, vote_patterns
+from repro.utils.rng import RandomState, ensure_rng
 
 
 @dataclass(frozen=True)
@@ -162,16 +171,6 @@ class BaseLabelModel(abc.ABC):
         pattern_proba, inverse = kept
         return pattern_proba[inverse]
 
-    def _keep_fit_posterior(
-        self, pattern_proba: np.ndarray, uncovered: np.ndarray, inverse: np.ndarray
-    ) -> None:
-        """Keep a fit's final pattern posterior for :meth:`fit_predict_proba`.
-
-        Uncovered patterns get the class prior, as in ``predict_proba``.
-        """
-        pattern_proba[uncovered] = self.class_priors_
-        self._fit_posterior = (pattern_proba, inverse)
-
     def predict(self, label_matrix: np.ndarray, abstain_uncovered: bool = False) -> np.ndarray:
         """Return hard labels; optionally abstain on fully-uncovered rows."""
         label_matrix = self._validate_matrix(label_matrix)
@@ -196,16 +195,209 @@ class BaseLabelModel(abc.ABC):
             )
         return matrix
 
-    def _uniform(self, n_instances: int) -> np.ndarray:
-        return np.full((n_instances, self.n_classes), 1.0 / self.n_classes)
 
-    def _prior_proba(self, n_instances: int) -> np.ndarray:
-        """Rows of the fitted class prior — the fallback for uncovered instances.
+class EMLabelModel(BaseLabelModel):
+    """A label model fitted by EM over the label matrix's distinct vote rows.
 
-        Uniform when no ``class_balance`` was configured, so the historical
-        ``1/C`` fill is unchanged in the default configuration.
+    :meth:`fit` and :meth:`predict_proba` are defined here once.  A subclass
+    holds its own fitted parameters and supplies what differs:
+
+    * :meth:`_em_step` — the fit's loop-invariant masks and one EM iteration
+      over them (an M-step from pattern mass, then the E-step), which stores
+      the new parameters on the model;
+    * :meth:`_pattern_posterior` — the E-step of vote rows under the fitted
+      parameters;
+    * :meth:`_warm_posterior` — how a warm start's carried parameters map
+      onto a new fit, as the posterior they give its patterns;
+    * :meth:`_set_empty_params` and :meth:`_warm_start_params` — the fitted
+      parameters of a matrix without rows or LFs, and the warm-start export.
+
+    The constructor parameters shared by the EM models (``max_iter``,
+    ``tol``, ``smoothing``, ``class_balance``, ``random_state``,
+    ``early_stop``, ``early_stop_rtol``) are documented on the subclasses.
+    """
+
+    def __init__(
+        self,
+        n_classes: int = 2,
+        max_iter: int = 100,
+        tol: float = 1e-5,
+        smoothing: float = 1.0,
+        class_balance: np.ndarray | None = None,
+        random_state: RandomState = 0,
+        early_stop: bool = False,
+        early_stop_rtol: float = 1e-5,
+    ):
+        super().__init__(n_classes=n_classes)
+        if max_iter < 1:
+            # A fit ends on its last E-step's posterior; zero steps leave none.
+            raise ValueError("max_iter must be >= 1")
+        self.max_iter = max_iter
+        self.tol = tol
+        self.smoothing = smoothing
+        self.random_state = random_state
+        self.early_stop = early_stop
+        self.early_stop_rtol = early_stop_rtol
+        if class_balance is not None:
+            class_balance = np.asarray(class_balance, dtype=float)
+            if class_balance.shape != (n_classes,):
+                raise ValueError("class_balance must have shape (n_classes,)")
+            if np.any(class_balance <= 0):
+                raise ValueError("class_balance entries must be positive")
+            class_balance = class_balance / class_balance.sum()
+        self.class_balance = class_balance
+
+    # ------------------------------------------------------------------ fit
+    def fit(
+        self,
+        label_matrix: np.ndarray,
+        warm_start: LabelModelWarmStart | None = None,
+        **kwargs,
+    ) -> "EMLabelModel":
+        """Fit the model's parameters by EM with the class balance held fixed.
+
+        EM runs over the matrix's distinct vote rows, weighted by their
+        counts (:func:`repro.numerics.em.vote_patterns`).  ``warm_start`` (a
+        previous fit's :meth:`export_warm_start`) seeds the initial
+        responsibilities with the posterior under the carried parameters of
+        every column the payload's map covers.  An inapplicable payload falls
+        back to the cold jittered-majority-vote start.
+
+        The loop stops on the relative change of the mean per-instance
+        negative log-likelihood when ``early_stop`` is set, and otherwise
+        when the mean absolute responsibility change drops below ``tol``, or
+        after ``max_iter`` iterations.
         """
-        priors = getattr(self, "class_priors_", None)
-        if priors is None:
-            return self._uniform(n_instances)
-        return np.tile(np.asarray(priors, dtype=float), (n_instances, 1))
+        self._fit_posterior = None
+        matrix = self._validate_matrix(label_matrix)
+        n_instances, n_lfs = matrix.shape
+        self.n_lfs_ = n_lfs
+        self.class_priors_ = (
+            self.class_balance
+            if self.class_balance is not None
+            else np.full(self.n_classes, 1.0 / self.n_classes)
+        )
+        self.n_iter_ = 0
+        self.final_loss_ = None
+        if n_lfs == 0 or n_instances == 0:
+            self._set_empty_params(n_lfs)
+            self.converged_ = True
+            self.warm_started_ = False
+            return self
+
+        patterns, inverse, counts = vote_patterns(matrix, self.n_classes)
+        applicable = self._check_warm_start(warm_start, n_lfs)
+        responsibilities = None
+        if applicable is not None:
+            responsibilities = self._warm_posterior(*applicable, matrix, patterns)
+        self.warm_started_ = responsibilities is not None
+        # A warm initialisation is already a model posterior, so it is a valid
+        # convergence reference: a refit of an (almost) converged model can
+        # stop after a single EM iteration.  The cold jittered-majority-vote
+        # start is not a posterior, hence previous=None there.
+        previous = responsibilities
+        if responsibilities is None:
+            rng = ensure_rng(self.random_state)
+            mass = pattern_sums(
+                self._initial_responsibilities(matrix, rng), inverse, len(counts)
+            )
+        else:
+            mass = counts[:, None] * responsibilities
+
+        step = self._em_step(patterns, np.log(np.clip(self.class_priors_, 1e-12, 1.0)))
+        stopper = RelativeLossStop(self.early_stop_rtol) if self.early_stop else None
+        self.converged_ = False
+        for iteration in range(1, self.max_iter + 1):
+            responsibilities, self.final_loss_ = step(mass, counts)
+            mass = counts[:, None] * responsibilities
+            self.n_iter_ = iteration
+            if stopper is not None:
+                converged = stopper.update(self.final_loss_)
+            else:
+                converged = (
+                    previous is not None
+                    and mean_abs_change(responsibilities, previous, counts) < self.tol
+                )
+                previous = responsibilities
+            if converged:
+                self.converged_ = True
+                break
+        # The last E-step ran under exactly the fitted parameters, so it is
+        # predict_proba's pattern posterior for this matrix: keep it for
+        # fit_predict_proba, uncovered patterns set to the prior as there.
+        responsibilities[~np.any(patterns != ABSTAIN, axis=1)] = self.class_priors_
+        self._fit_posterior = (responsibilities, inverse)
+        return self
+
+    # -------------------------------------------------------------- predict
+    def predict_proba(self, label_matrix: np.ndarray) -> np.ndarray:
+        """Posterior class probabilities under the fitted parameters.
+
+        Computed once per distinct vote row and scattered back to the rows.
+        """
+        if not hasattr(self, "n_lfs_"):
+            raise RuntimeError(
+                f"{type(self).__name__} is not fitted yet; call fit() first"
+            )
+        matrix = self._validate_matrix(label_matrix)
+        if matrix.shape[1] != self.n_lfs_:
+            raise ValueError(
+                f"label_matrix has {matrix.shape[1]} LF columns, model was "
+                f"fitted with {self.n_lfs_}"
+            )
+        if self.n_lfs_ == 0:
+            return self._prior_proba(matrix.shape[0])
+        patterns, inverse, _ = vote_patterns(matrix, self.n_classes)
+        proba = self._pattern_posterior(patterns)
+        # No LF fired: the posterior is the class prior, not blanket 1/C —
+        # a configured non-uniform class_balance must survive the fallback.
+        proba[~np.any(patterns != ABSTAIN, axis=1)] = self.class_priors_
+        return proba[inverse]
+
+    # ------------------------------------------------------------- internals
+    def _prior_proba(self, n_instances: int) -> np.ndarray:
+        """Rows of the fitted class prior: the posterior of a row no LF votes on."""
+        return np.tile(self.class_priors_, (n_instances, 1))
+
+    def _initial_responsibilities(
+        self, matrix: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        """Cold start: per-row class vote counts, plus 0.5 and a jitter, normalised."""
+        counts = np.zeros((matrix.shape[0], self.n_classes))
+        for cls in range(self.n_classes):
+            counts[:, cls] = np.sum(matrix == cls, axis=1)
+        counts += 0.5 + 0.05 * rng.random(counts.shape)
+        return counts / counts.sum(axis=1, keepdims=True)
+
+    @abc.abstractmethod
+    def _set_empty_params(self, n_lfs: int) -> None:
+        """Store the fitted parameters of a matrix without rows or LFs."""
+
+    @abc.abstractmethod
+    def _warm_posterior(
+        self,
+        params: dict,
+        column_map: np.ndarray,
+        matrix: np.ndarray,
+        patterns: np.ndarray,
+    ) -> np.ndarray | None:
+        """Posterior of *patterns* under a warm start's carried parameters.
+
+        *params* and *column_map* come from :meth:`_check_warm_start`.
+        ``None`` when the carried parameters do not fit this model's shapes,
+        which makes the fit start cold.
+        """
+
+    @abc.abstractmethod
+    def _em_step(
+        self, patterns: np.ndarray, log_priors: np.ndarray
+    ) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, float]]:
+        """One EM iteration over *patterns*, as ``step(mass, counts)``.
+
+        The step stores the parameters its M-step estimates on the model and
+        returns the E-step's pattern posterior and the loss under them.
+        """
+
+    @abc.abstractmethod
+    def _pattern_posterior(self, patterns: np.ndarray) -> np.ndarray:
+        """E-step of distinct vote rows under the fitted parameters."""

@@ -23,22 +23,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.label_models.base import BaseLabelModel, LabelModelWarmStart
+from repro.label_models.base import EMLabelModel
 from repro.labeling.lf import ABSTAIN
-from repro.numerics import RelativeLossStop
-from repro.numerics.em import (
-    generative_masks,
-    generative_posterior,
-    generative_step,
-    mean_abs_change,
-    pattern_sums,
-    vote_patterns,
-)
-from repro.utils.rng import RandomState, ensure_rng
+from repro.numerics.em import generative_masks, generative_posterior, generative_step
 
 
-class GenerativeLabelModel(BaseLabelModel):
+class GenerativeLabelModel(EMLabelModel):
     """EM-trained Dawid-Skene label model with abstain-aware CPTs.
+
+    A warm start seeds the initial responsibilities from the carried CPTs of
+    every column the payload's map covers; columns new to the fit receive
+    their CPTs from the first M-step under those responsibilities.
 
     Parameters
     ----------
@@ -67,156 +62,6 @@ class GenerativeLabelModel(BaseLabelModel):
         Relative loss-change threshold of the early-stop rule.
     """
 
-    def __init__(
-        self,
-        n_classes: int = 2,
-        max_iter: int = 100,
-        tol: float = 1e-5,
-        smoothing: float = 1.0,
-        class_balance: np.ndarray | None = None,
-        random_state: RandomState = 0,
-        early_stop: bool = False,
-        early_stop_rtol: float = 1e-5,
-    ):
-        super().__init__(n_classes=n_classes)
-        if max_iter < 1:
-            # A fit ends on its last E-step's posterior; zero steps leave none.
-            raise ValueError("max_iter must be >= 1")
-        self.max_iter = max_iter
-        self.tol = tol
-        self.smoothing = smoothing
-        self.random_state = random_state
-        self.early_stop = early_stop
-        self.early_stop_rtol = early_stop_rtol
-        if class_balance is not None:
-            class_balance = np.asarray(class_balance, dtype=float)
-            if class_balance.shape != (n_classes,):
-                raise ValueError("class_balance must have shape (n_classes,)")
-            if np.any(class_balance <= 0):
-                raise ValueError("class_balance entries must be positive")
-            class_balance = class_balance / class_balance.sum()
-        self.class_balance = class_balance
-
-    # ------------------------------------------------------------------ fit
-    def fit(
-        self,
-        label_matrix: np.ndarray,
-        warm_start: LabelModelWarmStart | None = None,
-        **kwargs,
-    ) -> "GenerativeLabelModel":
-        """Run EM to estimate the per-LF conditional probability tables.
-
-        EM runs over the matrix's distinct vote rows, weighted by their
-        counts (:func:`repro.numerics.em.vote_patterns`).  ``warm_start`` (a
-        previous fit's :meth:`export_warm_start`) seeds the initial
-        responsibilities from the carried CPTs of every column the payload's
-        map covers; columns new to this fit receive their CPTs from the
-        first M-step under those responsibilities.  An inapplicable payload
-        falls back to the cold jittered-majority-vote start.
-        """
-        self._fit_posterior = None
-        matrix = self._validate_matrix(label_matrix)
-        n_instances, n_lfs = matrix.shape
-
-        self.class_priors_ = (
-            self.class_balance
-            if self.class_balance is not None
-            else np.full(self.n_classes, 1.0 / self.n_classes)
-        )
-        if n_lfs == 0 or n_instances == 0:
-            self.cpts_ = np.zeros((n_lfs, self.n_classes, self.n_classes + 1))
-            self.n_iter_ = 0
-            self.converged_ = True
-            self.final_loss_ = None
-            self.warm_started_ = False
-            return self
-
-        patterns, inverse, counts = vote_patterns(matrix, self.n_classes)
-        # Outcome encoding: column 0 = abstain, column 1+c = vote for class c.
-        outcomes = self._encode(patterns)
-
-        responsibilities = None
-        applicable = self._check_warm_start(warm_start, n_lfs)
-        if applicable is not None:
-            params, column_map = applicable
-            carried = np.asarray(params.get("cpts", np.empty((0,))), dtype=float)
-            if carried.ndim == 3 and carried.shape[1:] == (
-                self.n_classes,
-                self.n_classes + 1,
-            ):
-                mapped = column_map >= 0
-                responsibilities = self._posterior(
-                    outcomes[:, mapped], carried[column_map[mapped]]
-                )
-        self.warm_started_ = responsibilities is not None
-        # A warm initialisation is already a model posterior, so it is a valid
-        # convergence reference: a refit of an (almost) converged model can
-        # stop after a single EM iteration.  The cold jittered-majority-vote
-        # start is not a posterior, hence previous=None there.
-        previous = responsibilities
-        if responsibilities is None:
-            rng = ensure_rng(self.random_state)
-            mass = pattern_sums(
-                self._initial_responsibilities(matrix, rng), inverse, len(counts)
-            )
-        else:
-            mass = counts[:, None] * responsibilities
-
-        masks = generative_masks(outcomes, self.n_classes + 1)
-        log_priors = np.log(np.clip(self.class_priors_, 1e-12, 1.0))
-        stopper = RelativeLossStop(self.early_stop_rtol) if self.early_stop else None
-
-        cpts = None
-        self.n_iter_ = 0
-        self.converged_ = False
-        self.final_loss_ = None
-        for iteration in range(1, self.max_iter + 1):
-            cpts, responsibilities, loss = generative_step(
-                masks, mass, counts, log_priors, self.smoothing
-            )
-            mass = counts[:, None] * responsibilities
-            self.n_iter_ = iteration
-            self.final_loss_ = loss
-            if stopper is not None:
-                if stopper.update(self.final_loss_):
-                    self.converged_ = True
-                    break
-            else:
-                if previous is not None:
-                    if mean_abs_change(responsibilities, previous, counts) < self.tol:
-                        self.converged_ = True
-                        break
-                previous = responsibilities
-        self.cpts_ = cpts
-        # The last E-step ran under exactly these CPTs, so it is
-        # predict_proba's pattern posterior for this matrix.
-        self._keep_fit_posterior(responsibilities, ~np.any(outcomes, axis=1), inverse)
-        return self
-
-    # -------------------------------------------------------------- predict
-    def predict_proba(self, label_matrix: np.ndarray) -> np.ndarray:
-        """Posterior class probabilities under the fitted CPTs.
-
-        Computed once per distinct vote row and scattered back to the rows.
-        """
-        if not hasattr(self, "cpts_"):
-            raise RuntimeError("GenerativeLabelModel is not fitted yet; call fit() first")
-        matrix = self._validate_matrix(label_matrix)
-        if matrix.shape[1] != self.cpts_.shape[0]:
-            raise ValueError(
-                f"label_matrix has {matrix.shape[1]} LF columns, model was "
-                f"fitted with {self.cpts_.shape[0]}"
-            )
-        if matrix.shape[1] == 0:
-            return self._prior_proba(matrix.shape[0])
-        patterns, inverse, _ = vote_patterns(matrix, self.n_classes)
-        proba = self._posterior(self._encode(patterns), self.cpts_)
-        # No LF fired: the posterior is the class prior, not blanket 1/C —
-        # a configured non-uniform class_balance must survive the fallback.
-        uncovered = ~np.any(patterns != ABSTAIN, axis=1)
-        proba[uncovered] = self.class_priors_
-        return proba[inverse]
-
     # -------------------------------------------------- derived diagnostics
     @property
     def accuracies_(self) -> np.ndarray:
@@ -241,15 +86,31 @@ class GenerativeLabelModel(BaseLabelModel):
         """Map votes to outcome indices: abstain -> 0, class c -> 1 + c."""
         return np.where(matrix == ABSTAIN, 0, matrix + 1)
 
-    def _initial_responsibilities(
-        self, matrix: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        n_instances = matrix.shape[0]
-        counts = np.zeros((n_instances, self.n_classes))
-        for cls in range(self.n_classes):
-            counts[:, cls] = np.sum(matrix == cls, axis=1)
-        counts += 0.5 + 0.05 * rng.random(counts.shape)
-        return counts / counts.sum(axis=1, keepdims=True)
+    def _set_empty_params(self, n_lfs: int) -> None:
+        self.cpts_ = np.zeros((n_lfs, self.n_classes, self.n_classes + 1))
+
+    def _warm_posterior(self, params, column_map, matrix, patterns):
+        carried = np.asarray(params.get("cpts", np.empty((0,))), dtype=float)
+        if carried.ndim != 3 or carried.shape[1:] != (self.n_classes, self.n_classes + 1):
+            return None
+        mapped = column_map >= 0
+        return self._posterior(
+            self._encode(patterns)[:, mapped], carried[column_map[mapped]]
+        )
+
+    def _em_step(self, patterns, log_priors):
+        masks = generative_masks(self._encode(patterns), self.n_classes + 1)
+
+        def step(mass, counts):
+            self.cpts_, responsibilities, loss = generative_step(
+                masks, mass, counts, log_priors, self.smoothing
+            )
+            return responsibilities, loss
+
+        return step
+
+    def _pattern_posterior(self, patterns: np.ndarray) -> np.ndarray:
+        return self._posterior(self._encode(patterns), self.cpts_)
 
     def _posterior(self, outcomes: np.ndarray, cpts: np.ndarray) -> np.ndarray:
         """E-step under the given CPTs (shared with the fit loop's step)."""

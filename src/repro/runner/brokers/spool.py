@@ -175,6 +175,11 @@ DEFAULT_LEASE_TTL = 60.0
 #: leases it has not started when it shuts down.
 DEFAULT_CLAIM_BATCH = 8
 
+#: :meth:`SpoolBroker.wait`'s first and longest sleep between poll rounds,
+#: in seconds; an idle round grows the sleep 1.5x, a completion resets it.
+_POLL_INITIAL = 0.05
+_POLL_MAX = 1.0
+
 
 def sanitize_token(name: str) -> str:
     """Make *name* safe for shard labels and lease-name components.
@@ -293,10 +298,6 @@ class SpoolStats:
     def renames_per_claim(self) -> float:
         """Average claim renames spent per successful claim."""
         return self.rename_attempts / max(self.claims, 1)
-
-    def listings_per_claim(self) -> float:
-        """Average directory listings spent per successful claim."""
-        return self.listings / max(self.claims, 1)
 
 
 class SpoolBroker:
@@ -589,15 +590,13 @@ class SpoolBroker:
         specs: Sequence[TrialSpec],
         cache: ResultCache,
         timeout: float | None = None,
-        poll_initial: float = 0.05,
-        poll_max: float = 1.0,
         on_result: Callable[[TrialSpec, RunHistory], None] | None = None,
         on_released: Callable[[int], None] | None = None,
     ) -> dict[str, RunHistory]:
         """Block until every spec's result is in *cache*; return key->history.
 
-        Runs :meth:`poll` rounds with exponential backoff (*poll_initial*
-        doubling-ish up to *poll_max* seconds) until nothing is pending.
+        Runs :meth:`poll` rounds with exponential backoff (``_POLL_INITIAL``
+        up to ``_POLL_MAX`` seconds) until nothing is pending.
 
         Raises :class:`RemoteTrialError` as soon as any trial has a failure
         log, and :class:`SpoolTimeout` if *timeout* seconds pass with trials
@@ -613,7 +612,7 @@ class SpoolBroker:
         pending: dict[str, TrialSpec] = {spec.key: spec for spec in specs}
         histories: dict[str, RunHistory] = {}
         deadline = None if timeout is None else time.monotonic() + float(timeout)
-        interval = poll_initial
+        interval = _POLL_INITIAL
         while pending:
             round_ = self.poll(pending, cache)
             for key, history in round_.done.items():
@@ -634,7 +633,7 @@ class SpoolBroker:
             if not pending:
                 break
             if round_.done:
-                interval = poll_initial
+                interval = _POLL_INITIAL
                 continue
             if deadline is not None and time.monotonic() >= deadline:
                 if self._any_fresh_lease(pending):
@@ -650,7 +649,7 @@ class SpoolBroker:
                         "(python -m repro.runner.worker --spool ...)"
                     )
             time.sleep(interval)
-            interval = min(interval * 1.5, poll_max)
+            interval = min(interval * 1.5, _POLL_MAX)
         return histories
 
     # -- snapshots for the poll round ---------------------------------------

@@ -262,17 +262,19 @@ def main(argv: list[str] | None = None) -> int:
                     print(line)
             return 0
         if args.leaderboard:
-            rows = db.leaderboard(
-                metric=args.metric,
-                by=tuple(
-                    name.strip() for name in args.group_by.split(",") if name.strip()
-                ),
-                limit=args.limit,
-                framework=args.framework,
-                dataset=args.dataset,
-                seed=args.seed,
-                where=args.where,
-            )
+            by = tuple(name.strip() for name in args.group_by.split(",") if name.strip())
+            try:
+                rows = db.leaderboard(
+                    metric=args.metric,
+                    by=by,
+                    limit=args.limit,
+                    framework=args.framework,
+                    dataset=args.dataset,
+                    seed=args.seed,
+                    where=args.where,
+                )
+            except ValueError as error:  # an unknown --group-by column
+                parser.error(str(error))
             _emit(rows, args.json)
             return 0
         rows = db.query(

@@ -342,12 +342,6 @@ class RunHistoryDB:
                 ],
             )
 
-    def drop_trial(self, key: str) -> None:
-        """Remove one trial's index rows (its blob vanished or was cleared)."""
-        with self._tx() as conn:
-            conn.execute("DELETE FROM trials WHERE key = ?", (key,))
-            conn.execute("DELETE FROM iterations WHERE key = ?", (key,))
-
     def clear_trials(self) -> int:
         """Drop every trial/iteration row (benchmark trajectory survives)."""
         with self._tx() as conn:
@@ -411,7 +405,6 @@ class RunHistoryDB:
         dataset: str | None = None,
         seed: int | None = None,
         where: str | None = None,
-        order_by: str | None = None,
         limit: int | None = None,
     ) -> list[dict]:
         """Trial rows matching spec-field filters and metric predicates.
@@ -424,8 +417,7 @@ class RunHistoryDB:
         *without unpickling a single blob*.
         """
         clause, params = self._predicates(framework, dataset, seed, where)
-        sql = f"SELECT * FROM trials{clause}"
-        sql += f" ORDER BY {order_by}" if order_by else " ORDER BY dataset, framework, seed"
+        sql = f"SELECT * FROM trials{clause} ORDER BY dataset, framework, seed"
         if limit is not None:
             sql += f" LIMIT {int(limit)}"
         return [dict(row) for row in self._read(sql, params)]
@@ -445,10 +437,17 @@ class RunHistoryDB:
         ``("framework",)`` for a cross-dataset view, ``("framework",
         "dataset")`` for per-cell aggregates); filters are as in
         :meth:`query`.  Each returned dict carries the group columns plus
-        ``n_trials`` / ``mean`` / ``min`` / ``max``.
+        ``n_trials`` / ``mean`` / ``min`` / ``max``.  A name in *by* that is
+        not a ``trials`` column raises :class:`ValueError`: the names are
+        pasted into the SQL, so they are checked against the table first.
         """
         if metric not in TRIAL_METRICS:
             raise ValueError(f"metric must be one of {TRIAL_METRICS}, got {metric!r}")
+        columns = [row["name"] for row in self._read("PRAGMA table_info(trials)")]
+        if not by or not set(by) <= set(columns):
+            raise ValueError(
+                f"group-by columns must be trials columns {columns}, got {list(by)!r}"
+            )
         group = ", ".join(by)
         clause, params = self._predicates(framework, dataset, seed, where)
         rows = self._read(

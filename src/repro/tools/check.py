@@ -32,7 +32,7 @@ import json
 import re
 import sys
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 #: Schema version of the ``--format json`` report.  Bump only with the
 #: consumers (the CI job and the format-stability test).
@@ -373,13 +373,6 @@ def main(argv: list[str] | None = None) -> int:
     return 0 if report.clean else 1
 
 
-def iter_class_defs(tree: ast.AST) -> Iterator[ast.ClassDef]:
-    """Top-level and nested class definitions of a module, in source order."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef):
-            yield node
-
-
 def dotted_name(node: ast.AST) -> str | None:
     """The dotted source form of a Name/Attribute chain (``"time.time"``).
 
@@ -406,25 +399,6 @@ def const_tuple_of(node: ast.AST) -> tuple[str, ...] | None:
             return None
         values.append(element.value)
     return tuple(values)
-
-
-def parse_scoped_sources(
-    root: Path, patterns: Iterable[str]
-) -> list[tuple[str, ast.Module, str]]:
-    """Parse every file matching *patterns* under *root*.
-
-    Returns ``(relpath, tree, source)`` triples sorted by path — the shared
-    discovery helper for cross-file checkers that need several modules at
-    once.
-    """
-    matched: set[Path] = set()
-    for pattern in patterns:
-        matched.update(path for path in root.glob(pattern) if path.is_file())
-    parsed = []
-    for path in sorted(matched):
-        source = path.read_text()
-        parsed.append((path.relative_to(root).as_posix(), ast.parse(source), source))
-    return parsed
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess/CLI tests

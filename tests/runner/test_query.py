@@ -89,6 +89,13 @@ class TestLeaderboard:
             main(["--cache-dir", cache_dir, "--leaderboard",
                   "--metric", "no_such_metric"])
 
+    @pytest.mark.parametrize("group_by", ["nosuch", "framework, 1; select"])
+    def test_unknown_group_by_column_is_a_usage_error(self, cache_dir, capsys, group_by):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--cache-dir", cache_dir, "--leaderboard", "--group-by", group_by])
+        assert exit_info.value.code == 2
+        assert "group-by columns" in capsys.readouterr().err
+
 
 class TestReindex:
     def test_backfills_a_pickle_only_cache(self, cache_dir, capsys):

@@ -228,6 +228,16 @@ class TestIndexedStore:
         assert board[0]["mean"] == pytest.approx(0.85)
         assert board[0]["n_trials"] == 2
 
+    @pytest.mark.parametrize(
+        "by", [("nosuch",), ("framework, 1; select",), ("framework", "seed)"), ()]
+    )
+    def test_aggregate_rejects_unknown_grouping_columns(self, tmp_path, by):
+        store = IndexedResultStore(tmp_path)
+        store.put(_spec(), _history())
+        with pytest.raises(ValueError, match="group-by columns"):
+            store.db.aggregate(by=by)
+        assert store.db.aggregate(by=("framework", "seed"))[0]["n_trials"] == 1
+
     def test_crash_mid_put_diverges_then_reindex_recovers(self, tmp_path, monkeypatch):
         """Blob first, index second: a crash between the two loses only the
         index row, and ``reindex()`` restores consistency from the blobs."""
