@@ -11,7 +11,10 @@ Demonstrates the serving layer over a live worker fleet:
    run of the same canonicalised spec;
 4. repeat the request, then again with a mixed-case dataset name, and
    verify both are served warm from the result store with **zero** new
-   broker enqueues (``/stats`` proves it);
+   broker enqueues (``/stats`` proves it); then repeat it 10 times over one
+   keep-alive connection and require a median round trip of at most
+   20 ms (a response that waits for the client's delayed ACK takes
+   >= 40 ms);
 5. stream LFs into an interactive session, force an eviction to disk
    mid-stream, resume, and verify the final labels match an uninterrupted
    session;
@@ -29,17 +32,25 @@ import argparse
 import json
 import shutil
 import signal
+import statistics
 import subprocess
 import sys
 import tempfile
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
+from http.client import HTTPConnection
 
 from repro.runner import run_trial
 from repro.runner.fleet import fleet_paths, subprocess_env, supervisor_command
 from repro.serving.schemas import canonical_json, label_payload, parse_label_request
 from repro.serving.sessions import LabelingSession
+
+#: Warm repeats over one keep-alive connection, and the median round trip
+#: they must stay under.
+KEEP_ALIVE_REPEATS = 10
+KEEP_ALIVE_MAX_MEDIAN_MS = 20.0
 
 LFS = [
     {"type": "keyword", "keyword": "check", "label": 1},
@@ -70,6 +81,31 @@ def http_raw(base: str, method: str, path: str, body=None) -> bytes:
         request.add_header("Content-Type", "application/json")
     with urllib.request.urlopen(request, timeout=60) as response:
         return response.read()
+
+
+def keep_alive_round_trips(base: str, body, expected: bytes, repeats: int) -> list[float]:
+    """Seconds per ``POST /label`` of *body*, *repeats* times over one connection.
+
+    Each response must be *expected*, byte for byte.
+    """
+    url = urllib.parse.urlsplit(base)
+    connection = HTTPConnection(url.hostname, url.port, timeout=60)
+    data = json.dumps(body).encode("utf-8")
+    seconds = []
+    try:
+        connection.connect()
+        for _ in range(repeats):
+            started = time.perf_counter()
+            connection.request(
+                "POST", "/label", body=data, headers={"Content-Type": "application/json"}
+            )
+            response = connection.getresponse()
+            payload = response.read()
+            seconds.append(time.perf_counter() - started)
+            assert response.status == 200 and payload == expected
+    finally:
+        connection.close()
+    return seconds
 
 
 def start_server(spool: str, cache_dir: str):
@@ -150,6 +186,15 @@ def main() -> None:
         assert stats["requests"]["enqueued"] == 1, stats["requests"]
         assert stats["requests"]["warm_hits"] == 2, stats["requests"]
         print(f"  warm hit; broker enqueues still {stats['requests']['enqueued']}")
+
+        print(f"Repeating it {KEEP_ALIVE_REPEATS} times over one keep-alive connection ...")
+        rounds = keep_alive_round_trips(base, body, served, KEEP_ALIVE_REPEATS)
+        median_ms = 1000 * statistics.median(rounds)
+        assert median_ms <= KEEP_ALIVE_MAX_MEDIAN_MS, (
+            f"median keep-alive warm round trip {median_ms:.1f} ms > "
+            f"{KEEP_ALIVE_MAX_MEDIAN_MS:g} ms: responses wait for the client's delayed ACK"
+        )
+        print(f"  median round trip {median_ms:.2f} ms")
 
         print("Streaming LFs into a session (evict + resume mid-stream) ...")
         _, info = http(

@@ -209,8 +209,9 @@ class EMLabelModel(BaseLabelModel):
       parameters;
     * :meth:`_warm_posterior` — how a warm start's carried parameters map
       onto a new fit, as the posterior they give its patterns;
-    * :meth:`_set_empty_params` and :meth:`_warm_start_params` — the fitted
-      parameters of a matrix without rows or LFs, and the warm-start export.
+    * :meth:`_set_empty_params` and :meth:`_warm_start_params` — the
+      parameters of a fit that estimated nothing (a matrix without rows or
+      LFs), and the warm-start export, which is ``None`` for such a fit.
 
     The constructor parameters shared by the EM models (``max_iter``,
     ``tol``, ``smoothing``, ``class_balance``, ``random_state``,
@@ -280,7 +281,9 @@ class EMLabelModel(BaseLabelModel):
         self.n_iter_ = 0
         self.final_loss_ = None
         if n_lfs == 0 or n_instances == 0:
-            self._set_empty_params(n_lfs)
+            # Nothing to estimate from: no parameters, and predict_proba
+            # answers the prior for every row.
+            self._set_empty_params()
             self.converged_ = True
             self.warm_started_ = False
             return self
@@ -345,7 +348,8 @@ class EMLabelModel(BaseLabelModel):
                 f"label_matrix has {matrix.shape[1]} LF columns, model was "
                 f"fitted with {self.n_lfs_}"
             )
-        if self.n_lfs_ == 0:
+        if self.n_iter_ == 0:
+            # The fit had no rows or no LFs, so it ran no EM iteration.
             return self._prior_proba(matrix.shape[0])
         patterns, inverse, _ = vote_patterns(matrix, self.n_classes)
         proba = self._pattern_posterior(patterns)
@@ -370,8 +374,8 @@ class EMLabelModel(BaseLabelModel):
         return counts / counts.sum(axis=1, keepdims=True)
 
     @abc.abstractmethod
-    def _set_empty_params(self, n_lfs: int) -> None:
-        """Store the fitted parameters of a matrix without rows or LFs."""
+    def _set_empty_params(self) -> None:
+        """Store parameters for no LF at all: the fit of a matrix without rows or LFs."""
 
     @abc.abstractmethod
     def _warm_posterior(

@@ -86,8 +86,8 @@ class GenerativeLabelModel(EMLabelModel):
         """Map votes to outcome indices: abstain -> 0, class c -> 1 + c."""
         return np.where(matrix == ABSTAIN, 0, matrix + 1)
 
-    def _set_empty_params(self, n_lfs: int) -> None:
-        self.cpts_ = np.zeros((n_lfs, self.n_classes, self.n_classes + 1))
+    def _set_empty_params(self) -> None:
+        self.cpts_ = np.zeros((0, self.n_classes, self.n_classes + 1))
 
     def _warm_posterior(self, params, column_map, matrix, patterns):
         carried = np.asarray(params.get("cpts", np.empty((0,))), dtype=float)

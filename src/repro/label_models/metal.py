@@ -110,7 +110,7 @@ class MeTaLLabelModel(EMLabelModel):
         self.accuracy_bounds = (float(low), float(high))
 
     # ------------------------------------------------------------- internals
-    def _set_empty_params(self, n_lfs: int) -> None:
+    def _set_empty_params(self) -> None:
         self.accuracies_ = np.zeros(0)
         self.propensities_ = np.zeros((0, self.n_classes))
 

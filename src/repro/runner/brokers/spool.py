@@ -26,6 +26,8 @@ The queue's operations (one method per state transition):
 ``wait(specs, cache)``    the submitter's backoff loop of ``poll`` rounds
 ``counts()``              queue snapshot: tasks / leases / failed / corrupt
 ``backlog()``             scaling signals: queue depth and backlogged shards
+``wait_for_work(t)``      an idle worker's wait: a wake, or *t* seconds
+``close()``               drop this handle's wake reader
 ``stats``                 per-instance round-trip counters (measurability)
 ========================  ====================================================
 
@@ -61,6 +63,10 @@ Spool layout::
                                               home so releases restore it)
         failed/<key>.json                     failure logs ({key, worker,
                                               error, traceback})
+        wake                                  named pipe idle workers
+                                              wait on (made by the first
+                                              worker that idles; absent
+                                              until then)
 
 How the spool implements each transition:
 
@@ -109,6 +115,16 @@ How the spool implements each transition:
   and was re-offered while the trial was failing) does *not* record the
   failure: the trial belongs to someone else now, and a machine-local error
   from a stale holder must not abort a grid a healthy retry is completing.
+* **wake** — an idle worker waits in :meth:`SpoolBroker.wait_for_work` on
+  the ``wake`` named pipe, with its poll interval as the timeout.  Every
+  call that makes a task file appear (``enqueue``, ``enqueue_batch``,
+  ``release``, ``release_expired``) then writes one byte to the pipe
+  without blocking, so the worker scans at once instead of at its next
+  tick.  The wake is a hint, never the protocol: a write with no reader or
+  a full pipe is dropped, a pipe only carries bytes between processes of
+  one host, and a lost wake costs at most one poll interval.  Where the
+  pipe cannot be made (no ``os.mkfifo``, or ``wake`` is some other file)
+  the worker sleeps its poll interval instead.
 
 Sharding: a flat ``tasks/`` directory would make every worker scan the same
 listing and race the same tasks — W workers cost up to W−1 failed renames
@@ -143,6 +159,8 @@ import os
 import pickle
 import random
 import re
+import select
+import stat
 import time
 import uuid
 from dataclasses import dataclass, field
@@ -329,9 +347,11 @@ class SpoolBroker:
         self.tasks_dir = self.root / "tasks"
         self.leases_dir = self.root / "leases"
         self.failed_dir = self.root / "failed"
+        self.wake_path = self.root / "wake"
         self.stats = SpoolStats()
         self._rng = random.Random()
         self._affinity_shard: str | None = None
+        self._wake_fd: int | None = None
 
     # -- paths ------------------------------------------------------------
 
@@ -404,6 +424,7 @@ class SpoolBroker:
         if task.exists() or self.is_claimed(spec):
             return False
         self._write_task(task, spec)
+        self._wake()
         return True
 
     def enqueue_batch(self, specs: Sequence[TrialSpec]) -> int:
@@ -435,6 +456,10 @@ class SpoolBroker:
             self._write_task(self.task_path(spec), spec)
             skip.add(spec.key)  # same-key duplicates within one batch
             written += 1
+        if written:
+            # One wake after the last write: the woken worker's one listing
+            # then sees the whole batch.
+            self._wake()
         return written
 
     def _write_task(self, task: Path, spec: TrialSpec) -> None:
@@ -511,6 +536,8 @@ class SpoolBroker:
             except OSError:
                 continue  # lost the race to another policing process
             released += 1
+        if released:
+            self._wake()
         return released
 
     def failure_for(self, spec: TrialSpec | str) -> dict | None:
@@ -883,6 +910,7 @@ class SpoolBroker:
                 else:
                     task.parent.mkdir(parents=True, exist_ok=True)
                     os.rename(lease.lease_path, task)
+                    self._wake()
                 return
             except FileNotFoundError:
                 if not lease.lease_path.exists():
@@ -919,6 +947,93 @@ class SpoolBroker:
             json.dumps(payload, indent=2, sort_keys=True).encode("utf-8"),
         )
         self.complete(lease)
+
+    # -- wake channel -----------------------------------------------------
+
+    def _wake(self) -> None:
+        """Tell idle workers a task file appeared (one byte into the wake pipe).
+
+        Best effort and never blocking: with no pipe yet (``ENOENT``), no
+        worker waiting (``ENXIO``) or a wake already pending in a full pipe
+        (``EAGAIN``) there is nobody to tell or nothing to add.  A ``wake``
+        that is not a pipe is left untouched.
+        """
+        if not hasattr(os, "mkfifo"):
+            return
+        try:
+            fd = os.open(self.wake_path, os.O_WRONLY | os.O_NONBLOCK)
+        except OSError:
+            return
+        try:
+            if stat.S_ISFIFO(os.fstat(fd).st_mode):
+                os.write(fd, b"\0")
+        except OSError:
+            pass
+        finally:
+            os.close(fd)
+
+    def _open_wake_reader(self) -> int | None:
+        """Make the wake pipe if needed and open its read end; ``None`` if it cannot serve.
+
+        It cannot serve without ``os.mkfifo`` on this platform, in an
+        unwritable spool, or where ``wake`` is some other file.  A pipe
+        already there (another worker's, or one a dead worker left) is
+        reused.  ``O_RDWR`` keeps a writer open on our own side, so the pipe
+        never reads as closed and submitters' writes always find a reader
+        while this handle lives.
+        """
+        if not hasattr(os, "mkfifo"):
+            return None
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+            try:
+                os.mkfifo(self.wake_path)
+            except FileExistsError:
+                pass
+            fd = os.open(self.wake_path, os.O_RDWR | os.O_NONBLOCK)
+        except OSError:
+            return None
+        if not stat.S_ISFIFO(os.fstat(fd).st_mode):
+            os.close(fd)
+            return None
+        return fd
+
+    def wait_for_work(self, timeout: float) -> None:
+        """An idle worker's wait: return on a wake, or after *timeout* seconds.
+
+        The worker calls this after a scan found nothing to claim and scans
+        again when it returns.  Pending wake bytes are drained, so a burst of
+        enqueues costs one rescan.  *timeout* caps the wait when a wake is
+        lost (another host's submitter, a dropped write); without a wake
+        pipe this is a plain sleep of *timeout*.
+        """
+        if self._wake_fd is None:
+            self._wake_fd = self._open_wake_reader()
+            if self._wake_fd is None:
+                time.sleep(timeout)
+            # Else return at once: a task filed between the caller's scan
+            # and this open woke nobody, so scan again before waiting.
+            return
+        # poll, not select: select cannot take a descriptor numbered past
+        # FD_SETSIZE, which a thread worker inside a busy server can get.
+        poller = select.poll()
+        poller.register(self._wake_fd, select.POLLIN)
+        if not poller.poll(1000.0 * timeout):
+            return
+        try:
+            while os.read(self._wake_fd, 4096):
+                pass
+        except BlockingIOError:
+            pass  # drained
+
+    def close(self) -> None:
+        """Close this handle's wake reader, if :meth:`wait_for_work` opened one.
+
+        The pipe itself stays in the spool for the next worker.
+        """
+        if self._wake_fd is not None:
+            os.close(self._wake_fd)
+            self._wake_fd = None
 
     # -- introspection ----------------------------------------------------
 

@@ -124,7 +124,11 @@ def run_worker(
         Lease time-to-live; must match (or exceed) the submitter's so a
         healthy heartbeat is never mistaken for death.
     poll_interval:
-        Sleep between empty-spool polls.
+        The longest idle wait when no wake arrives: after a scan finds
+        nothing, the worker waits on the spool's wake pipe
+        (:meth:`~repro.runner.brokers.SpoolBroker.wait_for_work`) and scans
+        again at the first enqueue or release, or after this many seconds.
+        Also the pause before retrying after a failed result write.
     claim_batch:
         Tasks claimed per spool scan (clamped so ``max_trials`` is never
         over-claimed); ``1`` restores one-listing-per-claim behaviour.
@@ -153,94 +157,97 @@ def run_worker(
     executed = 0
     idle_since = time.monotonic()
     log(f"serving queue {broker.root} -> cache {cache.root}")
-    while max_trials is None or executed < max_trials:
-        want = claim_batch if max_trials is None else min(claim_batch, max_trials - executed)
-        leases = broker.lease_batch(identity, limit=want)
-        if not leases:
-            if (
-                idle_timeout is not None
-                and time.monotonic() - idle_since >= idle_timeout
-            ):
-                break
-            time.sleep(poll_interval)
-            continue
-        heartbeat = _Heartbeat(broker, leases, heartbeat_interval)
-        heartbeat.start()
-        try:
-            for lease in leases:
-                if cache.get(lease.key) is not None:
-                    # Another worker (or a previous life of this trial,
-                    # completed right before its holder crashed) already
-                    # produced the result: content addressing makes
-                    # re-execution pure waste.
-                    log(f"{lease.key[:12]}... already cached, skipping")
+    try:
+        while max_trials is None or executed < max_trials:
+            want = claim_batch if max_trials is None else min(claim_batch, max_trials - executed)
+            leases = broker.lease_batch(identity, limit=want)
+            if not leases:
+                if (
+                    idle_timeout is not None
+                    and time.monotonic() - idle_since >= idle_timeout
+                ):
+                    break
+                broker.wait_for_work(poll_interval)
+                continue
+            heartbeat = _Heartbeat(broker, leases, heartbeat_interval)
+            heartbeat.start()
+            try:
+                for lease in leases:
+                    if cache.get(lease.key) is not None:
+                        # Another worker (or a previous life of this trial,
+                        # completed right before its holder crashed) already
+                        # produced the result: content addressing makes
+                        # re-execution pure waste.
+                        log(f"{lease.key[:12]}... already cached, skipping")
+                        broker.complete(lease)
+                        heartbeat.discard(lease)
+                        continue
+                    try:
+                        started = time.perf_counter()
+                        history = run_trial(lease.spec)
+                    except (KeyboardInterrupt, SystemExit):
+                        raise
+                    except BaseException as error:
+                        broker.fail(lease, identity, error, traceback.format_exc())
+                        heartbeat.discard(lease)
+                        log(f"{lease.key[:12]}... FAILED: {error!r}")
+                        continue
+                    try:
+                        # The lease is still heartbeating here: a publish slower
+                        # than the TTL (NFS stall, large history) must not look
+                        # like a dead worker and get the finished trial re-run.
+                        # Publishing the spec (not just the key) lets an indexed
+                        # store materialise the spec-enrichment columns.
+                        cache.put(
+                            lease.spec,
+                            history,
+                            wall_seconds=time.perf_counter() - started,
+                        )
+                    except (KeyboardInterrupt, SystemExit):
+                        raise
+                    except Exception as error:
+                        # Publishing failed (disk full, NFS hiccup): this is
+                        # worker-side infrastructure, not a property of the
+                        # trial, so no failure log — re-offer the trial for any
+                        # worker (including this one, once the condition clears)
+                        # and keep the daemon alive.  The sleep paces the retry
+                        # loop when the condition persists.
+                        broker.release(lease)
+                        heartbeat.discard(lease)
+                        log(f"{lease.key[:12]}... cache write failed ({error!r}); re-offered")
+                        time.sleep(poll_interval)
+                        continue
                     broker.complete(lease)
                     heartbeat.discard(lease)
-                    continue
-                try:
-                    started = time.perf_counter()
-                    history = run_trial(lease.spec)
-                except (KeyboardInterrupt, SystemExit):
-                    raise
-                except BaseException as error:
-                    broker.fail(lease, identity, error, traceback.format_exc())
-                    heartbeat.discard(lease)
-                    log(f"{lease.key[:12]}... FAILED: {error!r}")
-                    continue
-                try:
-                    # The lease is still heartbeating here: a publish slower
-                    # than the TTL (NFS stall, large history) must not look
-                    # like a dead worker and get the finished trial re-run.
-                    # Publishing the spec (not just the key) lets an indexed
-                    # store materialise the spec-enrichment columns.
-                    cache.put(
-                        lease.spec,
-                        history,
-                        wall_seconds=time.perf_counter() - started,
+                    executed += 1
+                    log(
+                        f"{lease.key[:12]}... done in {time.perf_counter() - started:.2f}s "
+                        f"({lease.spec.framework} on {lease.spec.dataset}, "
+                        f"seed {lease.spec.seed}) [{executed}"
+                        + (f"/{max_trials}]" if max_trials is not None else "]")
                     )
-                except (KeyboardInterrupt, SystemExit):
-                    raise
-                except Exception as error:
-                    # Publishing failed (disk full, NFS hiccup): this is
-                    # worker-side infrastructure, not a property of the
-                    # trial, so no failure log — re-offer the trial for any
-                    # worker (including this one, once the condition clears)
-                    # and keep the daemon alive.  The sleep paces the retry
-                    # loop when the condition persists.
+            except BaseException:
+                # Shutdown (or an error escaping the loop itself, e.g. the
+                # failure-log write blowing up) mid-batch: stop heartbeating and
+                # re-offer every still-held lease — the in-flight trial and the
+                # claimed-but-unstarted remainder — so other workers pick them
+                # up now instead of after a TTL expiry.  Leaking the heartbeat
+                # here would keep the leases fresh forever and wedge the
+                # submitter's abandonment detection.
+                remaining = heartbeat.outstanding()
+                for lease in remaining:
                     broker.release(lease)
                     heartbeat.discard(lease)
-                    log(f"{lease.key[:12]}... cache write failed ({error!r}); re-offered")
-                    time.sleep(poll_interval)
-                    continue
-                broker.complete(lease)
-                heartbeat.discard(lease)
-                executed += 1
-                log(
-                    f"{lease.key[:12]}... done in {time.perf_counter() - started:.2f}s "
-                    f"({lease.spec.framework} on {lease.spec.dataset}, "
-                    f"seed {lease.spec.seed}) [{executed}"
-                    + (f"/{max_trials}]" if max_trials is not None else "]")
-                )
-        except BaseException:
-            # Shutdown (or an error escaping the loop itself, e.g. the
-            # failure-log write blowing up) mid-batch: stop heartbeating and
-            # re-offer every still-held lease — the in-flight trial and the
-            # claimed-but-unstarted remainder — so other workers pick them
-            # up now instead of after a TTL expiry.  Leaking the heartbeat
-            # here would keep the leases fresh forever and wedge the
-            # submitter's abandonment detection.
-            remaining = heartbeat.outstanding()
-            for lease in remaining:
-                broker.release(lease)
-                heartbeat.discard(lease)
+                heartbeat.stop()
+                log(f"aborting batch, re-offered {len(remaining)} lease(s)")
+                raise
             heartbeat.stop()
-            log(f"aborting batch, re-offered {len(remaining)} lease(s)")
-            raise
-        heartbeat.stop()
-        # The idle clock starts when the batch *finishes*, not when it was
-        # claimed: a batch longer than idle_timeout must not make the first
-        # empty poll after it look like idle_timeout seconds of idleness.
-        idle_since = time.monotonic()
+            # The idle clock starts when the batch *finishes*, not when it was
+            # claimed: a batch longer than idle_timeout must not make the first
+            # empty poll after it look like idle_timeout seconds of idleness.
+            idle_since = time.monotonic()
+    finally:
+        broker.close()
     log(f"exiting after {executed} trial(s)")
     return executed
 
@@ -281,7 +288,7 @@ def main(argv: list[str] | None = None) -> int:
         "--poll-interval",
         type=float,
         default=0.2,
-        help="sleep between empty-spool polls, in seconds",
+        help="the longest idle wait when no wake arrives, in seconds",
     )
     parser.add_argument(
         "--claim-batch",

@@ -60,6 +60,10 @@ class LabelingRequestHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-labeling"
+    # A response goes out as two sends (headers, then body).  With Nagle on,
+    # every response after the first on a keep-alive connection holds its
+    # body until the client's delayed ACK of the headers: ~40 ms per request.
+    disable_nagle_algorithm = True
 
     # Quiet by default: per-request lines go through log_message, which the
     # CLI's --quiet suppresses entirely.

@@ -131,6 +131,19 @@ class TestParametricModels:
             proba = cls(n_classes=2).fit(matrix).predict_proba(matrix)
             np.testing.assert_allclose(proba, 0.5)
 
+    @pytest.mark.parametrize("cls", [GenerativeLabelModel, MeTaLLabelModel])
+    def test_zero_row_fit_predicts_the_prior_and_exports_no_warm_start(self, cls):
+        empty = np.empty((0, 3), dtype=int)
+        model = cls(n_classes=2, class_balance=np.array([0.7, 0.3])).fit(empty)
+        assert (model.n_lfs_, model.n_iter_, model.converged_) == (3, 0, True)
+        proba = model.predict_proba([[0, ABSTAIN, 1], [ABSTAIN, ABSTAIN, ABSTAIN]])
+        np.testing.assert_allclose(proba, [[0.7, 0.3], [0.7, 0.3]])
+        assert model.export_warm_start() is None
+        assert model.export_warm_start(column_map=[0, 1, 2, -1]) is None
+        assert model.fit_predict_proba(empty).shape == (0, 2)
+        with pytest.raises(ValueError):
+            model.predict_proba([[0, 1]])  # the fitted width still holds
+
     def test_column_count_mismatch_raises(self, simple_label_matrix):
         matrix, _ = simple_label_matrix
         model = MeTaLLabelModel(n_classes=2).fit(matrix)

@@ -19,6 +19,7 @@ import math
 import os
 import pickle
 import sqlite3
+import stat
 import subprocess
 import sys
 import threading
@@ -726,6 +727,227 @@ class TestWorkerLoop:
         broker.enqueue(bad)  # the retry path after fixing the environment
         assert broker.failure_for(bad.key) is None
         assert broker.counts()["tasks"] == 1
+
+
+def _await_wake_reader(spool, timeout=60.0):
+    """Block until some worker holds the spool's wake pipe open for reading."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            # ENOENT until the pipe is made, ENXIO until a reader opens it.
+            fd = os.open(spool / "wake", os.O_WRONLY | os.O_NONBLOCK)
+        except OSError:
+            time.sleep(0.01)
+            continue
+        os.close(fd)
+        return
+    raise AssertionError(f"no worker listened on {spool / 'wake'} within {timeout}s")
+
+
+def _seconds_until_claimed(spool, spec, timeout=30.0):
+    """Enqueue *spec* through a fresh handle; seconds until a worker claims it."""
+    broker = SpoolBroker(spool)
+    started = time.monotonic()
+    assert broker.enqueue(spec)
+    while broker.task_path(spec).exists() and time.monotonic() - started < timeout:
+        time.sleep(0.005)
+    return time.monotonic() - started
+
+
+def _worker_thread(spool, cache_dir, **kwargs):
+    """``run_worker`` on a daemon thread; ``result["executed"]`` once it returns."""
+    result = {}
+
+    def target():
+        result["executed"] = run_worker(str(spool), str(cache_dir), quiet=True, **kwargs)
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    return thread, result
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+class TestWake:
+    """Idle workers wait on ``<spool>/wake`` and scan as soon as a task appears."""
+
+    def test_idle_thread_worker_wakes_on_an_enqueue_through_another_handle(self, tmp_path):
+        spool = tmp_path / "spool"
+        thread, result = _worker_thread(
+            spool, tmp_path / "cache", poll_interval=30, max_trials=1
+        )
+        _await_wake_reader(spool)
+        # Without the wake the claim would wait out the 30 s poll interval.
+        assert _seconds_until_claimed(spool, _spec()) < 1.0
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+        assert result["executed"] == 1
+
+    def test_idle_worker_process_wakes_on_an_enqueue(self, tmp_path, subprocess_env):
+        spool, cache_dir = tmp_path / "spool", tmp_path / "cache"
+        worker = _spawn_worker(
+            subprocess_env, spool, cache_dir, "--poll-interval", "30", "--max-trials", "1"
+        )
+        try:
+            _await_wake_reader(spool)
+            assert stat.S_ISFIFO(os.stat(spool / "wake").st_mode)
+            assert _seconds_until_claimed(spool, _spec()) < 1.0
+            assert worker.wait(timeout=120) == 0
+        finally:
+            if worker.poll() is None:
+                worker.kill()
+                worker.wait()
+        assert ResultCache(cache_dir).get(_spec()) is not None
+
+    def test_a_lost_wake_costs_at_most_one_poll_tick(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(SpoolBroker, "_wake", lambda self: None)
+        spool = tmp_path / "spool"
+        thread, result = _worker_thread(
+            spool, tmp_path / "cache", poll_interval=1.0, max_trials=1
+        )
+        _await_wake_reader(spool)
+        # One 1 s tick, plus slack for a loaded host.
+        assert _seconds_until_claimed(spool, _spec()) < 2.0
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+        assert result["executed"] == 1
+
+    def test_a_regular_file_at_the_wake_path_falls_back_to_sleeping(self, tmp_path):
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        (spool / "wake").write_bytes(b"not a pipe")
+        broker = SpoolBroker(spool)
+        started = time.monotonic()
+        broker.wait_for_work(0.1)
+        broker.wait_for_work(0.1)
+        assert time.monotonic() - started >= 0.2  # both calls slept
+        thread, result = _worker_thread(
+            spool, tmp_path / "cache", poll_interval=0.05, max_trials=1
+        )
+        time.sleep(0.2)  # the worker idles through a few fallback sleeps
+        assert SpoolBroker(spool).enqueue(_spec())
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+        assert result["executed"] == 1
+        # Neither the enqueue's wake nor the worker wrote into the file.
+        assert (spool / "wake").read_bytes() == b"not a pipe"
+
+    def test_a_stale_pipe_left_by_a_dead_worker_is_reused(self, tmp_path):
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        os.mkfifo(spool / "wake")  # what a killed worker leaves behind
+        thread, result = _worker_thread(
+            spool, tmp_path / "cache", poll_interval=30, max_trials=1
+        )
+        _await_wake_reader(spool)
+        assert _seconds_until_claimed(spool, _spec()) < 1.0
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+        assert result["executed"] == 1
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_worker_closes_its_wake_reader_on_exit(self, tmp_path):
+        spool = tmp_path / "spool"
+        before = _open_fds()
+        run_worker(spool, tmp_path / "cache", idle_timeout=0.2, poll_interval=0.05, quiet=True)
+        assert stat.S_ISFIFO(os.stat(spool / "wake").st_mode)  # it did listen
+        assert _open_fds() == before
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_worker_closes_its_wake_reader_when_interrupted(self, tmp_path, monkeypatch):
+        spool = tmp_path / "spool"
+
+        def interrupted(spec):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("repro.runner.worker.run_trial", interrupted)
+        def submit_once_listening():
+            _await_wake_reader(spool)
+            SpoolBroker(spool).enqueue(_spec())
+
+        before = _open_fds()
+        submitter = threading.Thread(target=submit_once_listening, daemon=True)
+        submitter.start()
+        with pytest.raises(KeyboardInterrupt):
+            run_worker(spool, tmp_path / "cache", poll_interval=30, quiet=True)
+        submitter.join(timeout=10)
+        assert not submitter.is_alive()
+        assert _open_fds() == before
+        assert SpoolBroker(spool).counts()["tasks"] == 1  # re-offered
+
+    def test_close_drops_the_reader_and_keeps_the_pipe(self, tmp_path):
+        broker = SpoolBroker(tmp_path)
+        broker.close()  # never listened: nothing to close
+        broker.wait_for_work(0.0)  # makes and opens the pipe
+        fd = broker._wake_fd
+        assert fd is not None
+        broker.close()
+        with pytest.raises(OSError):
+            os.fstat(fd)
+        assert stat.S_ISFIFO(os.stat(tmp_path / "wake").st_mode)
+
+    def test_wait_drains_every_pending_wake(self, tmp_path):
+        submitter, worker = SpoolBroker(tmp_path), SpoolBroker(tmp_path)
+        worker.wait_for_work(0.0)
+        submitter.enqueue_batch([_spec(seed=seed) for seed in range(3)])
+        for seed in range(3, 6):
+            submitter.enqueue(_spec(seed=seed))
+        started = time.monotonic()
+        worker.wait_for_work(30.0)
+        assert time.monotonic() - started < 1.0
+        started = time.monotonic()
+        worker.wait_for_work(0.2)  # nothing left: waits out the timeout
+        assert time.monotonic() - started >= 0.15
+        worker.close()
+
+    def test_release_and_expiry_wake_a_waiting_worker(self, tmp_path):
+        waiting, other = SpoolBroker(tmp_path), SpoolBroker(tmp_path)
+        waiting.wait_for_work(0.0)
+        other.enqueue(_spec(seed=1))
+        other.enqueue(_spec(seed=2))
+        waiting.wait_for_work(0.0)  # drain the enqueues' wakes
+        released, expired = other.lease_next("w1"), other.lease_next("w2")
+        other.release(released)
+        started = time.monotonic()
+        waiting.wait_for_work(30.0)
+        assert time.monotonic() - started < 1.0
+        _backdate(expired.lease_path)
+        assert other.release_expired() == 1
+        started = time.monotonic()
+        waiting.wait_for_work(30.0)
+        assert time.monotonic() - started < 1.0
+        waiting.close()
+
+    def test_enqueue_never_blocks_on_a_missing_unread_or_full_pipe(self, tmp_path):
+        broker = SpoolBroker(tmp_path)
+        assert broker.enqueue(_spec(seed=1))  # no pipe yet: ENOENT
+        os.mkfifo(tmp_path / "wake")
+        assert broker.enqueue(_spec(seed=2))  # no reader: ENXIO
+        worker = SpoolBroker(tmp_path)
+        worker.wait_for_work(0.0)
+        fd = os.open(tmp_path / "wake", os.O_WRONLY | os.O_NONBLOCK)
+        try:
+            with pytest.raises(BlockingIOError):
+                while True:
+                    os.write(fd, b"\0")
+        finally:
+            os.close(fd)
+        assert broker.enqueue(_spec(seed=3))  # full pipe: EAGAIN
+        assert broker.counts()["tasks"] == 3
+        worker.close()
+
+    def test_queue_views_ignore_the_wake_pipe(self, tmp_path):
+        broker = SpoolBroker(tmp_path)
+        broker.enqueue(_spec())
+        broker.wait_for_work(0.0)
+        assert stat.S_ISFIFO(os.stat(tmp_path / "wake").st_mode)
+        assert broker.counts() == {"tasks": 1, "leases": 0, "failed": 0, "corrupt": 0}
+        assert broker.backlog() == {"tasks": 1, "shards": 1, "leases": 0}
+        round_ = broker.poll({_spec().key: _spec()}, ResultCache(tmp_path / "cache"))
+        assert (round_.done, round_.failed, round_.requeued) == ({}, {}, 0)
+        broker.close()
 
 
 class TestExecutionConfig:

@@ -127,6 +127,26 @@ class TestScalingPolicy:
         assert supervisor.step()["spawned"] == 0
         assert supervisor.spawned_total == 4
 
+    def test_wake_pipe_is_not_backlog(self, queue, tmp_path):
+        location, broker = queue
+        broker.enqueue(_spec())
+        broker.wait_for_work(0.0)  # an idle worker's wake pipe, held open
+        spawned = []
+
+        def spawn(worker_id):
+            spawned.append(worker_id)
+            return _FakeHandle()
+
+        supervisor = Supervisor(
+            location, tmp_path / "cache",
+            max_workers=8, tasks_per_worker=1, spawn=spawn, quiet=True,
+        )
+        summary = supervisor.step()
+        broker.close()
+        assert (location / "wake").exists()
+        assert (summary["target"], summary["spawned"]) == (1, 1)
+        assert len(spawned) == 1
+
     def test_wide_shallow_queue_gets_a_worker_per_shard(self, queue, tmp_path):
         location, broker = queue
         broker.enqueue_batch(

@@ -9,6 +9,7 @@ workers run as :func:`repro.runner.worker.run_worker` loops on threads
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 import urllib.error
@@ -61,6 +62,27 @@ class ServingClient:
         return self.request("DELETE", path)
 
 
+class KeepAliveClient:
+    """One persistent ``http.client`` connection: ``(status, payload, headers)`` per call.
+
+    :class:`ServingClient` opens a connection per request, so it never sees
+    what happens to the second response on a reused connection.
+    """
+
+    def __init__(self, host: str, port: int):
+        self.connection = http.client.HTTPConnection(host, port, timeout=30)
+
+    def request(self, method: str, path: str, body=None):
+        data = json.dumps(body).encode("utf-8") if body is not None else None
+        headers = {} if data is None else {"Content-Type": "application/json"}
+        self.connection.request(method, path, body=data, headers=headers)
+        response = self.connection.getresponse()
+        return response.status, json.loads(response.read()), dict(response.headers)
+
+    def close(self) -> None:
+        self.connection.close()
+
+
 class ServingHarness:
     """One service + HTTP server + optional thread workers, torn down cleanly."""
 
@@ -72,11 +94,19 @@ class ServingHarness:
         self.server = serve(self.service, quiet=True)
         host, port = self.server.server_address[:2]
         self.client = ServingClient(f"http://{host}:{port}")
+        self._address = (host, port)
+        self._keep_alive: list[KeepAliveClient] = []
         self._server_thread = threading.Thread(
             target=self.server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
         )
         self._server_thread.start()
         self._worker_threads: list[threading.Thread] = []
+
+    def keep_alive_client(self) -> KeepAliveClient:
+        """A client holding one connection open; closed at shutdown."""
+        client = KeepAliveClient(*self._address)
+        self._keep_alive.append(client)
+        return client
 
     def start_worker(self, **kwargs) -> threading.Thread:
         """Run one worker loop on a thread against the shared spool/cache."""
@@ -110,6 +140,8 @@ class ServingHarness:
         raise AssertionError(f"label job {key} still pending after {timeout}s")
 
     def shutdown(self) -> None:
+        for client in self._keep_alive:
+            client.close()
         self.server.shutdown()
         self.server.server_close()
         self.service.close()
