@@ -31,7 +31,8 @@ class SEUSampler(BaseSampler):
     ----------
     max_keywords_per_doc:
         Cap on the number of keywords scored per candidate document (the
-        most document-frequent keywords are kept), bounding the per-step cost.
+        most document-frequent keywords are kept, ties broken by keyword),
+        bounding the per-step cost.
     """
 
     name = "seu"
@@ -43,43 +44,40 @@ class SEUSampler(BaseSampler):
 
     def select(self, context: QueryContext) -> int:
         """Return the candidate whose anticipated LF has maximal expected utility."""
-        token_sets = getattr(context.dataset, "token_sets", None)
-        proba = context.lm_proba if context.lm_proba is not None else context.al_proba
-        if token_sets is None:
+        if getattr(context.dataset, "token_sets", None) is None:
             # Tabular data: no keyword-LF space; fall back to uncertainty.
+            proba = context.lm_proba if context.lm_proba is not None else context.al_proba
             if proba is None:
                 return int(context.rng.choice(context.candidates))
             scores = prediction_entropy(np.asarray(proba)[context.candidates])
             return self._argmax_with_ties(scores, context.candidates, context.rng)
+        return self._argmax_with_ties(self.scores(context), context.candidates, context.rng)
 
+    def scores(self, context: QueryContext) -> np.ndarray:
+        """Expected utility of each candidate's anticipated keyword LF (text pools)."""
+        dataset = context.dataset
+        token_sets, postings = dataset.token_sets, dataset.postings
+        proba = context.lm_proba if context.lm_proba is not None else context.al_proba
         entropy = (
             prediction_entropy(np.asarray(proba))
             if proba is not None
             else np.ones(len(token_sets))
         )
 
-        keyword_docs = self._keyword_index(token_sets)
         n_docs = len(token_sets)
         keyword_utility: dict[str, float] = {}
-        for keyword, doc_ids in keyword_docs.items():
+        for keyword, doc_ids in postings.items():
             coverage = len(doc_ids) / n_docs
             keyword_utility[keyword] = coverage * float(np.mean(entropy[doc_ids]))
 
         scores = np.zeros(len(context.candidates))
         for row, idx in enumerate(context.candidates):
-            keywords = list(token_sets[idx])
-            if not keywords:
+            if not token_sets[idx]:
                 continue
-            keywords.sort(key=lambda w: len(keyword_docs.get(w, ())), reverse=True)
+            # Most document-frequent first, ties by keyword: set iteration
+            # order is hash-randomised, and it would otherwise decide which
+            # keywords survive the cap and the order their utilities sum in.
+            keywords = sorted(token_sets[idx], key=lambda w: (-len(postings[w]), w))
             keywords = keywords[: self.max_keywords_per_doc]
-            scores[row] = float(np.mean([keyword_utility.get(w, 0.0) for w in keywords]))
-        return self._argmax_with_ties(scores, context.candidates, context.rng)
-
-    @staticmethod
-    def _keyword_index(token_sets) -> dict[str, np.ndarray]:
-        """Map each keyword to the array of document indices containing it."""
-        index: dict[str, list[int]] = {}
-        for doc_id, tokens in enumerate(token_sets):
-            for token in tokens:
-                index.setdefault(token, []).append(doc_id)
-        return {token: np.asarray(ids, dtype=int) for token, ids in index.items()}
+            scores[row] = float(np.mean([keyword_utility[w] for w in keywords]))
+        return scores

@@ -2,8 +2,10 @@
 
 Two concrete dataset kinds exist, matching the two LF families of the paper:
 
-* :class:`TextDataset` — raw documents plus their token sets (consumed by
-  keyword LFs) and a dense feature matrix (TF-IDF) for the ML models.
+* :class:`TextDataset` — raw documents plus their token sets, a postings
+  index over them (read by keyword LFs, the simulated user's keyword
+  statistics and the SEU sampler) and a dense feature matrix (TF-IDF) for
+  the ML models.
 * :class:`TabularDataset` — raw feature values (consumed by threshold LFs)
   plus a standardised feature matrix for the ML models.
 
@@ -13,7 +15,9 @@ benchmark dataset together with task metadata.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -114,6 +118,22 @@ class TextDataset(Dataset):
     def instances(self) -> Sequence[str]:
         """Raw documents."""
         return self.texts
+
+    @cached_property
+    def postings(self) -> dict[str, np.ndarray]:
+        """Token -> ascending ``np.intp`` ids of the documents containing it.
+
+        The dataset's one token index, built on first use and kept on the
+        object, so ``token_sets`` must not change afterwards.  Keys follow
+        first occurrence, which hash-randomised set order decides: readers
+        look tokens up or sort them, and never let the key order reach an
+        output.
+        """
+        index: defaultdict[str, list[int]] = defaultdict(list)
+        for doc_id, tokens in enumerate(self.token_sets):
+            for token in tokens:
+                index[token].append(doc_id)
+        return {token: np.array(ids, dtype=np.intp) for token, ids in index.items()}
 
     def subset(self, indices: np.ndarray) -> "TextDataset":
         indices = np.asarray(indices, dtype=int)

@@ -189,7 +189,8 @@ def generate_text_dataset(
 
     Each document is an array of word ids until the end: token sets, the
     vocabulary and the term counts are built from the ids, and words are
-    joined into strings only for ``texts``.  The config guarantees every
+    joined into strings only for ``texts``.  Background words are drawn by
+    searching one Zipf CDF built per corpus.  The config guarantees every
     word survives :func:`~repro.text.tokenizer.tokenize` unchanged, so the
     features equal what the stored vectorizer computes from those texts.
     """
@@ -244,9 +245,14 @@ def generate_text_dataset(
     background_ids = ids_of(background)
     word_of = list(word_ids)
 
-    # Zipf weights over the background vocabulary.
+    # Zipf weights over the background vocabulary, as the CDF that
+    # ``Generator.choice(n, size=k, p=weights)`` builds on every call: it
+    # draws ``cdf.searchsorted(random(k), side="right")``, so drawing that
+    # directly consumes the same stream and picks the same words.
     background_weights = 1.0 / np.arange(1, len(background) + 1)
     background_weights /= background_weights.sum()
+    background_cdf = background_weights.cumsum()
+    background_cdf /= background_cdf[-1]
 
     labels = rng.choice(config.n_classes, size=config.n_documents, p=balance)
     documents: list[np.ndarray] = []
@@ -254,7 +260,7 @@ def generate_text_dataset(
         ids = slot_ids[rng.random(slot_ids.size) < thresholds[label]]
         n_background = rng.poisson(config.background_words_per_doc)
         if n_background > 0:
-            chosen = rng.choice(len(background), size=n_background, p=background_weights)
+            chosen = background_cdf.searchsorted(rng.random(n_background), side="right")
             ids = np.concatenate((ids, background_ids[chosen]))
         if ids.size == 0:
             ids = background_ids[[rng.integers(len(background))]]
@@ -283,8 +289,12 @@ def generate_text_dataset(
         rows = np.repeat(np.arange(len(parts)), [part.size for part in parts])
         columns = column_of[np.concatenate(parts)] if parts else np.zeros(0, dtype=np.intp)
         known = columns >= 0
+        cells = rows[known] * n_vocab + columns[known]
+        # Counted as floats, which ``weight_counts`` takes without a copy:
+        # an int count matrix would be one more documents x vocabulary
+        # array held at the corpus's memory peak.
         counts = np.bincount(
-            rows[known] * n_vocab + columns[known], minlength=len(parts) * n_vocab
+            cells, weights=np.ones(cells.size), minlength=len(parts) * n_vocab
         ).reshape(len(parts), n_vocab)
         return TextDataset(
             [" ".join(doc_words[i]) for i in indices],

@@ -61,12 +61,11 @@ class KeywordLF(LabelFunction):
         self.name = f"keyword[{keyword}]->{label}"
 
     def apply(self, dataset) -> np.ndarray:
-        """Apply against a :class:`~repro.datasets.TextDataset` (uses token sets)."""
-        token_sets = dataset.token_sets
-        output = np.full(len(token_sets), ABSTAIN, dtype=int)
-        for i, tokens in enumerate(token_sets):
-            if self.keyword in tokens:
-                output[i] = self.label
+        """Apply against a :class:`~repro.datasets.TextDataset` (uses its postings)."""
+        output = np.full(len(dataset), ABSTAIN, dtype=int)
+        docs = dataset.postings.get(self.keyword)
+        if docs is not None:
+            output[docs] = self.label
         return output
 
     def __eq__(self, other) -> bool:

@@ -9,8 +9,10 @@ Two candidate spaces exist, matching Section 4.1.4 of the paper:
   the query instance's feature value on the boundary (``v = x_j``), one per
   (feature, operator, class) combination, again filtered by accuracy.
 
-The keyword statistics are precomputed once per dataset so that per-query
-candidate construction is a cheap dictionary lookup even for long runs.
+The keyword statistics are read once per dataset off its postings index
+(:attr:`~repro.datasets.TextDataset.postings`, token -> document ids), so
+per-query candidate construction is a cheap dictionary lookup even for long
+runs.
 """
 
 from __future__ import annotations
@@ -47,16 +49,13 @@ class _KeywordStatistics:
 
     def __init__(self, dataset: TextDataset):
         self.n_documents = len(dataset)
-        self.doc_count: dict[str, int] = {}
-        self.class_count: dict[str, np.ndarray] = {}
-        n_classes = dataset.n_classes
-        for tokens, label in zip(dataset.token_sets, dataset.labels):
-            for token in tokens:
-                if token not in self.doc_count:
-                    self.doc_count[token] = 0
-                    self.class_count[token] = np.zeros(n_classes)
-                self.doc_count[token] += 1
-                self.class_count[token][label] += 1
+        postings = dataset.postings
+        labels, n_classes = dataset.labels, dataset.n_classes
+        self.doc_count: dict[str, int] = {token: len(docs) for token, docs in postings.items()}
+        self.class_count: dict[str, np.ndarray] = {
+            token: np.bincount(labels[docs], minlength=n_classes).astype(float)
+            for token, docs in postings.items()
+        }
 
     def coverage(self, keyword: str) -> float:
         return self.doc_count.get(keyword, 0) / max(self.n_documents, 1)

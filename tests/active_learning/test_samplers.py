@@ -183,6 +183,40 @@ class TestSEUSampler:
         context = _context(train, rng, al_proba=proba)
         assert SEUSampler().select(context) == 3
 
+    def test_scores_do_not_depend_on_the_hash_seed(self):
+        """Token-set iteration order is hash-randomised; SEU scores must not be.
+
+        Scores are computed in fresh interpreters under two PYTHONHASHSEEDs,
+        with the default keyword cap and with one that truncates most
+        documents, and compared byte for byte.
+        """
+        import subprocess
+        import sys
+
+        from repro.runner.fleet import subprocess_env
+
+        code = (
+            "import hashlib, numpy as np\n"
+            "from repro.active_learning import QueryContext, SEUSampler\n"
+            "from repro.datasets import load_dataset\n"
+            "train = load_dataset('youtube', scale=1.0, random_state=0).train\n"
+            "proba = np.random.default_rng(1).dirichlet([1, 1], size=len(train))\n"
+            "context = QueryContext(dataset=train, candidates=np.arange(len(train)),\n"
+            "                       lm_proba=proba, rng=np.random.default_rng(0))\n"
+            "for cap in (30, 5):\n"
+            "    scores = SEUSampler(max_keywords_per_doc=cap).scores(context)\n"
+            "    print(hashlib.sha256(scores.tobytes()).hexdigest())\n"
+        )
+        outputs = set()
+        for seed in (1, 2):
+            env = subprocess_env({"PYTHONHASHSEED": str(seed)})
+            proc = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, env=env
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1
+
 
 class TestLALSampler:
     def test_uses_uncertainty_fallback_with_few_labels(self, tiny_text_split, rng):

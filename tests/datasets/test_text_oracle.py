@@ -3,7 +3,7 @@
 ``reference_text`` keeps the generator that joined every document into a
 string and then tokenised and vectorised it again.  The production generator
 keeps documents as word ids and must return byte-identical corpora.  It
-relies on three numpy stream properties, each pinned below by name, so a
+relies on four numpy stream properties, each pinned below by name, so a
 numpy upgrade that breaks one fails here instead of silently changing every
 corpus.
 """
@@ -61,6 +61,13 @@ def test_registry_corpora_match_the_oracle(name, seed, scale):
     assert _digest(split) == _digest(expected)
 
 
+def test_wide_corpus_matches_the_oracle():
+    """The imdb corpus at 6x scale, the size of the ``trial-wide`` workload."""
+    split = load_dataset("imdb", scale=6.0, random_state=66)
+    expected = reference.generate_text_dataset(split.metadata["config"], random_state=66)
+    assert _digest(split) == _digest(expected)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize(
     "config",
@@ -106,3 +113,23 @@ def test_choice_of_range_picks_the_same_indices_as_choice_of_list():
         picked = first.choice(words, size=size, p=weights).tolist()
         indices = second.choice(len(words), size=size, p=weights)
         assert picked == [words[i] for i in indices]
+
+
+def test_weighted_choice_equals_a_search_of_its_cdf():
+    """``choice(n, size=k, p=w)`` is ``cdf.searchsorted(random(k), side="right")``.
+
+    The generator draws background words through the CDF, built once per
+    corpus, instead of calling ``choice`` (which rebuilds it) per document.
+    """
+    # The registry's background vocabulary (300 words).
+    n_words = load_dataset("youtube", scale=0.3).metadata["config"].n_background_words
+    weights = 1.0 / np.arange(1, n_words + 1)
+    weights /= weights.sum()
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    first, second = np.random.default_rng(5), np.random.default_rng(5)
+    for size in (1, 9, 25):
+        picked = first.choice(n_words, size=size, p=weights)
+        searched = cdf.searchsorted(second.random(size), side="right")
+        assert picked.tolist() == searched.tolist()
+        assert first.bit_generator.state == second.bit_generator.state
