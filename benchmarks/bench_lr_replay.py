@@ -6,7 +6,9 @@ generated at bench time).  Each call is then replayed through the historical
 model (``tests/models/reference_logistic.py``: a dense design and
 ``scipy.special.softmax`` on every fit) and through
 :class:`repro.models.LogisticRegression`, which fits large sparse inputs over
-a CSR design.  Every replayed model must predict the same labels on the
+a CSR design.  The end-model fits pass a row slice of the pool's CSR
+(``Dataset.csr``); the historical model, which takes dense input only, is
+timed on its ``toarray()``.  Every replayed model must predict the same labels on the
 train, valid and test splits (the largest probability difference is
 recorded); the production fits must also be at least
 ``REPRO_LR_REPLAY_MIN_SPEEDUP`` times faster over the replay (default 2.0;
@@ -39,6 +41,8 @@ MIN_SPEEDUP = float(os.environ.get("REPRO_LR_REPLAY_MIN_SPEEDUP", 2.0))
 
 
 def _timed_fit(model_class, params, args, kwargs):
+    if model_class is reference.LogisticRegression:
+        args = tuple(arg.toarray() if sparse.issparse(arg) else arg for arg in args)
     model = model_class(**params)
     start = time.perf_counter()
     model.fit(*args, **kwargs)
@@ -51,7 +55,7 @@ def test_replay_predicts_the_historical_labels_faster(bench_record):
     assert calls, "the trial never fit a logistic regression"
 
     walls = {"reference_s": 0.0, "production_s": 0.0}
-    csr_fits = 0
+    csr_fits = csr_inputs = 0
     max_proba_diff = 0.0
     for number, (params, args, kwargs) in enumerate(calls):
         expected, reference_s = _timed_fit(reference.LogisticRegression, params, args, kwargs)
@@ -59,6 +63,7 @@ def test_replay_predicts_the_historical_labels_faster(bench_record):
         walls["reference_s"] += reference_s
         walls["production_s"] += production_s
         csr_fits += sparse.issparse(_design(args[0], params["fit_intercept"]))
+        csr_inputs += sparse.issparse(args[0])
 
         for part in (split.train, split.valid, split.test):
             assert (result.predict(part.features) == expected.predict(part.features)).all(), (
@@ -71,7 +76,8 @@ def test_replay_predicts_the_historical_labels_faster(bench_record):
     speedup = walls["reference_s"] / walls["production_s"]
     print(
         f"\nLR replay: {len(calls)} fits (imdb@{SCALE}, seed {SEED}, "
-        f"{ITERATIONS} iterations), {csr_fits} over a CSR design, predictions "
+        f"{ITERATIONS} iterations), {csr_fits} over a CSR design "
+        f"({csr_inputs} on CSR input), predictions "
         f"identical (probabilities within {max_proba_diff:.1e}); reference "
         f"{walls['reference_s']:.2f}s vs production {walls['production_s']:.2f}s "
         f"= {speedup:.1f}x"
@@ -83,10 +89,12 @@ def test_replay_predicts_the_historical_labels_faster(bench_record):
         "eval_every": EVAL_EVERY,
         "n_fits": len(calls),
         "csr_fits": csr_fits,
+        "csr_input_fits": csr_inputs,
         "max_rows": max(args[0].shape[0] for _, args, _ in calls),
         **walls,
         "speedup": speedup,
         "max_proba_diff": max_proba_diff,
     })
     assert csr_fits, "no fit of the trial took the CSR design"
+    assert csr_inputs, "no fit of the trial took a CSR input"
     assert speedup >= MIN_SPEEDUP

@@ -76,7 +76,7 @@ class InteractivePipeline(abc.ABC):
         if len(indices) == 0:
             return None
         model = LogisticRegression(C=C, n_classes=self.n_classes)
-        model.fit(self.data.train.features[indices], labels)
+        model.fit(self.data.train.csr[indices], labels)
         return model
 
     def evaluate_end_model(self, C: float = 1.0) -> float:

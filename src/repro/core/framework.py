@@ -320,7 +320,7 @@ class ActiveDP:
         if len(indices) == 0:
             return None
         model = LogisticRegression(C=C, max_iter=max_iter, n_classes=self.n_classes)
-        model.fit(self.train.features[indices], labels)
+        model.fit(self.train.csr[indices], labels)
         return model
 
     def evaluate_end_model(self, test, C: float = 1.0) -> float:

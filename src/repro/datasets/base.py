@@ -21,10 +21,18 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
+from scipy import sparse
+
+from repro.models.logistic_regression import _csr_design
+from repro.utils.validation import freeze_finite
 
 
 class Dataset:
     """Base container: features, labels and task metadata.
+
+    The feature matrix is scanned for finiteness once, here.  A finite one
+    that owns its data is made read-only, so models skip that scan on every
+    later fit and predict (:func:`~repro.utils.validation.freeze_finite`).
 
     Parameters
     ----------
@@ -54,6 +62,7 @@ class Dataset:
             raise ValueError("n_classes must be >= 2")
         if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
             raise ValueError("labels must lie in [0, n_classes)")
+        freeze_finite(features)
         self.features = features
         self.labels = labels
         self.n_classes = n_classes
@@ -71,6 +80,23 @@ class Dataset:
     def instances(self) -> Sequence:
         """Raw instances (documents or feature rows); overridden by subclasses."""
         return self.features
+
+    @cached_property
+    def csr(self) -> sparse.csr_matrix:
+        """The features' non-zeros as a CSR matrix, built on first use and kept.
+
+        The end models fit on row slices of it (``csr[indices]``) instead
+        of a dense ``features[indices]`` copy; ``csr.toarray()`` equals
+        ``features`` except that a signed zero reads ``+0.0``.  Its arrays
+        are read-only, like the features.
+        """
+        flat_nonzero = np.flatnonzero(self.features)
+        rows, columns = np.divmod(flat_nonzero, self.n_features)
+        values = self.features.ravel()[flat_nonzero]
+        csr = _csr_design(rows, columns, values, self.features.shape, fit_intercept=False)
+        for array in (csr.data, csr.indices, csr.indptr):
+            array.flags.writeable = False
+        return csr
 
     def class_balance(self) -> np.ndarray:
         """Empirical class distribution."""

@@ -28,7 +28,8 @@ class IncrementalLabelMatrix:
     ----------
     dataset:
         The dataset every appended LF is applied to.  Treated as immutable;
-        snapshots share it instead of copying it.
+        snapshots share it instead of copying it, and pickles leave it out
+        (see :meth:`bind`).
     initial_capacity:
         Number of preallocated columns.
     growth_factor:
@@ -126,6 +127,24 @@ class IncrementalLabelMatrix:
         grown = np.full((self._n_rows, new_capacity), ABSTAIN, dtype=int)
         grown[:, :old_capacity] = self._buffer
         self._buffer = grown
+
+    def bind(self, dataset) -> None:
+        """Rebind an unpickled store to its dataset, regenerated by the caller.
+
+        Pickling leaves the dataset out (features and all), so a store that
+        is read back must be bound to the same dataset again before it
+        applies a new LF.
+        """
+        if len(dataset) != self._n_rows:
+            raise ValueError(
+                f"dataset has {len(dataset)} rows, the label matrix {self._n_rows}"
+            )
+        self.dataset = dataset
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["dataset"] = None
+        return state
 
     def __deepcopy__(self, memo) -> "IncrementalLabelMatrix":
         # Datasets are immutable and LF output vectors are frozen, so a

@@ -164,11 +164,15 @@ class LabelingSession:
         The dataset is regenerated from the persisted seed/scale (fully
         deterministic) and the pickled :class:`TrainingState` — including
         its RNG — replaces the fresh one, so the resumed session continues
-        exactly where the evicted one stopped.
+        exactly where the evicted one stopped.  The payload holds no
+        dataset: both label matrices are bound to the regenerated split.
         """
         suspended = pickle.loads(payload)
         session = cls(**suspended["meta"])
-        session.framework.restore(suspended["state"], copy=False)
+        state = suspended["state"]
+        state.train_matrix.bind(session.split.train)
+        state.valid_matrix.bind(session.split.valid)
+        session.framework.restore(state, copy=False)
         return session
 
 

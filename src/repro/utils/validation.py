@@ -4,13 +4,24 @@ These are deliberately small and explicit: every public estimator and
 framework entry point funnels its array arguments through these checks so
 that user errors surface as clear ``ValueError`` messages rather than cryptic
 NumPy broadcasting failures deep inside a solver.
+
+The finiteness scan of :func:`check_2d` is O(n·d), and the frameworks hand
+the same unchanging feature matrices to it on every fit and predict.  An
+array that :func:`freeze_finite` has scanned, frozen and registered skips
+that scan for as long as it stays read-only; every other array gets it.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Sequence
 
 import numpy as np
+from scipy import sparse
+
+#: id -> array for every array :func:`freeze_finite` registered.  Weak, so
+#: an entry dies with its array and an id is never matched after reuse.
+_FINITE_ARRAYS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def check_1d(array, name: str = "array") -> np.ndarray:
@@ -28,14 +39,50 @@ def check_2d(array, name: str = "array") -> np.ndarray:
         raise ValueError(f"{name} must be 2-dimensional, got shape {result.shape}")
     if result.shape[0] == 0:
         raise ValueError(f"{name} must contain at least one row")
-    if not np.all(np.isfinite(result)):
+    if not _is_frozen_finite(result) and not np.all(np.isfinite(result)):
         raise ValueError(f"{name} contains NaN or infinite values")
     return result
 
 
+def check_csr(matrix, name: str = "array") -> sparse.csr_matrix:
+    """Coerce a ``scipy.sparse`` *matrix* to float CSR or raise ``ValueError``.
+
+    The sparse counterpart of :func:`check_2d`: at least one row, and every
+    stored value finite.
+    """
+    result = matrix.tocsr().astype(float, copy=False)
+    if result.shape[0] == 0:
+        raise ValueError(f"{name} must contain at least one row")
+    if not np.all(np.isfinite(result.data)):
+        raise ValueError(f"{name} contains NaN or infinite values")
+    return result
+
+
+def freeze_finite(array: np.ndarray) -> None:
+    """Scan a float *array* once; if finite and it owns its data, freeze it.
+
+    A frozen array is made read-only and registered, and :func:`check_2d`
+    then skips its finiteness scan for as long as the array stays
+    read-only.  Views (``base`` set) are never frozen: their memory stays
+    writeable through the array they view.  The caller hands over an array
+    that no earlier view writes into.  The shortcut trusts the read-only
+    flag: code that sets it back, writes a NaN and clears it again between
+    two checks is not caught.
+    """
+    if array.base is None and array.dtype == float and np.all(np.isfinite(array)):
+        array.flags.writeable = False
+        _FINITE_ARRAYS[id(array)] = array
+
+
+def _is_frozen_finite(array: np.ndarray) -> bool:
+    return not array.flags.writeable and _FINITE_ARRAYS.get(id(array)) is array
+
+
 def check_consistent_length(*arrays: Sequence) -> None:
     """Raise ``ValueError`` unless all arguments have the same first dimension."""
-    lengths = [len(a) for a in arrays if a is not None]
+    lengths = [
+        a.shape[0] if sparse.issparse(a) else len(a) for a in arrays if a is not None
+    ]
     if len(set(lengths)) > 1:
         raise ValueError(f"inconsistent numbers of samples: {lengths}")
 

@@ -3,11 +3,13 @@
 Pins the suspend-resume contract at the service boundary: a session that
 is LRU-evicted to disk mid-stream and transparently resumed produces final
 labels and diagnostics identical to an uninterrupted run of the same LF
-sequence.
+sequence, and that its suspended payload holds no dataset.
 """
 
 from __future__ import annotations
 
+from repro.baselines.lfset import LFSetPipeline
+from repro.datasets import load_dataset
 from repro.serving.schemas import canonical_json
 from repro.serving.sessions import LabelingSession
 
@@ -17,6 +19,7 @@ LFS = [
     {"type": "keyword", "keyword": "song", "label": 0},
     {"type": "keyword", "keyword": "love", "label": 0},
 ]
+ARTIFACT_KEYS = ("labels", "lf_diagnostics", "end_model")
 
 
 def _without_session_id(payload: dict) -> dict:
@@ -123,3 +126,30 @@ def test_session_errors_and_lifecycle(harness_factory):
 
     assert client.delete(f"/sessions/{sid}")[0] == 200
     assert client.get(f"/sessions/{sid}/labels")[0] == 404
+
+
+def test_suspension_stores_no_dataset_and_resume_rebinds_the_split():
+    session = LabelingSession("suspend", "youtube", seed=7, scale=1.0)
+    for lf in LFS[:2]:
+        session.add_lf(lf)
+    payload = session.suspended_payload()
+    feature_bytes = session.split.train.features.nbytes + session.split.valid.features.nbytes
+
+    assert len(payload) < 0.1 * feature_bytes
+
+    resumed = LabelingSession.resume(payload)
+    state = resumed.framework.state
+    assert state.train_matrix.dataset is resumed.split.train
+    assert state.valid_matrix.dataset is resumed.split.valid
+    assert not resumed.split.train.features.flags.writeable
+
+    for lf in LFS[2:]:
+        resumed.add_lf(lf)
+    replay = LFSetPipeline(
+        load_dataset("youtube", scale=1.0, random_state=7), random_state=7, lfs=LFS
+    )
+    replay.run(len(LFS))
+    labels = resumed.label_payload()
+    assert canonical_json({key: labels[key] for key in ARTIFACT_KEYS}) == canonical_json(
+        replay.export_artifacts()
+    )
