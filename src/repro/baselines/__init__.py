@@ -1,10 +1,13 @@
 """Baseline interactive-labelling frameworks from the paper's evaluation.
 
 Every framework implements the same :class:`InteractivePipeline` interface —
-one ``step()`` per simulated-user interaction, ``generate_labels()`` for the
-training labels produced so far, and ``evaluate_end_model(test)`` to train
-and score the downstream model — so the experiment harness can run them
-interchangeably:
+one ``step()`` per simulated-user interaction and ``generate_labels()`` for
+the training labels produced so far — so the experiment harness can run them
+interchangeably.  Each checkpoint calls ``evaluate(C)``: it calls
+``generate_labels()`` once, trains the downstream logistic regression (inverse
+regularisation ``C``) on those labels and returns an
+:class:`~repro.core.evaluation.Evaluation` of its test accuracy and the
+labels' coverage and accuracy:
 
 * :class:`ActiveDPPipeline` — the paper's method (wraps ``repro.core``);
 * :class:`LFSetPipeline` — non-interactive replay of a fixed wire-schema LF

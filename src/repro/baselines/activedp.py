@@ -1,14 +1,13 @@
 """ActiveDP wrapped in the common pipeline interface.
 
-The wrapper owns the simulated user (optionally noisy, for the Table 5
-study), builds the paper's default configuration for the dataset kind
-(alpha = 0.5 text / 0.99 tabular) and forwards each ``step()`` to the core
-framework.
+:func:`bind_activedp` is the one way a run builds its ActiveDP: the paper's
+per-kind configuration (alpha = 0.5 text / 0.99 tabular) plus overrides,
+seeded by one draw.  Both ActiveDP-backed pipelines and the serving
+sessions bind through it.  :class:`ActiveDPPipeline` adds the simulated
+user (optionally noisy, for the Table 5 study).
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 
@@ -21,24 +20,45 @@ from repro.simulation.simulated_user import SimulatedUser
 from repro.utils.rng import RandomState
 
 
-class ActiveDPPipeline(InteractivePipeline):
+def bind_activedp(
+    data_split: DataSplit, rng: np.random.Generator, config_overrides: dict | None = None
+) -> ActiveDP:
+    """ActiveDP on *data_split*, seeded by exactly one draw from *rng*."""
+    config = ActiveDPConfig.for_dataset_kind(data_split.kind, **(config_overrides or {}))
+    seed = int(rng.integers(2**31 - 1))
+    return ActiveDP(data_split.train, data_split.valid, config, random_state=seed)
+
+
+class ActiveDPBackedPipeline(InteractivePipeline):
+    """A pipeline whose training labels come from one bound ActiveDP run.
+
+    ``config_overrides`` holds individual :class:`ActiveDPConfig` fields
+    replacing per-kind defaults: a plain dict, so engine grids vary single
+    knobs (e.g. ``{"glasso_alpha": 0.02}``) through content-hashed
+    ``pipeline_kwargs``.
+    """
+
+    def __init__(
+        self,
+        data_split: DataSplit,
+        random_state: RandomState = None,
+        config_overrides: dict | None = None,
+    ):
+        super().__init__(data_split, random_state)
+        self.framework = bind_activedp(data_split, self.rng, config_overrides)
+        self.config = self.framework.config
+
+    def generate_labels(self) -> tuple[np.ndarray, np.ndarray]:
+        """ConFusion-aggregated training labels (indices, hard labels)."""
+        indices, labels, _ = self.framework.generate_labels()
+        return indices, labels
+
+
+class ActiveDPPipeline(ActiveDPBackedPipeline):
     """The paper's framework bound to a dataset split and a simulated user.
 
     Parameters
     ----------
-    data_split:
-        Benchmark dataset.
-    random_state:
-        Seed shared by the sampler and the simulated user.
-    config:
-        Optional :class:`ActiveDPConfig` override (defaults to the paper's
-        per-kind configuration).
-    config_overrides:
-        Individual :class:`ActiveDPConfig` fields to replace on top of the
-        per-kind defaults (or on top of *config* when both are given).  A
-        plain dict, so engine grids can vary single knobs (e.g.
-        ``{"glasso_alpha": 0.02}``) through content-hashed
-        ``pipeline_kwargs`` without spelling out a whole config.
     noise_rate:
         Label-noise rate for the simulated user (Table 5; default 0).
     accuracy_threshold:
@@ -51,19 +71,11 @@ class ActiveDPPipeline(InteractivePipeline):
         self,
         data_split: DataSplit,
         random_state: RandomState = None,
-        config: ActiveDPConfig | None = None,
         config_overrides: dict | None = None,
         noise_rate: float = 0.0,
         accuracy_threshold: float = 0.6,
     ):
-        super().__init__(data_split, random_state)
-        self.config = config or ActiveDPConfig.for_dataset_kind(data_split.kind)
-        if config_overrides:
-            self.config = dataclasses.replace(self.config, **config_overrides)
-        seed = int(self.rng.integers(2**31 - 1))
-        self.framework = ActiveDP(
-            data_split.train, data_split.valid, self.config, random_state=seed
-        )
+        super().__init__(data_split, random_state, config_overrides)
         user_seed = int(self.rng.integers(2**31 - 1))
         if noise_rate > 0.0:
             self.user = NoisySimulatedUser(
@@ -84,8 +96,3 @@ class ActiveDPPipeline(InteractivePipeline):
         record = self.framework.step(self.user)
         self.iteration += 1
         return record
-
-    def generate_labels(self) -> tuple[np.ndarray, np.ndarray]:
-        """ConFusion-aggregated training labels (indices, hard labels)."""
-        indices, labels, _ = self.framework.generate_labels()
-        return indices, labels

@@ -3,8 +3,10 @@
 The evaluation protocol (Section 4.1.3) treats every framework as a black
 box that consumes one simulated-user interaction per iteration and, at any
 point, can produce training labels for the downstream model.  This module
-defines that contract plus the shared downstream-model training/evaluation
-logic (TF-IDF / tabular features into logistic regression, as in the paper).
+defines that contract; every checkpoint reads it through
+:meth:`InteractivePipeline.evaluate`, the one evaluation of
+:mod:`repro.core.evaluation` (TF-IDF / tabular features into logistic
+regression, as in the paper).
 """
 
 from __future__ import annotations
@@ -13,10 +15,9 @@ import abc
 
 import numpy as np
 
+from repro.core.evaluation import Evaluation, evaluate_labels
 from repro.core.results import IterationRecord
 from repro.datasets.base import DataSplit
-from repro.models.logistic_regression import LogisticRegression
-from repro.models.metrics import accuracy_score
 from repro.utils.rng import RandomState, ensure_rng
 
 
@@ -70,29 +71,11 @@ class InteractivePipeline(abc.ABC):
         return None
 
     # ------------------------------------------------- downstream evaluation
-    def train_end_model(self, C: float = 1.0) -> LogisticRegression | None:
-        """Train the downstream logistic-regression model on generated labels."""
-        indices, labels = self.generate_labels()
-        if len(indices) == 0:
-            return None
-        model = LogisticRegression(C=C, n_classes=self.n_classes)
-        model.fit(self.data.train.csr[indices], labels)
-        return model
+    def evaluate(self, C: float = 1.0) -> Evaluation:
+        """One checkpoint: end-model test accuracy, label coverage and accuracy.
 
-    def evaluate_end_model(self, C: float = 1.0) -> float:
-        """Test-set accuracy of the downstream model (majority-class fallback)."""
-        model = self.train_end_model(C=C)
-        test = self.data.test
-        if model is None:
-            majority = int(np.argmax(np.bincount(self.data.valid.labels, minlength=self.n_classes)))
-            return accuracy_score(test.labels, np.full(len(test), majority))
-        return float(model.score(test.features, test.labels))
-
-    def label_quality(self) -> dict:
-        """Coverage and accuracy of the generated training labels (diagnostics)."""
+        Calls :meth:`generate_labels` once and reads all three numbers off
+        those labels (the end model has inverse regularisation *C*).
+        """
         indices, labels = self.generate_labels()
-        n_train = len(self.data.train)
-        if len(indices) == 0:
-            return {"coverage": 0.0, "accuracy": 0.0}
-        accuracy = accuracy_score(self.data.train.labels[indices], labels)
-        return {"coverage": len(indices) / n_train, "accuracy": accuracy}
+        return evaluate_labels(self.data, indices, labels, C=C)

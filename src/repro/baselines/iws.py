@@ -8,11 +8,12 @@ candidate the system believes to be accurate, and the label model trained on
 that set labels the covered instances.
 
 The candidate space mirrors the simulated user's LF families (keyword LFs
-for text, decision stumps for tabular data).  Candidate proposal follows the
-spirit of IWS's learned acquisition: candidates are scored by coverage times
-an accuracy estimate that blends the verified feedback collected so far with
-the candidate's agreement with the current label model, and the highest-
-scoring unproposed candidate is shown to the (simulated) expert.
+for text, decision stumps for tabular data).  ``_next_candidate`` shows the
+expert the unproposed candidate with the highest coverage times agreement
+with the current label model's hard labels (largest coverage first).  The
+verdicts in ``verified`` do not feed that score, unlike IWS's learned
+acquisition; see the ROADMAP item "Make the IWS baseline and the label-noise
+study measure what the paper measures".
 """
 
 from __future__ import annotations

@@ -17,23 +17,36 @@ request's actual product on the trial history: aggregated training labels,
 per-LF diagnostics and end-model test predictions, all as plain JSON-able
 Python (see :func:`export_labeling_artifacts`, which interactive serving
 sessions share so a streamed session and a batch replay of the same LFs
-report identical payloads).
+report identical payloads).  The two also share the one replay step,
+:func:`replay_lf`.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
-from repro.baselines.base import InteractivePipeline
-from repro.core.config import ActiveDPConfig
+from repro.baselines.activedp import ActiveDPBackedPipeline
+from repro.core.evaluation import fit_end_model
 from repro.core.framework import ActiveDP
 from repro.core.results import IterationRecord
 from repro.datasets.base import DataSplit
 from repro.labeling.analysis import LFAnalysis
+from repro.labeling.lf import LabelFunction
 from repro.labeling.wire import lf_from_wire
 from repro.utils.rng import RandomState
+
+
+def replay_lf(framework: ActiveDP, lf: LabelFunction) -> bool:
+    """Add *lf* and refit, unless the run already holds it; returns ``duplicate``.
+
+    A duplicate is reported, not re-added — the same guard the interactive
+    framework applies to a simulated user repeating itself.
+    """
+    duplicate = lf in framework.lfs
+    if not duplicate:
+        framework.add_lf(lf)
+        framework.refit()
+    return duplicate
 
 
 def export_labeling_artifacts(
@@ -51,7 +64,8 @@ def export_labeling_artifacts(
     * ``lf_diagnostics`` — per-LF coverage / overlap / conflict / empirical
       accuracy on the validation split (gold labels are legitimate there);
     * ``end_model`` — downstream logistic-regression test-set predictions
-      and accuracy (``None`` while no labels exist to train on).
+      and accuracy (``None`` while no labels exist to train on), fitted on
+      the accepted rows of the one aggregation above.
     """
     aggregated = framework.aggregate_labels()
     labels = {
@@ -82,7 +96,8 @@ def export_labeling_artifacts(
                 }
             )
     end_model = None
-    model = framework.train_end_model(C=end_model_C)
+    indices = np.flatnonzero(aggregated.accepted)
+    model = fit_end_model(data_split.train, indices, aggregated.labels[indices], C=end_model_C)
     if model is not None:
         test = data_split.test
         predictions = model.predict(test.features)
@@ -93,23 +108,16 @@ def export_labeling_artifacts(
     return {"labels": labels, "lf_diagnostics": diagnostics, "end_model": end_model}
 
 
-class LFSetPipeline(InteractivePipeline):
+class LFSetPipeline(ActiveDPBackedPipeline):
     """Replay a wire-schema LF list through ActiveDP, one LF per iteration.
 
     Parameters
     ----------
-    data_split:
-        Benchmark dataset the LFs are applied to.
-    random_state:
-        Seed for the wrapped framework (replay itself is deterministic; the
-        seed keeps the trial contract uniform with the other pipelines).
     lfs:
         Non-empty list of JSON wire dicts (see :mod:`repro.labeling.wire`).
         Iteration *i* adds ``lfs[i]``; iterations beyond the list length
-        refit only (so any ``n_iterations >= len(lfs)`` protocol is valid).
-    config_overrides:
-        Individual :class:`ActiveDPConfig` fields to replace on top of the
-        dataset-kind defaults, exactly as for ``ActiveDPPipeline``.
+        add nothing (so any ``n_iterations >= len(lfs)`` protocol is valid).
+        Replay is deterministic; the seed only binds the framework.
     end_model_C:
         Inverse regularisation of the exported end model (part of the
         content hash via ``pipeline_kwargs``).
@@ -125,44 +133,20 @@ class LFSetPipeline(InteractivePipeline):
         config_overrides: dict | None = None,
         end_model_C: float = 1.0,
     ):
-        super().__init__(data_split, random_state)
         if not lfs:
             raise ValueError("lfs must be a non-empty list of wire-schema LF dicts")
+        super().__init__(data_split, random_state, config_overrides)
         self.lfs = [lf_from_wire(payload) for payload in lfs]
         self.end_model_C = float(end_model_C)
-        self.config = ActiveDPConfig.for_dataset_kind(data_split.kind)
-        if config_overrides:
-            self.config = dataclasses.replace(self.config, **config_overrides)
-        seed = int(self.rng.integers(2**31 - 1))
-        self.framework = ActiveDP(
-            data_split.train, data_split.valid, self.config, random_state=seed
-        )
 
     def step(self) -> IterationRecord:
-        """Add the next LF from the list (if any remain) and refit."""
+        """Replay the next LF from the list (if any remain)."""
         lf = None
         if self.iteration < len(self.lfs):
             lf = self.lfs[self.iteration]
-            if lf not in self.framework.lfs:
-                self.framework.add_lf(lf)
-        self.framework.refit()
-        state = self.framework.state
-        record = IterationRecord(
-            iteration=self.iteration,
-            query_index=-1,
-            lf_name=lf.name if lf is not None else None,
-            n_lfs=len(state.lfs),
-            n_selected_lfs=len(state.selection.selected_indices),
-            threshold=state.threshold,
-            **state.fit_counters(),
-        )
+            replay_lf(self.framework, lf)
         self.iteration += 1
-        return record
-
-    def generate_labels(self) -> tuple[np.ndarray, np.ndarray]:
-        """Aggregated training labels (indices, hard labels)."""
-        indices, labels, _ = self.framework.generate_labels()
-        return indices, labels
+        return self.framework.record_iteration(-1, lf)
 
     def export_artifacts(self) -> dict:
         """The request's product: labels, per-LF diagnostics, predictions."""

@@ -22,7 +22,6 @@ from repro.active_learning.seu import SEUSampler
 from repro.baselines.base import InteractivePipeline
 from repro.core.results import IterationRecord
 from repro.datasets.base import DataSplit
-from repro.labeling.label_matrix import apply_lfs
 from repro.labeling.lf import ABSTAIN, LabelFunction
 from repro.label_models import get_label_model
 from repro.simulation.simulated_user import SimulatedUser

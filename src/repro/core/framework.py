@@ -28,6 +28,7 @@ import numpy as np
 from repro.active_learning import ADPSampler, BaseSampler, QueryContext, get_sampler
 from repro.core.config import ActiveDPConfig
 from repro.core.confusion import AggregatedLabels, ConFusion
+from repro.core.evaluation import fit_end_model, score_end_model, score_labels
 from repro.core.labelpick import LabelPick, LabelPickResult
 from repro.core.pseudo_labels import PseudoLabeledSet
 from repro.core.results import IterationRecord
@@ -35,7 +36,6 @@ from repro.core.state import TrainingState
 from repro.labeling.lf import ABSTAIN, LabelFunction
 from repro.label_models import EM_LABEL_MODELS, get_label_model
 from repro.models.logistic_regression import LogisticRegression
-from repro.models.metrics import accuracy_score
 from repro.utils.rng import RandomState, ensure_rng
 
 
@@ -83,8 +83,8 @@ class ActiveDP:
     def rng(self) -> np.random.Generator:
         return self.state.rng
 
-    # Thin pass-throughs so existing callers (and tests) keep reading the
-    # run state through the framework object.
+    # Read-only pass-throughs so callers can read the run state through the
+    # framework object; writes go to ``self.state``.
     @property
     def lfs(self) -> list[LabelFunction]:
         return self.state.lfs
@@ -97,17 +97,9 @@ class ActiveDP:
     def queried(self) -> list[int]:
         return self.state.queried
 
-    @queried.setter
-    def queried(self, value: list[int]) -> None:
-        self.state.queried = list(value)
-
     @property
     def selection(self) -> LabelPickResult:
         return self.state.selection
-
-    @selection.setter
-    def selection(self, value: LabelPickResult) -> None:
-        self.state.selection = value
 
     @property
     def label_model(self):
@@ -124,10 +116,6 @@ class ActiveDP:
     @property
     def iteration(self) -> int:
         return self.state.iteration
-
-    @iteration.setter
-    def iteration(self, value: int) -> None:
-        self.state.iteration = int(value)
 
     # ------------------------------------------------------ snapshot/resume
     def snapshot(self) -> TrainingState:
@@ -162,7 +150,17 @@ class ActiveDP:
             pseudo_label = self._record_pseudo_label(lf, query_index)
 
         self.refit()
+        return self.record_iteration(query_index, lf, pseudo_label)
 
+    def record_iteration(
+        self, query_index: int, lf: LabelFunction | None, pseudo_label: int = ABSTAIN
+    ) -> IterationRecord:
+        """Close the current iteration: its record, read off the refitted state.
+
+        Every ActiveDP-backed run makes its ``IterationRecord`` here
+        (:meth:`step` and the LF-set replay); advances the iteration count.
+        """
+        state = self.state
         record = IterationRecord(
             iteration=state.iteration,
             query_index=query_index,
@@ -314,35 +312,24 @@ class ActiveDP:
         indices = np.flatnonzero(aggregated.accepted)
         return indices, aggregated.labels[indices], aggregated.proba[indices]
 
-    def train_end_model(self, C: float = 1.0, max_iter: int = 200) -> LogisticRegression | None:
+    def train_end_model(self, C: float = 1.0) -> LogisticRegression | None:
         """Train the downstream logistic-regression model on the aggregated labels."""
         indices, labels, _ = self.generate_labels()
-        if len(indices) == 0:
-            return None
-        model = LogisticRegression(C=C, max_iter=max_iter, n_classes=self.n_classes)
-        model.fit(self.train.csr[indices], labels)
-        return model
+        return fit_end_model(self.train, indices, labels, C=C)
 
     def evaluate_end_model(self, test, C: float = 1.0) -> float:
-        """Train the end model and return its accuracy on the *test* split."""
-        model = self.train_end_model(C=C)
-        if model is None:
-            # No labels yet: fall back to majority-class accuracy.
-            majority = int(np.argmax(np.bincount(self.valid.labels, minlength=self.n_classes)))
-            return accuracy_score(test.labels, np.full(len(test), majority))
-        return float(model.score(test.features, test.labels))
+        """Train the end model and return its accuracy on the *test* split.
+
+        Without any labels yet this is the validation majority class's
+        accuracy.
+        """
+        return score_end_model(self.train_end_model(C=C), test, self.valid)
 
     # ----------------------------------------------------------- diagnostics
     def label_quality(self) -> dict:
         """Accuracy/coverage of the aggregated training labels (uses ground truth)."""
-        aggregated = self.aggregate_labels()
-        accepted = aggregated.accepted
-        if not np.any(accepted):
-            return {"coverage": 0.0, "accuracy": 0.0}
-        accuracy = accuracy_score(
-            self.train.labels[accepted], aggregated.labels[accepted]
-        )
-        return {"coverage": aggregated.coverage, "accuracy": accuracy}
+        indices, labels, _ = self.generate_labels()
+        return score_labels(self.train, indices, labels)
 
     @property
     def selected_lfs(self) -> list[LabelFunction]:

@@ -11,8 +11,7 @@ Four ActiveDP variants are compared (Section 4.3.1):
 
 from __future__ import annotations
 
-from repro.core.config import ActiveDPConfig
-from repro.datasets import DATASET_PROFILES, dataset_names
+from repro.datasets import dataset_names
 from repro.experiments.protocol import EvaluationProtocol, FrameworkResult
 from repro.runner.engine import ExecutionConfig, GridJob, nest_results, run_experiment_grid
 
@@ -44,11 +43,7 @@ def run_table3_ablation(
             key=(variant, dataset),
             framework="activedp",
             dataset=dataset,
-            pipeline_kwargs={
-                "config": ActiveDPConfig.for_dataset_kind(
-                    DATASET_PROFILES[dataset].kind, **ABLATION_VARIANTS[variant]
-                )
-            },
+            pipeline_kwargs={"config_overrides": dict(ABLATION_VARIANTS[variant])},
         )
         for variant in variants
         for dataset in datasets

@@ -7,8 +7,7 @@ paper.
 
 from __future__ import annotations
 
-from repro.core.config import ActiveDPConfig
-from repro.datasets import DATASET_PROFILES, dataset_names
+from repro.datasets import dataset_names
 from repro.experiments.protocol import EvaluationProtocol, FrameworkResult
 from repro.runner.engine import ExecutionConfig, GridJob, nest_results, run_experiment_grid
 
@@ -41,11 +40,7 @@ def run_table4_samplers(
             key=(sampler_label, dataset),
             framework="activedp",
             dataset=dataset,
-            pipeline_kwargs={
-                "config": ActiveDPConfig.for_dataset_kind(
-                    DATASET_PROFILES[dataset].kind, sampler=TABLE4_SAMPLERS[sampler_label]
-                )
-            },
+            pipeline_kwargs={"config_overrides": {"sampler": TABLE4_SAMPLERS[sampler_label]}},
         )
         for sampler_label in samplers
         for dataset in datasets

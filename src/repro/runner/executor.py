@@ -1,7 +1,7 @@
 """Trial execution: the per-trial loop and the parallel scheduler.
 
 :func:`run_trial_on_split` is the canonical evaluation loop for one trial —
-``n_iterations`` pipeline steps, downstream-model evaluation at the
+``n_iterations`` pipeline steps, one ``pipeline.evaluate`` at each of the
 protocol's checkpoints, and the pipeline's own per-iteration records
 propagated into the :class:`~repro.core.results.RunHistory` (the protocol
 layer delegates here, so serial and parallel paths share one loop).
@@ -55,10 +55,8 @@ def run_trial_on_split(
             # 1-based labelling-budget count.
             record.iteration = iteration
         if iteration in eval_points:
-            record.test_accuracy = pipeline.evaluate_end_model(C=protocol.end_model_C)
-            quality = pipeline.label_quality()
-            record.label_coverage = quality["coverage"]
-            record.label_accuracy = quality["accuracy"]
+            evaluation = pipeline.evaluate(C=protocol.end_model_C)
+            record.test_accuracy, record.label_coverage, record.label_accuracy = evaluation
         history.add(record)
     exporter = getattr(pipeline, "export_artifacts", None)
     if exporter is not None:

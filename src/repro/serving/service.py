@@ -54,14 +54,20 @@ from repro.serving.sessions import (
 
 
 class _Job:
-    """One pending/terminal label job (service-internal)."""
+    """One pending/terminal label job (service-internal).
 
-    __slots__ = ("spec", "status", "error")
+    ``offered`` turns true once ``submit``'s own enqueue returned; until
+    then the watcher leaves the job alone, so its self-heal cannot enqueue
+    the trial first and ``submit`` counts every enqueue it makes.
+    """
+
+    __slots__ = ("spec", "status", "error", "offered")
 
     def __init__(self, spec: TrialSpec):
         self.spec = spec
         self.status = "pending"
         self.error: dict | None = None
+        self.offered = False
 
 
 class LabelingService:
@@ -192,9 +198,9 @@ class LabelingService:
                         self._jobs[key] = previous
                     self.admission.release()
             raise
-        if written:
-            with self._lock:
-                self._counters["enqueued"] += 1
+        with self._lock:
+            job.offered = True
+            self._counters["enqueued"] += int(written)
         return 202, {"key": key, "status": "pending"}, {}
 
     def status(self, key: str) -> tuple[int, dict, dict]:
@@ -381,7 +387,9 @@ class LabelingService:
         """One watcher tick: one broker poll round, mapped onto the jobs."""
         with self._lock:
             pending = {
-                key: job.spec for key, job in self._jobs.items() if job.status == "pending"
+                key: job.spec
+                for key, job in self._jobs.items()
+                if job.status == "pending" and job.offered
             }
         if not pending:
             return

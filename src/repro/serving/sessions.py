@@ -31,9 +31,8 @@ import threading
 import uuid
 from pathlib import Path
 
-from repro.baselines.lfset import export_labeling_artifacts
-from repro.core.config import ActiveDPConfig
-from repro.core.framework import ActiveDP
+from repro.baselines.activedp import bind_activedp
+from repro.baselines.lfset import export_labeling_artifacts, replay_lf
 from repro.datasets import load_dataset
 from repro.labeling.wire import lf_from_wire
 from repro.runner.results import atomic_write_bytes
@@ -86,15 +85,8 @@ class LabelingSession:
         self.end_model_C = float(end_model_C)
 
         self.split = load_dataset(dataset, scale=self.scale, random_state=self.seed)
-        config = ActiveDPConfig.for_dataset_kind(self.split.kind)
-        if self.config_overrides:
-            config = dataclasses.replace(config, **self.config_overrides)
-        rng = ensure_rng(self.seed)
-        self.framework = ActiveDP(
-            self.split.train,
-            self.split.valid,
-            config,
-            random_state=int(rng.integers(2**31 - 1)),
+        self.framework = bind_activedp(
+            self.split, ensure_rng(self.seed), self.config_overrides
         )
 
     @property
@@ -112,15 +104,11 @@ class LabelingSession:
     def add_lf(self, wire_lf: dict) -> dict:
         """Add one wire-schema LF and refit; returns the step diagnostics.
 
-        Duplicate LFs (already streamed into this session) are reported,
-        not re-added — the same guard the interactive framework applies to
-        a simulated user repeating itself.
+        The step is the LF-set replay's own (:func:`replay_lf`), so a
+        duplicate LF is reported, not re-added.
         """
         lf = lf_from_wire(wire_lf)
-        duplicate = lf in self.framework.lfs
-        if not duplicate:
-            self.framework.add_lf(lf)
-            self.framework.refit()
+        duplicate = replay_lf(self.framework, lf)
         state = self.framework.state
         return {
             "session": self.session_id,

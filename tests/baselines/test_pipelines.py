@@ -46,15 +46,15 @@ class TestCommonContract:
     def test_evaluate_end_model_returns_probability(self, name, tiny_text_split):
         pipeline = get_pipeline(name, tiny_text_split, random_state=0)
         pipeline.run(6)
-        accuracy = pipeline.evaluate_end_model()
+        accuracy = pipeline.evaluate(1.0).test_accuracy
         assert 0.0 <= accuracy <= 1.0
 
     def test_label_quality_bounds(self, name, tiny_text_split):
         pipeline = get_pipeline(name, tiny_text_split, random_state=0)
         pipeline.run(6)
-        quality = pipeline.label_quality()
-        assert 0.0 <= quality["coverage"] <= 1.0
-        assert 0.0 <= quality["accuracy"] <= 1.0
+        evaluation = pipeline.evaluate(1.0)
+        assert 0.0 <= evaluation.label_coverage <= 1.0
+        assert 0.0 <= evaluation.label_accuracy <= 1.0
 
 
 class TestActiveDPPipeline:
@@ -64,9 +64,9 @@ class TestActiveDPPipeline:
         assert isinstance(pipeline.user, NoisySimulatedUser)
 
     def test_config_override(self, tiny_text_split):
-        from repro.core import ActiveDPConfig
-        config = ActiveDPConfig.for_dataset_kind("text", sampler="passive")
-        pipeline = ActiveDPPipeline(tiny_text_split, random_state=0, config=config)
+        pipeline = ActiveDPPipeline(
+            tiny_text_split, random_state=0, config_overrides={"sampler": "passive"}
+        )
         assert pipeline.framework.sampler.name == "passive"
 
     def test_tabular_defaults_use_high_alpha(self, tiny_tabular_split):
@@ -86,19 +86,17 @@ class TestActiveDPPipeline:
         assert pipeline.framework.labelpick.glasso_alpha == 0.02
         assert pipeline.framework.labelpick.min_queries == 5
 
-    def test_config_overrides_compose_with_explicit_config(self, tiny_text_split):
+    def test_config_overrides_compose_with_each_other(self, tiny_text_split):
         from repro.core import ActiveDPConfig
-        config = ActiveDPConfig.for_dataset_kind("text", sampler="passive")
+        overrides = {"sampler": "passive", "glasso_alpha": 0.02}
         pipeline = ActiveDPPipeline(
-            tiny_text_split,
-            random_state=0,
-            config=config,
-            config_overrides={"glasso_alpha": 0.02},
+            tiny_text_split, random_state=0, config_overrides=overrides
         )
         assert pipeline.framework.sampler.name == "passive"
         assert pipeline.config.glasso_alpha == 0.02
-        # The caller's config object is not mutated.
-        assert config.glasso_alpha == 0.01
+        # Neither the caller's dict nor the per-kind defaults are mutated.
+        assert overrides == {"sampler": "passive", "glasso_alpha": 0.02}
+        assert ActiveDPConfig.for_dataset_kind("text").glasso_alpha == 0.01
 
     def test_accumulates_labels_over_iterations(self, tiny_text_split):
         pipeline = ActiveDPPipeline(tiny_text_split, random_state=0)
@@ -153,7 +151,7 @@ class TestIWSPipeline:
     def test_works_on_tabular_data(self, tiny_tabular_split):
         pipeline = IWSPipeline(tiny_tabular_split, random_state=0, max_candidates=50)
         pipeline.run(8)
-        assert 0.0 <= pipeline.evaluate_end_model() <= 1.0
+        assert 0.0 <= pipeline.evaluate(1.0).test_accuracy <= 1.0
 
 
 class TestRevisingLFPipeline:

@@ -45,9 +45,10 @@ class ColdActiveDP(ActiveDP):
 
 @contextlib.contextmanager
 def cold_pipelines():
-    """Make the ``activedp`` pipeline build :class:`ColdActiveDP` inside the block.
+    """Make ``bind_activedp`` build :class:`ColdActiveDP` inside the block.
 
-    Trials run in this process through ``repro.runner.executor.run_trial``
+    Every ActiveDP-backed run binds through it (the ``activedp`` and
+    ``lfset`` pipelines, serving sessions).  Trials run in this process through ``repro.runner.executor.run_trial``
     then execute the cold reference; the content keys are unchanged, so the
     histories must not be written to a shared result store.
     """

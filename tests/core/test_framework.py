@@ -56,7 +56,7 @@ class TestTrainingLoop:
     def test_exhausted_pool_raises(self, tiny_text_split):
         config = ActiveDPConfig.for_dataset_kind("text")
         framework = ActiveDP(tiny_text_split.train, tiny_text_split.valid, config, random_state=0)
-        framework.queried = list(range(len(tiny_text_split.train)))
+        framework.state.queried = list(range(len(tiny_text_split.train)))
         with pytest.raises(RuntimeError):
             framework.select_query()
 

@@ -49,10 +49,13 @@ class TestActiveDPEndToEndText:
         """
         scores = {}
         for use_confusion in (False, True):
-            config = ActiveDPConfig.for_dataset_kind("text", use_confusion=use_confusion)
-            pipeline = ActiveDPPipeline(tiny_text_split, random_state=1, config=config)
+            pipeline = ActiveDPPipeline(
+                tiny_text_split,
+                random_state=1,
+                config_overrides={"use_confusion": use_confusion},
+            )
             pipeline.run(25)
-            scores[use_confusion] = pipeline.evaluate_end_model()
+            scores[use_confusion] = pipeline.evaluate(1.0).test_accuracy
         assert scores[True] >= scores[False] - 0.15
         assert scores[True] > 0.75
 
@@ -98,5 +101,5 @@ class TestFrameworkComparison:
         for name in ("activedp", "uncertainty"):
             pipeline = get_pipeline(name, tiny_text_split, random_state=3)
             pipeline.run(20)
-            results[name] = pipeline.evaluate_end_model()
+            results[name] = pipeline.evaluate(1.0).test_accuracy
         assert results["activedp"] >= results["uncertainty"] - 0.1

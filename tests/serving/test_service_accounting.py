@@ -159,6 +159,26 @@ class TestRacingSubmits:
         assert stats["admission"]["inflight"] == 0
         assert stats["jobs"] == {"pending": 0, "done": 1, "failed": 0}
 
+    def test_watcher_tick_before_the_first_enqueue_leaves_it_to_submit(self, make_service):
+        """A watcher tick between a job's registration and its first enqueue
+        does not self-heal the job: one enqueue, counted, and no requeue."""
+        service = make_service()
+        real_enqueue = service.broker.enqueue
+        ticked = []
+
+        def enqueue_after_a_tick(spec):
+            if not ticked:
+                ticked.append(True)
+                service._watch_once()
+            return real_enqueue(spec)
+
+        service.broker.enqueue = enqueue_after_a_tick
+        status, _, _ = service.submit(BODY)
+        assert status == 202
+        requests, _, broker = _counters(service)
+        assert (requests["enqueued"], requests["requeues"]) == (1, 0)
+        assert broker["tasks"] == 1
+
     def test_failed_enqueue_rolls_back_the_job_and_its_slot(self, make_service):
         service = make_service(max_inflight=1)
 
