@@ -16,9 +16,13 @@ labels' coverage and accuracy:
 * :class:`IWSPipeline` — interactive weak supervision (LF verification);
 * :class:`RevisingLFPipeline` — LF-output revision on queried instances;
 * :class:`UncertaintySamplingPipeline` — classical pool-based AL.
+
+Nemo, IWS and Revising LF subclass :class:`LabelModelPipeline`, which keeps
+their LFs in one column store on ``train``, refits a fresh MeTaL label model
+in one place and reads their labels as its argmax over the LF-covered rows.
 """
 
-from repro.baselines.base import InteractivePipeline
+from repro.baselines.base import InteractivePipeline, LabelModelPipeline
 from repro.baselines.activedp import ActiveDPPipeline
 from repro.baselines.lfset import LFSetPipeline
 from repro.baselines.nemo import NemoPipeline
@@ -28,6 +32,7 @@ from repro.baselines.uncertainty_pipeline import UncertaintySamplingPipeline
 
 __all__ = [
     "InteractivePipeline",
+    "LabelModelPipeline",
     "ActiveDPPipeline",
     "LFSetPipeline",
     "NemoPipeline",

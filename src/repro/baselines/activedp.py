@@ -61,8 +61,6 @@ class ActiveDPPipeline(ActiveDPBackedPipeline):
     ----------
     noise_rate:
         Label-noise rate for the simulated user (Table 5; default 0).
-    accuracy_threshold:
-        Candidate-LF accuracy threshold of the simulated user (paper: 0.6).
     """
 
     name = "activedp"
@@ -73,23 +71,15 @@ class ActiveDPPipeline(ActiveDPBackedPipeline):
         random_state: RandomState = None,
         config_overrides: dict | None = None,
         noise_rate: float = 0.0,
-        accuracy_threshold: float = 0.6,
     ):
         super().__init__(data_split, random_state, config_overrides)
         user_seed = int(self.rng.integers(2**31 - 1))
         if noise_rate > 0.0:
             self.user = NoisySimulatedUser(
-                data_split.train,
-                noise_rate=noise_rate,
-                accuracy_threshold=accuracy_threshold,
-                random_state=user_seed,
+                data_split.train, noise_rate=noise_rate, random_state=user_seed
             )
         else:
-            self.user = SimulatedUser(
-                data_split.train,
-                accuracy_threshold=accuracy_threshold,
-                random_state=user_seed,
-            )
+            self.user = SimulatedUser(data_split.train, random_state=user_seed)
 
     def step(self):
         """Run one ActiveDP training iteration; returns its real record."""

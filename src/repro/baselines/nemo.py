@@ -19,50 +19,26 @@ import numpy as np
 
 from repro.active_learning.base import QueryContext
 from repro.active_learning.seu import SEUSampler
-from repro.baselines.base import InteractivePipeline
+from repro.baselines.base import LabelModelPipeline
 from repro.core.results import IterationRecord
 from repro.datasets.base import DataSplit
-from repro.labeling.lf import ABSTAIN, LabelFunction
-from repro.label_models import get_label_model
-from repro.simulation.simulated_user import SimulatedUser
+from repro.labeling.lf import ABSTAIN
 from repro.utils.rng import RandomState
 
 
-class NemoPipeline(InteractivePipeline):
+class NemoPipeline(LabelModelPipeline):
     """SEU-guided interactive LF development with a label model.
 
-    Parameters
-    ----------
-    data_split, random_state:
-        See :class:`InteractivePipeline`.
-    label_model:
-        Label-model registry name (paper: MeTaL).
-    accuracy_threshold:
-        Candidate-LF accuracy threshold of the simulated user.
+    The label model is refitted on all LFs whenever the user returns a new
+    one (see :class:`~repro.baselines.base.LabelModelPipeline`).
     """
 
     name = "nemo"
 
-    def __init__(
-        self,
-        data_split: DataSplit,
-        random_state: RandomState = None,
-        label_model: str = "metal",
-        accuracy_threshold: float = 0.6,
-    ):
+    def __init__(self, data_split: DataSplit, random_state: RandomState = None):
         super().__init__(data_split, random_state)
         self.sampler = SEUSampler()
-        self.user = SimulatedUser(
-            data_split.train,
-            accuracy_threshold=accuracy_threshold,
-            random_state=int(self.rng.integers(2**31 - 1)),
-        )
-        self.label_model_name = label_model
-        self.lfs: list[LabelFunction] = []
         self.queried: list[int] = []
-        self.label_model = None
-        self._train_matrix = np.empty((len(data_split.train), 0), dtype=int)
-        self._lm_proba: np.ndarray | None = None
 
     def step(self):
         """Select a query with SEU, collect an LF and retrain the label model."""
@@ -74,7 +50,7 @@ class NemoPipeline(InteractivePipeline):
         context = QueryContext(
             dataset=self.data.train,
             candidates=candidates,
-            lm_proba=self._lm_proba,
+            lm_proba=self.lm_proba,
             queried_indices=np.asarray(self.queried, dtype=int),
             queried_labels=np.full(len(self.queried), ABSTAIN, dtype=int),
             iteration=self.iteration,
@@ -85,10 +61,8 @@ class NemoPipeline(InteractivePipeline):
 
         lf = self.user.design_lf(query)
         if lf is not None and lf not in self.lfs:
-            self.lfs.append(lf)
-            column = lf.apply(self.data.train).reshape(-1, 1)
-            self._train_matrix = np.hstack([self._train_matrix, column])
-            self._retrain()
+            self.add_lf(lf)
+            self.refit()
         record = IterationRecord(
             iteration=self.iteration,
             query_index=int(query),
@@ -97,16 +71,3 @@ class NemoPipeline(InteractivePipeline):
         )
         self.iteration += 1
         return record
-
-    def generate_labels(self) -> tuple[np.ndarray, np.ndarray]:
-        """Label-model hard labels on the LF-covered training instances."""
-        if self._train_matrix.shape[1] == 0 or self.label_model is None:
-            return np.array([], dtype=int), np.array([], dtype=int)
-        covered = np.any(self._train_matrix != ABSTAIN, axis=1)
-        indices = np.flatnonzero(covered)
-        proba = self.label_model.predict_proba(self._train_matrix[indices])
-        return indices, np.argmax(proba, axis=1)
-
-    def _retrain(self) -> None:
-        self.label_model = get_label_model(self.label_model_name, n_classes=self.n_classes)
-        self._lm_proba = self.label_model.fit_predict_proba(self._train_matrix)

@@ -19,74 +19,50 @@ from __future__ import annotations
 import numpy as np
 
 from repro.active_learning.base import prediction_entropy
-from repro.baselines.base import InteractivePipeline
+from repro.baselines.base import LabelModelPipeline
 from repro.datasets.base import DataSplit
-from repro.labeling.lf import ABSTAIN, LabelFunction
-from repro.label_models import get_label_model
+from repro.labeling.lf import ABSTAIN
 from repro.simulation.oracle import Oracle
-from repro.simulation.simulated_user import SimulatedUser
 from repro.utils.rng import RandomState
 
 
-class RevisingLFPipeline(InteractivePipeline):
+class RevisingLFPipeline(LabelModelPipeline):
     """Uncertainty-driven LF-output revision with a growing LF set.
 
-    Parameters
-    ----------
-    data_split, random_state:
-        See :class:`InteractivePipeline`.
-    label_model:
-        Label-model registry name.
-    accuracy_threshold:
-        Candidate-LF accuracy threshold of the simulated user that produces
-        the input LF set.
+    ``revised`` maps each queried instance to its oracle label; the label
+    model is fitted on the column store with every fired vote on a revised
+    instance set to that label (:meth:`fit_matrix`).
     """
 
     name = "revising_lf"
 
-    def __init__(
-        self,
-        data_split: DataSplit,
-        random_state: RandomState = None,
-        label_model: str = "metal",
-        accuracy_threshold: float = 0.6,
-    ):
+    def __init__(self, data_split: DataSplit, random_state: RandomState = None):
         super().__init__(data_split, random_state)
-        self.user = SimulatedUser(
-            data_split.train,
-            accuracy_threshold=accuracy_threshold,
-            random_state=int(self.rng.integers(2**31 - 1)),
-        )
         self.oracle = Oracle(
             data_split.train, random_state=int(self.rng.integers(2**31 - 1))
         )
-        self.label_model_name = label_model
-        self.lfs: list[LabelFunction] = []
         self.lf_queried: list[int] = []
         self.revised: dict[int, int] = {}
-        self.label_model = None
-        self._matrix = np.empty((len(data_split.train), 0), dtype=int)
-        self._lm_proba: np.ndarray | None = None
 
     def step(self) -> None:
         """Grow the LF set by one LF and revise the most uncertain instance."""
         self._grow_lf_set()
         self._revise_most_uncertain()
-        self._retrain()
+        self.refit()
         self.iteration += 1
+
+    def fit_matrix(self) -> np.ndarray:
+        """The column store with the revised instances' fired votes overwritten."""
+        matrix = self.train_matrix.matrix.copy()
+        rows = np.fromiter(self.revised, dtype=int, count=len(self.revised))
+        labels = np.fromiter(self.revised.values(), dtype=int, count=len(self.revised))
+        votes = matrix[rows]
+        matrix[rows] = np.where(votes != ABSTAIN, labels[:, None], votes)
+        return matrix
 
     def generate_labels(self) -> tuple[np.ndarray, np.ndarray]:
         """Label-model labels on covered instances, with revised instances pinned."""
-        if self._matrix.shape[1] == 0 or self.label_model is None:
-            if not self.revised:
-                return np.array([], dtype=int), np.array([], dtype=int)
-            indices = np.array(sorted(self.revised), dtype=int)
-            return indices, np.array([self.revised[i] for i in indices], dtype=int)
-
-        covered = np.any(self._matrix != ABSTAIN, axis=1)
-        indices = np.flatnonzero(covered)
-        proba = self.label_model.predict_proba(self._matrix[indices])
-        labels = np.argmax(proba, axis=1)
+        indices, labels = super().generate_labels()
         # Queried instances keep their manually provided labels.
         label_map = dict(zip(indices.tolist(), labels.tolist()))
         label_map.update(self.revised)
@@ -104,38 +80,19 @@ class RevisingLFPipeline(InteractivePipeline):
         query = int(self.rng.choice(candidates))
         self.lf_queried.append(query)
         lf = self.user.design_lf(query)
-        if lf is None or lf in self.lfs:
-            return
-        self.lfs.append(lf)
-        column = lf.apply(self.data.train).reshape(-1, 1)
-        self._matrix = np.hstack([self._matrix, column])
-        # Re-apply earlier revisions to the new column.
-        for index, label in self.revised.items():
-            if self._matrix[index, -1] != ABSTAIN:
-                self._matrix[index, -1] = label
+        if lf is not None and lf not in self.lfs:
+            self.add_lf(lf)
 
     def _revise_most_uncertain(self) -> None:
-        """Query the label-model-most-uncertain instance and fix LF outputs on it."""
+        """Query the label-model-most-uncertain instance and record its true label."""
         unrevised = np.setdiff1d(
             np.arange(len(self.data.train)), np.array(sorted(self.revised), dtype=int)
         )
         if unrevised.size == 0:
             return
-        if self._lm_proba is not None:
-            entropy = prediction_entropy(self._lm_proba[unrevised])
+        if self.lm_proba is not None:
+            entropy = prediction_entropy(self.lm_proba[unrevised])
             target = int(unrevised[int(np.argmax(entropy))])
         else:
             target = int(self.rng.choice(unrevised))
-        true_label = self.oracle.label(target)
-        self.revised[target] = true_label
-        if self._matrix.shape[1]:
-            fired = self._matrix[target] != ABSTAIN
-            self._matrix[target, fired] = true_label
-
-    def _retrain(self) -> None:
-        if self._matrix.shape[1] == 0:
-            self.label_model = None
-            self._lm_proba = None
-            return
-        self.label_model = get_label_model(self.label_model_name, n_classes=self.n_classes)
-        self._lm_proba = self.label_model.fit_predict_proba(self._matrix)
+        self.revised[target] = self.oracle.label(target)

@@ -13,9 +13,9 @@ import numpy as np
 from repro.active_learning.base import QueryContext
 from repro.active_learning.uncertainty import UncertaintySampler
 from repro.baselines.base import InteractivePipeline
+from repro.core.evaluation import fit_end_model
 from repro.core.results import IterationRecord
 from repro.datasets.base import DataSplit
-from repro.models.logistic_regression import LogisticRegression
 from repro.simulation.oracle import Oracle
 from repro.utils.rng import RandomState
 
@@ -23,27 +23,16 @@ from repro.utils.rng import RandomState
 class UncertaintySamplingPipeline(InteractivePipeline):
     """Uncertainty sampling with an instance-labelling oracle.
 
-    Parameters
-    ----------
-    data_split, random_state:
-        See :class:`InteractivePipeline`.
-    model_C:
-        Inverse regularisation of the logistic-regression model trained on
-        the labelled subset.
+    The query model is the downstream logistic regression (``C = 1``),
+    refitted on the labelled subset once it holds two classes.
     """
 
     name = "uncertainty"
 
-    def __init__(
-        self,
-        data_split: DataSplit,
-        random_state: RandomState = None,
-        model_C: float = 1.0,
-    ):
+    def __init__(self, data_split: DataSplit, random_state: RandomState = None):
         super().__init__(data_split, random_state)
         self.sampler = UncertaintySampler()
         self.oracle = Oracle(data_split.train, random_state=int(self.rng.integers(2**31 - 1)))
-        self.model_C = model_C
         self.labeled_indices: list[int] = []
         self.labels: list[int] = []
         self._proba: np.ndarray | None = None
@@ -86,6 +75,5 @@ class UncertaintySamplingPipeline(InteractivePipeline):
         if len(labels) < 2 or len(np.unique(labels)) < 2:
             self._proba = None
             return
-        model = LogisticRegression(C=self.model_C, n_classes=self.n_classes)
-        model.fit(self.data.train.features[np.asarray(self.labeled_indices)], labels)
+        model = fit_end_model(self.data.train, np.asarray(self.labeled_indices), labels)
         self._proba = model.predict_proba(self.data.train.features)

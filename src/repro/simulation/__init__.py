@@ -12,6 +12,7 @@ sampling and Revising LF.
 from repro.simulation.candidate_space import (
     CandidateLF,
     enumerate_keyword_lfs,
+    enumerate_threshold_lfs,
     keyword_lf_candidates,
     threshold_lf_candidates,
 )
@@ -24,6 +25,7 @@ __all__ = [
     "keyword_lf_candidates",
     "threshold_lf_candidates",
     "enumerate_keyword_lfs",
+    "enumerate_threshold_lfs",
     "SimulatedUser",
     "NoisySimulatedUser",
     "Oracle",

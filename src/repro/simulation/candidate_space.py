@@ -9,6 +9,10 @@ Two candidate spaces exist, matching Section 4.1.4 of the paper:
   the query instance's feature value on the boundary (``v = x_j``), one per
   (feature, operator, class) combination, again filtered by accuracy.
 
+:func:`enumerate_keyword_lfs` and :func:`enumerate_threshold_lfs` enumerate
+each space globally (not per query) for the IWS baseline, which proposes
+candidates instead of asking the user to write them.
+
 The keyword statistics are read once per dataset off its postings index
 (:attr:`~repro.datasets.TextDataset.postings`, token -> document ids), so
 per-query candidate construction is a cheap dictionary lookup even for long
@@ -188,6 +192,36 @@ def enumerate_keyword_lfs(
     candidates.sort(key=lambda c: (-c.coverage, c.lf.keyword))
     if max_candidates is not None:
         candidates = candidates[:max_candidates]
+    return candidates
+
+
+def enumerate_threshold_lfs(dataset: TabularDataset) -> list[CandidateLF]:
+    """Enumerate the global decision-stump space of a tabular dataset.
+
+    The tabular counterpart of :func:`enumerate_keyword_lfs`: for every
+    feature, each distinct decile (10%, 20%, ..., 90%) of its training values
+    gives a ``>=`` and a ``<=`` stump that fires at least once, labelling its
+    fired instances' majority class.  Candidates are stably sorted by
+    coverage (descending).
+    """
+    raw = dataset.raw_features
+    quantiles = np.linspace(0.1, 0.9, 9)
+    candidates = []
+    for feature in range(raw.shape[1]):
+        thresholds = np.unique(np.quantile(raw[:, feature], quantiles))
+        for value in thresholds:
+            for op in (">=", "<="):
+                fires = raw[:, feature] >= value if op == ">=" else raw[:, feature] <= value
+                if not np.any(fires):
+                    continue
+                coverage = float(fires.mean())
+                fired_labels = dataset.labels[fires]
+                label = int(np.argmax(np.bincount(fired_labels, minlength=dataset.n_classes)))
+                accuracy = float(np.mean(fired_labels == label))
+                candidates.append(
+                    CandidateLF(ThresholdLF(feature, float(value), op, label), coverage, accuracy)
+                )
+    candidates.sort(key=lambda c: c.coverage, reverse=True)
     return candidates
 
 

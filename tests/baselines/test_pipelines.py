@@ -12,6 +12,7 @@ from repro.baselines import (
     get_pipeline,
     pipeline_names,
 )
+from repro.label_models import MeTaLLabelModel
 from repro.labeling import ABSTAIN
 
 ALL_PIPELINES = pipeline_names()
@@ -140,16 +141,16 @@ class TestIWSPipeline:
     def test_accepted_lfs_pass_user_verification(self, tiny_text_split):
         pipeline = IWSPipeline(tiny_text_split, random_state=0)
         pipeline.run(12)
-        for lf in pipeline.accepted:
+        for lf in pipeline.lfs:
             assert pipeline.user.verify_lf(lf)
 
     def test_proposals_are_not_repeated(self, tiny_text_split):
-        pipeline = IWSPipeline(tiny_text_split, random_state=0, max_candidates=20)
+        pipeline = IWSPipeline(tiny_text_split, random_state=0)
         pipeline.run(15)
         assert len(pipeline.proposed) == len(set(pipeline.proposed))
 
     def test_works_on_tabular_data(self, tiny_tabular_split):
-        pipeline = IWSPipeline(tiny_tabular_split, random_state=0, max_candidates=50)
+        pipeline = IWSPipeline(tiny_tabular_split, random_state=0)
         pipeline.run(8)
         assert 0.0 <= pipeline.evaluate(1.0).test_accuracy <= 1.0
 
@@ -167,7 +168,46 @@ class TestRevisingLFPipeline:
     def test_lf_outputs_corrected_on_revised_instances(self, tiny_text_split):
         pipeline = RevisingLFPipeline(tiny_text_split, random_state=0)
         pipeline.run(10)
-        matrix = pipeline._matrix
+        matrix = pipeline.fit_matrix()
+        # Revision rewrites fired votes only; abstains stay abstains.
+        np.testing.assert_array_equal(
+            matrix != ABSTAIN, pipeline.train_matrix.matrix != ABSTAIN
+        )
         for index, label in pipeline.revised.items():
             fired = matrix[index] != ABSTAIN
             assert np.all(matrix[index, fired] == label)
+
+
+@pytest.mark.parametrize(
+    "name, split",
+    [
+        ("nemo", "tiny_text_split"),
+        ("iws", "tiny_text_split"),
+        ("revising_lf", "tiny_text_split"),
+        ("iws", "tiny_tabular_split"),
+        ("revising_lf", "tiny_tabular_split"),
+    ],
+)
+def test_generate_labels_matches_independent_recomputation(name, split, request):
+    """The label-model baselines' labels are MeTaL's argmax over their own LFs.
+
+    Recomputed from scratch: apply every LF, overwrite fired votes on
+    revised rows with the oracle label (Revising LF), fit a fresh MeTaL and
+    take its argmax over the covered rows, revised rows pinned.
+    """
+    data_split = request.getfixturevalue(split)
+    pipeline = get_pipeline(name, data_split, random_state=0)
+    pipeline.run(10)
+    assert pipeline.lfs
+    matrix = np.column_stack([lf.apply(data_split.train) for lf in pipeline.lfs])
+    revised = getattr(pipeline, "revised", {})
+    for index, label in revised.items():
+        matrix[index, matrix[index] != ABSTAIN] = label
+    covered = np.flatnonzero(np.any(matrix != ABSTAIN, axis=1))
+    model = MeTaLLabelModel(n_classes=data_split.n_classes).fit(matrix)
+    expected = dict(zip(covered.tolist(), model.predict(matrix[covered]).tolist()))
+    expected.update(revised)
+
+    indices, labels = pipeline.generate_labels()
+    assert indices.tolist() == sorted(expected)
+    assert labels.tolist() == [expected[i] for i in sorted(expected)]

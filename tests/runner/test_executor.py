@@ -44,7 +44,9 @@ def test_unpicklable_payload_falls_back_to_serial(monkeypatch):
 def test_parallel_failure_persists_completed_trials():
     """A failing trial cancels the queue but keeps finished trials.
 
-    With two workers, both trials start immediately; the bad one fails fast
+    The good trial is submitted first: the pool hands work items to its
+    workers in submission order, so the good one is running (and can no
+    longer be cancelled) no later than the bad one, which fails fast
     (unknown dataset) while the good one is in flight.  The executor must
     propagate the failure without either running queued trials to
     completion behind the caller's back or dropping the good trial's
@@ -57,7 +59,7 @@ def test_parallel_failure_persists_completed_trials():
     seen = []
     with pytest.raises(Exception, match="no-such-dataset"):
         executor.execute_trials(
-            [bad, good], workers=2, on_result=lambda s, h: seen.append(s.key)
+            [good, bad], workers=2, on_result=lambda s, h: seen.append(s.key)
         )
     assert seen == [good.key]
 

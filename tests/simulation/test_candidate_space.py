@@ -6,6 +6,7 @@ import pytest
 from repro.labeling import ABSTAIN, KeywordLF, ThresholdLF
 from repro.simulation import (
     enumerate_keyword_lfs,
+    enumerate_threshold_lfs,
     keyword_lf_candidates,
     threshold_lf_candidates,
 )
@@ -84,6 +85,24 @@ class TestEnumerateKeywordLFs:
             fired = outputs != ABSTAIN
             majority = np.bincount(train.labels[fired], minlength=2).argmax()
             assert candidate.lf.label == majority
+
+
+class TestEnumerateThresholdLFs:
+    def test_candidates_sorted_by_coverage(self, tiny_tabular_split):
+        candidates = enumerate_threshold_lfs(tiny_tabular_split.train)
+        coverages = [c.coverage for c in candidates]
+        assert coverages == sorted(coverages, reverse=True)
+
+    def test_statistics_match_the_stump_outputs(self, tiny_tabular_split):
+        train = tiny_tabular_split.train
+        candidates = enumerate_threshold_lfs(train)
+        assert candidates
+        for candidate in candidates:
+            fired = candidate.lf.apply(train) != ABSTAIN
+            fired_labels = train.labels[fired]
+            assert candidate.coverage == fired.mean() > 0
+            assert candidate.lf.label == np.bincount(fired_labels, minlength=2).argmax()
+            assert candidate.accuracy == np.mean(fired_labels == candidate.lf.label)
 
 
 class TestDispatch:
