@@ -11,14 +11,12 @@ unknown keys are preserved, so benchmarks can update their own entry without
 clobbering each other's.  ``REPRO_BENCH_RECORD_FILE`` redirects the output
 (CI points it at a workspace artefact; tests point it at ``tmp_path``).
 
-``BENCH_core.json`` is last-run-wins per benchmark; the *trajectory* across
-runs lives in the run-history database (``BENCH_history.sqlite3``, an
-append-only :meth:`~repro.runner.results.RunHistoryDB.record_benchmark`
-table).  :func:`record` feeds both, so every benchmark's headline numbers
-become a timestamped row queryable via ``python -m repro.runner.query
---db BENCH_history.sqlite3 --benchmarks`` and comparable against the
-committed JSON with ``--trajectory-diff``.  ``REPRO_BENCH_DB`` redirects
-the trajectory database the same way the record file is redirected.
+The file is last-run-wins per benchmark and is the one benchmark record:
+the history of the numbers is the file's git history.  Run as a script, this
+module prints the drift between two such files, numeric leaf by numeric
+leaf::
+
+    python benchmarks/record.py CURRENT.json COMMITTED.json
 """
 
 from __future__ import annotations
@@ -32,26 +30,14 @@ from pathlib import Path
 #: Environment variable redirecting the record file away from the repo root.
 BENCH_RECORD_ENV_VAR = "REPRO_BENCH_RECORD_FILE"
 
-#: Environment variable redirecting the benchmark-trajectory database.
-BENCH_DB_ENV_VAR = "REPRO_BENCH_DB"
-
 #: Default location: ``BENCH_core.json`` next to the repository's ``conftest.py``.
 DEFAULT_BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_core.json"
-
-#: Default trajectory database, next to the record file (gitignored).
-DEFAULT_BENCH_DB = DEFAULT_BENCH_FILE.with_name("BENCH_history.sqlite3")
 
 
 def bench_file() -> Path:
     """The record file currently in effect (env override or the default)."""
     override = os.environ.get(BENCH_RECORD_ENV_VAR, "").strip()
     return Path(override) if override else DEFAULT_BENCH_FILE
-
-
-def bench_db() -> Path:
-    """The trajectory database currently in effect (env override or default)."""
-    override = os.environ.get(BENCH_DB_ENV_VAR, "").strip()
-    return Path(override) if override else DEFAULT_BENCH_DB
 
 
 def _jsonable(value):
@@ -75,7 +61,6 @@ def record(benchmark: str, values: dict, path: Path | None = None) -> Path:
     can never wedge the whole benchmark suite.
     """
     target = Path(path) if path is not None else bench_file()
-    record_trial_index(benchmark, values)
     existing: dict = {}
     try:
         loaded = json.loads(target.read_text())
@@ -100,32 +85,67 @@ def record(benchmark: str, values: dict, path: Path | None = None) -> Path:
     return target
 
 
-def record_trial_index(
-    benchmark: str, values: dict, db_path: Path | None = None
-) -> Path | None:
-    """Append *values* as a timestamped trajectory row for *benchmark*.
+def _flatten(values, prefix: str = "") -> dict[str, float]:
+    """Numeric leaves of a nested dict as ``{"a.b.c": value}``."""
+    flat: dict[str, float] = {}
+    if isinstance(values, dict):
+        for name, value in values.items():
+            flat.update(_flatten(value, f"{prefix}{name}."))
+    elif isinstance(values, bool):
+        pass  # bools are not drift metrics
+    elif isinstance(values, (int, float)):
+        flat[prefix.rstrip(".")] = float(values)
+    return flat
 
-    Unlike :func:`record`'s JSON file this is append-only — every call adds
-    a ``benchmark_runs`` row to the run-history database, so consecutive
-    runs build a queryable performance trajectory instead of overwriting
-    each other.  Returns the database path, or ``None`` if the write
-    failed: the trajectory is best-effort observability and must never
-    fail a benchmark that just spent minutes producing its numbers.
+
+def drift(current: dict, committed: Path) -> list[str]:
+    """Lines describing drift of the *current* numbers vs the *committed* file.
+
+    Each benchmark in *current* is compared with the committed entry of the
+    same name, numeric leaf by numeric leaf; a benchmark the committed file
+    lacks is flagged as new.
     """
-    from repro.runner.results import RunHistoryDB
-
-    target = Path(db_path) if db_path is not None else bench_db()
     try:
-        db = RunHistoryDB(target)
-        try:
-            db.record_benchmark(str(benchmark), _jsonable(values))
-        finally:
-            db.close()
-    except Exception as error:  # pragma: no cover - depends on disk state
-        print(
-            f"[bench] warning: could not record trajectory row for "
-            f"{benchmark!r} in {target}: {error}",
-            file=sys.stderr,
-        )
-        return None
-    return target
+        baseline = json.loads(Path(committed).read_text())
+    except (OSError, ValueError) as error:
+        return [f"(no committed baseline at {committed}: {error})"]
+    lines: list[str] = []
+    for benchmark in sorted(current):
+        if benchmark not in baseline:
+            lines.append(f"{benchmark}: new benchmark (no committed baseline)")
+            continue
+        old = _flatten(baseline[benchmark])
+        new = _flatten(current[benchmark])
+        for name in sorted(old.keys() & new.keys()):
+            if old[name] == new[name]:
+                continue
+            delta = new[name] - old[name]
+            ratio = f" ({delta / old[name]:+.1%})" if old[name] else ""
+            lines.append(
+                f"{benchmark}.{name}: {old[name]:g} -> {new[name]:g}{ratio}"
+            )
+    if not lines:
+        lines.append("(no drift vs committed baseline)")
+    return lines
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Print the drift of ``CURRENT.json`` vs ``COMMITTED.json``; returns exit code."""
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print("usage: python benchmarks/record.py CURRENT.json COMMITTED.json",
+              file=sys.stderr)
+        return 2
+    current_path, committed = args
+    try:
+        current = json.loads(Path(current_path).read_text())
+    except (OSError, ValueError) as error:
+        print(f"(no current record at {current_path}: {error})")
+        return 0
+    for line in drift(current, Path(committed)):
+        print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,6 +10,7 @@ so benchmarks stay fast while the paper-scale protocol remains reachable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.datasets.base import DataSplit
@@ -174,15 +175,16 @@ def load_dataset(
         One of :func:`dataset_names` (case-insensitive).
     scale:
         Multiplier on the profile's default synthetic size (``scale=1.0``
-        generates ``default_size`` instances before the 80/10/10 split).
+        generates ``default_size`` instances before the 80/10/10 split);
+        finite and positive.
     random_state:
         Seed for the generator; the same seed always yields the same corpus.
     """
     key = name.lower()
     if key not in DATASET_PROFILES:
         raise ValueError(f"unknown dataset {name!r}; choose from {sorted(DATASET_PROFILES)}")
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"scale must be finite and positive, got {scale!r}")
     profile = DATASET_PROFILES[key]
     total = max(int(round(profile.default_size * scale)), 50)
 

@@ -15,6 +15,7 @@ a configuration change, not a code change.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,9 +38,11 @@ class EvaluationProtocol:
     base_seed:
         Seed from which per-repetition seeds are derived.
     dataset_scale:
-        Scale factor passed to :func:`repro.datasets.load_dataset`.
+        Scale factor passed to :func:`repro.datasets.load_dataset`; finite
+        and positive.
     end_model_C:
-        Inverse regularisation of the downstream logistic regression.
+        Inverse regularisation of the downstream logistic regression;
+        finite and positive.
     """
 
     n_iterations: int = 50
@@ -56,8 +59,14 @@ class EvaluationProtocol:
             raise ValueError("eval_every must be >= 1")
         if self.n_seeds < 1:
             raise ValueError("n_seeds must be >= 1")
-        if self.dataset_scale <= 0:
-            raise ValueError("dataset_scale must be positive")
+        if not (math.isfinite(self.dataset_scale) and self.dataset_scale > 0):
+            raise ValueError(
+                f"dataset_scale must be finite and positive, got {self.dataset_scale!r}"
+            )
+        if not (math.isfinite(self.end_model_C) and self.end_model_C > 0):
+            raise ValueError(
+                f"end_model_C must be finite and positive, got {self.end_model_C!r}"
+            )
 
     @classmethod
     def paper(cls, **overrides) -> "EvaluationProtocol":

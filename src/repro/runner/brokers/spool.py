@@ -24,8 +24,8 @@ The queue's operations (one method per state transition):
 ``fail(lease, ...)``      record a failure log (if the claim is still held)
 ``poll(pending, cache)``  one completion round: done, failed, re-offered
 ``wait(specs, cache)``    the submitter's backoff loop of ``poll`` rounds
-``counts()``              queue snapshot: tasks / leases / failed / corrupt
-``backlog()``             scaling signals: queue depth and backlogged shards
+``counts()``              queue snapshot: tasks / shards / leases / failed /
+                          corrupt (tasks and shards are the scaling signals)
 ``wait_for_work(t)``      an idle worker's wait: a wake, or *t* seconds
 ``close()``               drop this handle's wake reader
 ``stats``                 per-instance round-trip counters (measurability)
@@ -1038,48 +1038,40 @@ class SpoolBroker:
     # -- introspection ----------------------------------------------------
 
     def counts(self) -> dict[str, int]:
-        """``{"tasks", "leases", "failed", "corrupt"}`` spool snapshot.
+        """``{"tasks", "shards", "leases", "failed", "corrupt"}`` spool snapshot.
 
-        ``tasks`` spans every shard; ``corrupt`` counts the quarantined task
-        files (``*.task.corrupt``) in the shards.
+        One ``tasks/`` sweep plus one listing per live shard.  ``tasks``
+        spans every shard and ``shards`` counts the distinct shards holding
+        pending tasks — the fleet supervisor's scaling signals: queue depth
+        sizes the pool, and the number of backlogged shards bounds how many
+        workers can claim without racing each other under dataset affinity.
+        ``corrupt`` counts the quarantined task files (``*.task.corrupt``)
+        in the shards.
         """
-        tasks = corrupt = 0
+        tasks = shards = corrupt = 0
         if self.tasks_dir.is_dir():
             for shard in self._shards():
                 try:
                     entries = list((self.tasks_dir / shard).iterdir())
                 except OSError:
                     continue  # shard pruned between discovery and listing
+                pending = 0
                 for entry in entries:
                     if entry.name.endswith(".task"):
-                        tasks += 1
+                        pending += 1
                     elif entry.name.endswith(".task.corrupt"):
                         corrupt += 1
+                tasks += pending
+                shards += pending > 0
         leases = failed = 0
         if self.leases_dir.is_dir():
             leases = sum(1 for _ in self.leases_dir.glob("*.lease"))
         if self.failed_dir.is_dir():
             failed = sum(1 for _ in self.failed_dir.glob("*.json"))
-        return {"tasks": tasks, "leases": leases, "failed": failed, "corrupt": corrupt}
-
-    def backlog(self) -> dict[str, int]:
-        """Scaling signals: pending depth and distinct shards holding work.
-
-        One ``tasks/`` sweep plus one listing per live shard — the same
-        cost as :meth:`counts` — returning ``{"tasks", "shards",
-        "leases"}`` for the fleet supervisor: queue depth sizes the pool,
-        and the number of backlogged shards bounds how many workers can
-        claim without racing each other under dataset affinity.
-        """
-        tasks = 0
-        busy_shards: set[str] = set()
-        if self.tasks_dir.is_dir():
-            for shard in self._shards():
-                pending = len(self._key_snapshot(self.tasks_dir / shard, "*.task"))
-                if pending:
-                    tasks += pending
-                    busy_shards.add(shard)
-        leases = 0
-        if self.leases_dir.is_dir():
-            leases = sum(1 for _ in self.leases_dir.glob("*.lease"))
-        return {"tasks": tasks, "shards": len(busy_shards), "leases": leases}
+        return {
+            "tasks": tasks,
+            "shards": shards,
+            "leases": leases,
+            "failed": failed,
+            "corrupt": corrupt,
+        }

@@ -115,7 +115,6 @@ def supervisor_command(
     min_workers: int | None = None,
     tasks_per_worker: int | None = None,
     worker_idle_timeout: float | None = None,
-    worker_max_trials: int | None = None,
     claim_batch: int | None = None,
     lease_ttl: float | None = None,
     interval: float | None = None,
@@ -142,7 +141,6 @@ def supervisor_command(
         ("--min-workers", min_workers),
         ("--tasks-per-worker", tasks_per_worker),
         ("--worker-idle-timeout", worker_idle_timeout),
-        ("--worker-max-trials", worker_max_trials),
         ("--claim-batch", claim_batch),
         ("--lease-ttl", lease_ttl),
         ("--interval", interval),

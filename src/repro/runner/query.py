@@ -20,9 +20,9 @@ Examples::
     python -m repro.runner.query --cache-dir /shared/cache \\
         --leaderboard --metric average_accuracy --group-by framework
 
-    # the recorded benchmark trajectory, and its drift vs BENCH_core.json
-    python -m repro.runner.query --db BENCH_history.sqlite3 --benchmarks \\
-        --trajectory-diff BENCH_core.json
+The index holds trials only.  Benchmark headline numbers live in
+``BENCH_core.json``; ``python benchmarks/record.py CURRENT.json
+COMMITTED.json`` prints the drift between two such files.
 """
 
 from __future__ import annotations
@@ -31,9 +31,8 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 
-from repro.runner.results import TRIAL_METRICS, IndexedResultStore, RunHistoryDB
+from repro.runner.results import TRIAL_METRICS, IndexedResultStore
 
 #: Columns shown by the default (non ``--json``) trial listing, in order.
 _LISTING_COLUMNS = (
@@ -84,54 +83,6 @@ def _cell(value) -> str:
     return text
 
 
-def _flatten(values, prefix: str = "") -> dict[str, float]:
-    """Numeric leaves of a nested dict as ``{"a.b.c": value}``."""
-    flat: dict[str, float] = {}
-    if isinstance(values, dict):
-        for name, value in values.items():
-            flat.update(_flatten(value, f"{prefix}{name}."))
-    elif isinstance(values, bool):
-        pass  # bools are not trajectory metrics
-    elif isinstance(values, (int, float)):
-        flat[prefix.rstrip(".")] = float(values)
-    return flat
-
-
-def trajectory_diff(db: RunHistoryDB, committed: Path) -> list[str]:
-    """Lines describing drift of the latest recorded runs vs *committed*.
-
-    Compares each benchmark's most recent :meth:`RunHistoryDB
-    .benchmark_trajectory` row against the committed ``BENCH_core.json``
-    entry of the same name, numeric leaf by numeric leaf — the cross-session
-    regression signal CI prints after the benchmark smokes.
-    """
-    try:
-        baseline = json.loads(Path(committed).read_text())
-    except (OSError, ValueError) as error:
-        return [f"(no committed baseline at {committed}: {error})"]
-    latest: dict[str, dict] = {}
-    for row in db.benchmark_trajectory():  # oldest first: later rows win
-        latest[row["benchmark"]] = row["values"]
-    lines: list[str] = []
-    for benchmark in sorted(latest):
-        if benchmark not in baseline:
-            lines.append(f"{benchmark}: new benchmark (no committed baseline)")
-            continue
-        old = _flatten(baseline[benchmark])
-        new = _flatten(latest[benchmark])
-        for name in sorted(old.keys() & new.keys()):
-            if old[name] == new[name]:
-                continue
-            delta = new[name] - old[name]
-            ratio = f" ({delta / old[name]:+.1%})" if old[name] else ""
-            lines.append(
-                f"{benchmark}.{name}: {old[name]:g} -> {new[name]:g}{ratio}"
-            )
-    if not lines:
-        lines.append("(no drift vs committed baseline)")
-    return lines
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point (``python -m repro.runner.query``); returns exit code."""
     parser = argparse.ArgumentParser(
@@ -143,12 +94,6 @@ def main(argv: list[str] | None = None) -> int:
         default=os.environ.get("REPRO_CACHE_DIR"),
         help="result-store root (its results.sqlite3 is the index; "
         "env REPRO_CACHE_DIR)",
-    )
-    parser.add_argument(
-        "--db",
-        default=None,
-        help="query this database file directly (overrides --cache-dir; "
-        "--reindex still needs --cache-dir for the blobs)",
     )
     parser.add_argument(
         "--reindex",
@@ -189,22 +134,6 @@ def main(argv: list[str] | None = None) -> int:
         help="list the per-iteration rows of one trial (full content key)",
     )
     parser.add_argument(
-        "--benchmarks",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="NAME",
-        help="print the recorded benchmark trajectory (optionally one "
-        "benchmark's)",
-    )
-    parser.add_argument(
-        "--trajectory-diff",
-        default=None,
-        metavar="BENCH_JSON",
-        help="print drift of the latest recorded benchmark runs vs this "
-        "committed BENCH_core.json",
-    )
-    parser.add_argument(
         "--counts", action="store_true", help="print index table sizes and exit"
     )
     parser.add_argument(
@@ -215,17 +144,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.cache_dir is None and args.db is None:
-        parser.error("need --cache-dir (or REPRO_CACHE_DIR) or --db")
-    if args.reindex and args.cache_dir is None:
-        parser.error("--reindex walks the cache's blobs: it needs --cache-dir")
+    if args.cache_dir is None:
+        parser.error("need --cache-dir (or REPRO_CACHE_DIR)")
 
-    if args.cache_dir is not None:
-        store = IndexedResultStore(args.cache_dir, db_path=args.db)
-        db = store.db
-    else:
-        store = None
-        db = RunHistoryDB(args.db)
+    store = IndexedResultStore(args.cache_dir)
+    db = store.db
 
     try:
         if args.reindex:
@@ -237,29 +160,6 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         if args.iterations is not None:
             _emit(db.iterations(args.iterations), args.json)
-            return 0
-        if args.benchmarks is not None or args.trajectory_diff is not None:
-            if args.benchmarks is not None:
-                rows = db.benchmark_trajectory(args.benchmarks or None)
-                if args.limit is not None:
-                    rows = rows[-args.limit :]
-                _emit(
-                    [
-                        {
-                            "benchmark": row["benchmark"],
-                            "recorded_at": row["recorded_at"],
-                            **{
-                                name: value
-                                for name, value in _flatten(row["values"]).items()
-                            },
-                        }
-                        for row in rows
-                    ],
-                    args.json,
-                )
-            if args.trajectory_diff is not None:
-                for line in trajectory_diff(db, Path(args.trajectory_diff)):
-                    print(line)
             return 0
         if args.leaderboard:
             by = tuple(name.strip() for name in args.group_by.split(",") if name.strip())

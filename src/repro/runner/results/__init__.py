@@ -10,8 +10,8 @@ The package holds:
   put into a WAL-mode SQLite run-history index (``results.sqlite3``);
 * :mod:`~repro.runner.results.history_db` — :class:`RunHistoryDB`, the
   index schema and its first-class query API (spec-field filters, metric
-  predicates, cross-grid aggregation, leaderboards, the benchmark
-  trajectory).
+  predicates, cross-grid aggregation, leaderboards).  It indexes trials
+  only: benchmark headline numbers live in ``BENCH_core.json``.
 
 The engine (``ExecutionConfig.cache()``), the worker daemon and the
 labeling service each hold one ``IndexedResultStore(cache_dir)``.

@@ -24,8 +24,6 @@ recording the schema generation)::
     iterations(key, iteration, query_index, lf_name, pseudo_label,
                n_lfs, n_selected_lfs, label_coverage, label_accuracy,
                test_accuracy)            -- PK (key, iteration)
-    benchmark_runs(id, benchmark, recorded_at, values_json)
-        + index (benchmark, recorded_at) -- the per-PR benchmark trajectory
 
 Two ingredient classes of columns, because the index must stay *rebuildable
 from the blobs alone*:
@@ -56,7 +54,6 @@ from __future__ import annotations
 import json
 import sqlite3
 import threading
-import time
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -66,15 +63,14 @@ from repro.runner.spec import CACHE_FORMAT_VERSION, TrialSpec, canonical_value
 
 __all__ = ["RunHistoryDB", "DB_FILENAME", "TRIAL_METRICS"]
 
-#: File name used when :class:`RunHistoryDB` is pointed at a directory: the
-#: database lands *inside* it, next to the blob shards it indexes.
+#: File name of the index inside the cache directory, next to the blob
+#: shards it indexes.
 DB_FILENAME = "results.sqlite3"
 
-#: Path suffixes treated as "this is the database file itself".
-_DB_SUFFIXES = (".sqlite3", ".sqlite", ".db")
-
-#: Schema generation stamped into ``PRAGMA user_version``.
-_SCHEMA_VERSION = 1
+#: Schema generation stamped into ``PRAGMA user_version``.  Generation 1
+#: also held a table of benchmark headline numbers; generation 2 indexes
+#: trials only and leaves that table in an older file untouched.
+_SCHEMA_VERSION = 2
 
 #: Numeric ``trials`` columns accepted as ``--metric`` / predicate targets
 #: by the query helpers (kept in one place so the CLI can validate names).
@@ -149,21 +145,11 @@ _TABLES = {
             PRIMARY KEY (key, iteration)
         )
     """,
-    "benchmark_runs": """
-        CREATE TABLE IF NOT EXISTS benchmark_runs (
-            id          INTEGER PRIMARY KEY AUTOINCREMENT,
-            benchmark   TEXT NOT NULL,
-            recorded_at REAL NOT NULL,
-            values_json TEXT NOT NULL
-        )
-    """,
 }
 
 _INDEXES = (
     "CREATE INDEX IF NOT EXISTS idx_trials_dataset_framework"
     " ON trials (dataset, framework)",
-    "CREATE INDEX IF NOT EXISTS idx_bench_name_time"
-    " ON benchmark_runs (benchmark, recorded_at)",
 )
 
 #: ``trials`` columns that are *spec enrichments* — present only when the
@@ -193,11 +179,9 @@ class RunHistoryDB:
 
     Parameters
     ----------
-    location:
-        The database file, or a directory to put one in
-        (``<location>/results.sqlite3``) — the latter lets the cache
-        directory itself name the index.  Parent directories are created
-        lazily on first use.
+    cache_dir:
+        The cache directory; the index is ``<cache_dir>/results.sqlite3``.
+        The directory is created lazily on first use.
     """
 
     #: Shared state the lock-discipline checker holds to `with self._lock:`
@@ -205,11 +189,8 @@ class RunHistoryDB:
     _GUARDED_BY_LOCK = ("_conn",)
     _LOCK_CONTEXTS = ("_tx", "_read")
 
-    def __init__(self, location: str | Path):
-        location = Path(location)
-        self.path = (
-            location if location.suffix in _DB_SUFFIXES else location / DB_FILENAME
-        )
+    def __init__(self, cache_dir: str | Path):
+        self.path = Path(cache_dir) / DB_FILENAME
         self._lock = threading.RLock()
         self._conn: sqlite3.Connection | None = None
 
@@ -343,7 +324,7 @@ class RunHistoryDB:
             )
 
     def clear_trials(self) -> int:
-        """Drop every trial/iteration row (benchmark trajectory survives)."""
+        """Drop every trial/iteration row; returns the trials removed."""
         with self._tx() as conn:
             removed = conn.execute("DELETE FROM trials").rowcount
             conn.execute("DELETE FROM iterations")
@@ -488,49 +469,8 @@ class RunHistoryDB:
         ]
 
     def counts(self) -> dict[str, int]:
-        """``{"trials", "iterations", "benchmark_runs"}`` size snapshot."""
+        """``{"trials", "iterations"}`` size snapshot."""
         return {
             table: self._read(f"SELECT COUNT(*) AS n FROM {table}")[0]["n"]
-            for table in ("trials", "iterations", "benchmark_runs")
+            for table in ("trials", "iterations")
         }
-
-    # -- the benchmark trajectory -----------------------------------------
-
-    def record_benchmark(
-        self, benchmark: str, values: dict, recorded_at: float | None = None
-    ) -> int:
-        """Append one timestamped benchmark headline row; returns its id.
-
-        Unlike trial rows these are *append-only* — consecutive runs of one
-        benchmark accumulate, which is what makes the per-PR trajectory
-        visible (``BENCH_core.json`` only ever holds the latest numbers).
-        """
-        stamp = time.time() if recorded_at is None else float(recorded_at)
-        with self._tx() as conn:
-            cursor = conn.execute(
-                "INSERT INTO benchmark_runs (benchmark, recorded_at, values_json)"
-                " VALUES (?, ?, ?)",
-                (benchmark, stamp, json.dumps(values, sort_keys=True)),
-            )
-            return int(cursor.lastrowid)
-
-    def benchmark_trajectory(self, benchmark: str | None = None) -> list[dict]:
-        """Benchmark headline rows, oldest first (optionally one benchmark's).
-
-        Each dict carries ``benchmark``, ``recorded_at`` and the decoded
-        ``values`` payload.
-        """
-        sql = "SELECT benchmark, recorded_at, values_json FROM benchmark_runs"
-        params: tuple = ()
-        if benchmark is not None:
-            sql += " WHERE benchmark = ?"
-            params = (benchmark,)
-        sql += " ORDER BY recorded_at, id"
-        return [
-            {
-                "benchmark": row["benchmark"],
-                "recorded_at": row["recorded_at"],
-                "values": json.loads(row["values_json"]),
-            }
-            for row in self._read(sql, params)
-        ]

@@ -45,20 +45,16 @@ class IndexedResultStore(ResultCache):
     root:
         Shared store directory: blobs live in the usual ``<key[:2]>/``
         shards, the index in ``results.sqlite3`` next to them.
-    db_path:
-        Index database override (a file path, or a directory to put
-        ``results.sqlite3`` in); defaults to *root*.
     """
 
-    def __init__(self, root: str | Path, db_path: str | Path | None = None):
+    def __init__(self, root: str | Path):
         super().__init__(root)
-        self.db = RunHistoryDB(self.root if db_path is None else db_path)
+        self.db = RunHistoryDB(self.root)
 
     def clear(self) -> int:
         """Delete every blob (and quarantined blob) *and* their index rows.
 
-        The benchmark trajectory table survives — it records runs, not
-        cached state.  Returns the number of blob entries removed.
+        Returns the number of blob entries removed.
         """
         removed = super().clear()
         self.db.clear_trials()

@@ -10,19 +10,19 @@ is pure policy.  The supervisor is that policy as a process::
 Each control tick it:
 
 1. **reaps** worker subprocesses that exited (self-retired on
-   ``--idle-timeout``, finished their ``--max-trials`` budget, or crashed);
+   ``--idle-timeout``, or crashed);
 2. **polices** the queue with ``release_expired()`` so a crashed worker's
    leases are re-offered after one TTL instead of wedging the grid;
-3. reads the scaling signals from :meth:`SpoolBroker.backlog
-   <repro.runner.brokers.spool.SpoolBroker.backlog>` — queue depth says how much
+3. reads the scaling signals from :meth:`SpoolBroker.counts
+   <repro.runner.brokers.spool.SpoolBroker.counts>` — queue depth says how much
    work there is, the number of backlogged shards says how many workers can
    claim concurrently without racing each other under dataset affinity;
 4. **spawns** workers up to the target (never beyond ``max_workers``).
 
 Scale-down is *voluntary*: the supervisor never kills a busy worker.
-Workers retire themselves via the existing ``--idle-timeout`` /
-``--max-trials`` controls, and the supervisor simply reaps them and does
-not replace them while the queue is shallow.  That keeps the invariant
+Workers retire themselves via the existing ``--idle-timeout`` control,
+and the supervisor simply reaps them and does not replace them while the
+queue is shallow.  That keeps the invariant
 that a claimed trial is only ever abandoned by a crash — which the TTL
 already handles — never by fleet policy.
 
@@ -108,9 +108,6 @@ class Supervisor:
     worker_idle_timeout:
         Seconds of emptiness after which a spawned worker retires itself —
         the scale-down knob (forwarded as ``--idle-timeout``).
-    worker_max_trials:
-        Optional per-worker trial budget (forwarded as ``--max-trials``);
-        ``None`` leaves workers unbounded.
     claim_batch:
         Forwarded as ``--claim-batch``.
     lease_ttl:
@@ -134,7 +131,6 @@ class Supervisor:
         max_workers: int = DEFAULT_MAX_WORKERS,
         tasks_per_worker: int = DEFAULT_TASKS_PER_WORKER,
         worker_idle_timeout: float = DEFAULT_WORKER_IDLE_TIMEOUT,
-        worker_max_trials: int | None = None,
         claim_batch: int = DEFAULT_CLAIM_BATCH,
         lease_ttl: float = DEFAULT_LEASE_TTL,
         poll_interval: float = 0.5,
@@ -154,7 +150,6 @@ class Supervisor:
         self.max_workers = max_workers
         self.tasks_per_worker = tasks_per_worker
         self.worker_idle_timeout = worker_idle_timeout
-        self.worker_max_trials = worker_max_trials
         self.claim_batch = claim_batch
         self.lease_ttl = float(lease_ttl)
         self.poll_interval = poll_interval
@@ -194,7 +189,6 @@ class Supervisor:
             lease_ttl=self.lease_ttl,
             claim_batch=self.claim_batch,
             idle_timeout=self.worker_idle_timeout,
-            max_trials=self.worker_max_trials,
             worker_id=worker_id,
             quiet=self.quiet,
         )
@@ -202,8 +196,8 @@ class Supervisor:
         # did, even when it was launched via PYTHONPATH=src.
         return subprocess.Popen(command, env=subprocess_env())
 
-    def target_workers(self, backlog: Mapping[str, int]) -> int:
-        """Fleet size for a :meth:`SpoolBroker.backlog` reading.
+    def target_workers(self, counts: Mapping[str, int]) -> int:
+        """Fleet size for a :meth:`SpoolBroker.counts` reading.
 
         One worker per ``tasks_per_worker`` pending trials (rounded up),
         raised to one per backlogged shard (a wide-but-shallow queue still
@@ -212,8 +206,8 @@ class Supervisor:
         the target is ``min_workers`` — outstanding leases belong to
         already-live workers and need no reinforcements.
         """
-        tasks = backlog.get("tasks", 0)
-        shards = backlog.get("shards", 0)
+        tasks = counts.get("tasks", 0)
+        shards = counts.get("shards", 0)
         if tasks <= 0:
             return self.min_workers
         by_depth = math.ceil(tasks / self.tasks_per_worker)
@@ -240,8 +234,8 @@ class Supervisor:
         released = self.broker.release_expired()
         if released:
             self._log(f"re-offered {released} expired lease(s)")
-        backlog = self.broker.backlog()
-        target = self.target_workers(backlog)
+        counts = self.broker.counts()
+        target = self.target_workers(counts)
         spawned = 0
         while len(self._workers) < target:
             worker_id = f"supervised-{os.getpid()}-{self._spawned_total}"
@@ -250,7 +244,7 @@ class Supervisor:
             spawned += 1
             self._log(
                 f"spawned {worker_id} "
-                f"({backlog['tasks']} pending / {backlog['shards']} shard(s))"
+                f"({counts['tasks']} pending / {counts['shards']} shard(s))"
             )
         return {
             "reaped": reaped,
@@ -359,12 +353,6 @@ def main(argv: list[str] | None = None) -> int:
         f"knob (default {DEFAULT_WORKER_IDLE_TIMEOUT:g})",
     )
     parser.add_argument(
-        "--worker-max-trials",
-        type=int,
-        default=None,
-        help="per-worker trial budget (default: unbounded)",
-    )
-    parser.add_argument(
         "--claim-batch",
         type=int,
         default=DEFAULT_CLAIM_BATCH,
@@ -398,7 +386,6 @@ def main(argv: list[str] | None = None) -> int:
         max_workers=args.max_workers,
         tasks_per_worker=args.tasks_per_worker,
         worker_idle_timeout=args.worker_idle_timeout,
-        worker_max_trials=args.worker_max_trials,
         claim_batch=args.claim_batch,
         lease_ttl=args.lease_ttl,
         poll_interval=args.interval,

@@ -80,7 +80,7 @@ def parse_label_request(body: dict) -> TrialSpec:
         scale = float(body.get("scale", 1.0))
         eval_every = int(body.get("eval_every", len(canonical_lfs)))
         end_model_C = float(body.get("end_model_C", 1.0))
-    except (TypeError, ValueError) as error:
+    except (TypeError, ValueError, OverflowError) as error:
         raise RequestError(f"invalid numeric field: {error}") from error
     config_overrides = body.get("config_overrides")
     check_config_overrides(config_overrides)

@@ -252,7 +252,7 @@ class LabelingService:
                 config_overrides=config_overrides,
                 end_model_C=float(body.get("end_model_C", 1.0)),
             )
-        except (KeyError, TypeError, ValueError) as error:
+        except (KeyError, TypeError, ValueError, OverflowError) as error:
             return 400, {"error": str(error)}, {}
         return 201, info, {}
 

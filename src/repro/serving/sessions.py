@@ -26,6 +26,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import itertools
+import math
 import pickle
 import threading
 import uuid
@@ -65,7 +66,8 @@ class LabelingSession:
     config_overrides:
         Plain-JSON :class:`ActiveDPConfig` field overrides.
     end_model_C:
-        Inverse regularisation of the end model in label payloads.
+        Inverse regularisation of the end model in label payloads; finite
+        and positive.
     """
 
     def __init__(
@@ -83,6 +85,10 @@ class LabelingSession:
         self.scale = float(scale)
         self.config_overrides = dict(config_overrides) if config_overrides else None
         self.end_model_C = float(end_model_C)
+        if not (math.isfinite(self.end_model_C) and self.end_model_C > 0):
+            raise ValueError(
+                f"end_model_C must be finite and positive, got {self.end_model_C!r}"
+            )
 
         self.split = load_dataset(dataset, scale=self.scale, random_state=self.seed)
         self.framework = bind_activedp(

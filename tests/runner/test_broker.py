@@ -88,7 +88,7 @@ class TestLeaseProtocol:
         spec = _spec()
         assert broker.enqueue(spec) is True
         assert broker.enqueue(spec) is False  # idempotent: same content key
-        assert broker.counts() == {"tasks": 1, "leases": 0, "failed": 0, "corrupt": 0}
+        assert broker.counts() == {"tasks": 1, "shards": 1, "leases": 0, "failed": 0, "corrupt": 0}
 
     def test_lease_is_exclusive_and_round_trips_the_spec(self, tmp_path):
         broker = SpoolBroker(tmp_path)
@@ -100,7 +100,7 @@ class TestLeaseProtocol:
         assert lease.spec == spec
         assert broker.lease_next("w2") is None  # claimed: nothing left
         broker.complete(lease)
-        assert broker.counts() == {"tasks": 0, "leases": 0, "failed": 0, "corrupt": 0}
+        assert broker.counts() == {"tasks": 0, "shards": 0, "leases": 0, "failed": 0, "corrupt": 0}
 
     def test_racing_leases_have_exactly_one_winner(self, tmp_path):
         broker = SpoolBroker(tmp_path)
@@ -129,7 +129,7 @@ class TestLeaseProtocol:
         broker.enqueue(spec)
         lease = broker.lease_next()
         broker.release(lease)
-        assert broker.counts() == {"tasks": 1, "leases": 0, "failed": 0, "corrupt": 0}
+        assert broker.counts() == {"tasks": 1, "shards": 1, "leases": 0, "failed": 0, "corrupt": 0}
         assert broker.lease_next().key == spec.key
 
     def test_corrupt_task_file_is_quarantined_next_to_the_task(self, tmp_path):
@@ -144,7 +144,7 @@ class TestLeaseProtocol:
         quarantine = broker.task_path(spec).with_name(f"{spec.key}.task.corrupt")
         assert quarantine.exists()
         assert not list(broker.leases_dir.glob("*"))
-        assert broker.counts() == {"tasks": 0, "leases": 0, "failed": 0, "corrupt": 1}
+        assert broker.counts() == {"tasks": 0, "shards": 0, "leases": 0, "failed": 0, "corrupt": 1}
 
     def test_reenqueue_after_quarantine_serves_a_fresh_copy(self, tmp_path):
         broker = SpoolBroker(tmp_path)
@@ -169,8 +169,9 @@ class TestLeaseProtocol:
         stale = tmp_path / "broker.sqlite3"
         stale.write_bytes(b"SQLite format 3\x00 leftover queue")
         broker = SpoolBroker(tmp_path)
-        assert broker.counts() == {"tasks": 0, "leases": 0, "failed": 0, "corrupt": 0}
-        assert broker.backlog() == {"tasks": 0, "shards": 0, "leases": 0}
+        assert broker.counts() == {
+            "tasks": 0, "shards": 0, "leases": 0, "failed": 0, "corrupt": 0
+        }
         spec = _spec()
         assert broker.enqueue(spec) is True
         broker.complete(broker.lease_next("w1"))
@@ -281,7 +282,9 @@ class TestShardedSpool:
         stale = broker.tasks_dir / f"{spec.key}.task"
         stale.write_bytes(pickle.dumps(spec))
         assert broker.counts()["tasks"] == 0
-        assert broker.backlog() == {"tasks": 0, "shards": 0, "leases": 0}
+        assert broker.counts() == {
+            "tasks": 0, "shards": 0, "leases": 0, "failed": 0, "corrupt": 0
+        }
         assert broker.lease_batch("w1") == []
         assert broker.enqueue(spec) is True
         assert broker.task_path(spec).exists()
@@ -435,7 +438,7 @@ class TestContention:
             run_worker(tmp_path / "spool", tmp_path / "cache", claim_batch=4, quiet=True)
         # The interrupted trial AND the claimed-but-unstarted remainder of
         # the batch are all re-offered; nothing is left leased.
-        assert broker.counts() == {"tasks": 4, "leases": 0, "failed": 0, "corrupt": 0}
+        assert broker.counts() == {"tasks": 4, "shards": 1, "leases": 0, "failed": 0, "corrupt": 0}
 
 
 class TestCrashRecovery:
@@ -463,7 +466,7 @@ class TestCrashRecovery:
             broker.enqueue(spec)
             _backdate(broker.lease_next().lease_path)
         assert broker.release_expired(keys=[mine.key]) == 1
-        assert broker.counts() == {"tasks": 1, "leases": 1, "failed": 0, "corrupt": 0}
+        assert broker.counts() == {"tasks": 1, "shards": 1, "leases": 1, "failed": 0, "corrupt": 0}
 
     def test_expired_sharded_lease_is_restored_to_its_shard(self, tmp_path):
         broker = SpoolBroker(tmp_path, lease_ttl=5)
@@ -497,7 +500,7 @@ class TestCrashRecovery:
         lease.lease_path.write_bytes(b"stale")
         _backdate(lease.lease_path)
         assert broker.release_expired() == 0  # cleanup, not a second re-offer
-        assert broker.counts() == {"tasks": 1, "leases": 0, "failed": 0, "corrupt": 0}
+        assert broker.counts() == {"tasks": 1, "shards": 1, "leases": 0, "failed": 0, "corrupt": 0}
 
     def test_revoked_claim_cannot_write_a_failure_log(self, tmp_path):
         """A stale holder's local error must not abort the healthy retry."""
@@ -546,7 +549,7 @@ class TestWorkerLoop:
         )
         assert executed == 2
         assert all(cache.get(spec) is not None for spec in specs)
-        assert broker.counts() == {"tasks": 0, "leases": 0, "failed": 0, "corrupt": 0}
+        assert broker.counts() == {"tasks": 0, "shards": 0, "leases": 0, "failed": 0, "corrupt": 0}
 
     def test_worker_respects_max_trials(self, tmp_path):
         broker = SpoolBroker(tmp_path / "spool")
@@ -680,7 +683,7 @@ class TestWorkerLoop:
         worker.join(timeout=30)
         assert sum(released) == 0  # the heartbeat outlived the slow publish
         assert ResultCache(cache_dir).get(spec) is not None
-        assert broker.counts() == {"tasks": 0, "leases": 0, "failed": 0, "corrupt": 0}
+        assert broker.counts() == {"tasks": 0, "shards": 0, "leases": 0, "failed": 0, "corrupt": 0}
 
     def test_failed_publish_reoffers_the_trial_and_the_retry_lands(self, tmp_path, monkeypatch):
         """A blob write that dies mid-``put`` (disk full) is worker-side
@@ -708,7 +711,7 @@ class TestWorkerLoop:
         assert executed == 1
         assert len(calls) == 2  # the failed publish, then the retry's
         assert broker.failure_for(spec) is None
-        assert broker.counts() == {"tasks": 0, "leases": 0, "failed": 0, "corrupt": 0}
+        assert broker.counts() == {"tasks": 0, "shards": 0, "leases": 0, "failed": 0, "corrupt": 0}
         cache = ResultCache(cache_dir)
         assert cache.get(spec) is not None
         assert list(cache.path_for(spec).parent.glob("*.tmp")) == []
@@ -943,8 +946,9 @@ class TestWake:
         broker.enqueue(_spec())
         broker.wait_for_work(0.0)
         assert stat.S_ISFIFO(os.stat(tmp_path / "wake").st_mode)
-        assert broker.counts() == {"tasks": 1, "leases": 0, "failed": 0, "corrupt": 0}
-        assert broker.backlog() == {"tasks": 1, "shards": 1, "leases": 0}
+        assert broker.counts() == {
+            "tasks": 1, "shards": 1, "leases": 0, "failed": 0, "corrupt": 0
+        }
         round_ = broker.poll({_spec().key: _spec()}, ResultCache(tmp_path / "cache"))
         assert (round_.done, round_.failed, round_.requeued) == ({}, {}, 0)
         broker.close()

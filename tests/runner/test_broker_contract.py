@@ -108,7 +108,7 @@ class TestEnqueueContract:
         spec = _spec()
         assert broker.enqueue(spec) is True
         assert broker.enqueue(spec) is False
-        assert broker.counts() == {"tasks": 1, "leases": 0, "failed": 0, "corrupt": 0}
+        assert broker.counts() == {"tasks": 1, "shards": 1, "leases": 0, "failed": 0, "corrupt": 0}
 
     def test_enqueue_skips_claimed_trials(self, make_broker):
         broker = make_broker()
@@ -167,7 +167,7 @@ class TestShardContract:
         assert broker.shard_for(spec.key) == spec.key[:2]
         assert broker.shard_for(unsafe) == unsafe.key[:2]
         assert broker.enqueue_batch([spec, unsafe]) == 2
-        assert broker.backlog()["shards"] == 2
+        assert broker.counts()["shards"] == 2
         leased = {lease.key: lease.spec for lease in broker.lease_batch("w1", limit=2)}
         assert leased == {spec.key: spec, unsafe.key: unsafe}
 
@@ -295,7 +295,9 @@ class TestLeaseContract:
         broker.enqueue_batch([youtube, imdb])
         for lease in _claim_all(broker, "w1"):
             broker.release(lease)
-        assert broker.backlog() == {"tasks": 2, "shards": 2, "leases": 0}
+        assert broker.counts() == {
+            "tasks": 2, "shards": 2, "leases": 0, "failed": 0, "corrupt": 0
+        }
         # Re-claimed, each trial is still filed under its own shard: a
         # youtube-scoped sweep re-offers the youtube claim only.
         for lease in _claim_all(broker, "w2"):
@@ -308,7 +310,7 @@ class TestLeaseContract:
         broker.enqueue(_spec())
         lease = broker.lease_next("w1")
         broker.complete(lease)
-        assert broker.counts() == {"tasks": 0, "leases": 0, "failed": 0, "corrupt": 0}
+        assert broker.counts() == {"tasks": 0, "shards": 0, "leases": 0, "failed": 0, "corrupt": 0}
         assert broker.lease_next("w2") is None
 
     def test_heartbeat_after_complete_does_not_resurrect_the_claim(self, make_broker):
@@ -317,7 +319,7 @@ class TestLeaseContract:
         lease = broker.lease_next("w1")
         broker.complete(lease)
         broker.heartbeat(lease)
-        assert broker.counts() == {"tasks": 0, "leases": 0, "failed": 0, "corrupt": 0}
+        assert broker.counts() == {"tasks": 0, "shards": 0, "leases": 0, "failed": 0, "corrupt": 0}
         assert broker.release_expired() == 0
 
 
@@ -447,7 +449,7 @@ class TestFailureContract:
         spec = _spec()
         broker.enqueue(spec)
         broker.fail(broker.lease_next("w1"), "w1", RuntimeError("boom"), "tb")
-        assert broker.counts() == {"tasks": 0, "leases": 0, "failed": 1, "corrupt": 0}
+        assert broker.counts() == {"tasks": 0, "shards": 0, "leases": 0, "failed": 1, "corrupt": 0}
         assert broker.lease_next("w2") is None
         assert broker.release_expired() == 0
 
@@ -647,21 +649,21 @@ class TestPollContract:
 class TestIntrospectionContract:
     def test_counts_shape_is_stable(self, make_broker):
         broker = make_broker()
-        assert broker.counts() == {"tasks": 0, "leases": 0, "failed": 0, "corrupt": 0}
+        assert broker.counts() == {"tasks": 0, "shards": 0, "leases": 0, "failed": 0, "corrupt": 0}
 
-    def test_backlog_reports_depth_and_shards(self, make_broker):
+    def test_counts_report_depth_and_shards(self, make_broker):
         broker = make_broker()
-        assert broker.backlog()["tasks"] == 0
+        assert broker.counts()["tasks"] == 0
         specs = [_spec(seed=seed, dataset=ds) for seed in range(3)
                  for ds in ("youtube", "imdb")]
         broker.enqueue_batch(specs)
-        backlog = broker.backlog()
-        assert backlog["tasks"] == 6
-        assert backlog["shards"] == 2
-        assert backlog["leases"] == 0
+        counts = broker.counts()
+        assert counts["tasks"] == 6
+        assert counts["shards"] == 2
+        assert counts["leases"] == 0
         broker.lease_batch("w1", limit=3)
-        backlog = broker.backlog()
-        assert backlog["tasks"] == 3 and backlog["leases"] == 3
+        counts = broker.counts()
+        assert counts["tasks"] == 3 and counts["leases"] == 3
 
     def test_stats_count_claims_and_batches(self, make_broker):
         broker = make_broker()

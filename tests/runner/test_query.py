@@ -1,14 +1,20 @@
 """Tests for the run-history query CLI (``python -m repro.runner.query``)."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.core.results import IterationRecord, RunHistory
 from repro.experiments import EvaluationProtocol
 from repro.runner import TrialSpec
-from repro.runner.query import main, trajectory_diff
-from repro.runner.results import IndexedResultStore, RunHistoryDB
+from repro.runner.query import main
+from repro.runner.results import IndexedResultStore
+
+#: The benchmark record module (``benchmarks/record.py``), run as a script.
+RECORD_SCRIPT = Path(__file__).resolve().parents[2] / "benchmarks" / "record.py"
 
 PROTOCOL = EvaluationProtocol(
     n_iterations=3, eval_every=3, n_seeds=1, dataset_scale=0.15
@@ -112,10 +118,21 @@ class TestReindex:
         assert "reindexed 3 trial(s)" in captured.err
         assert json.loads(captured.out)["trials"] == 3
 
-    def test_reindex_requires_cache_dir(self, tmp_path, monkeypatch):
+    def test_reindex_requires_cache_dir(self, monkeypatch, capsys):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        with pytest.raises(SystemExit):
-            main(["--db", str(tmp_path / "x.sqlite3"), "--reindex"])
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--reindex"])
+        assert exit_info.value.code == 2
+        assert "--cache-dir" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv", [["--db", "x.sqlite3"], ["--benchmarks"], ["--trajectory-diff", "x"]]
+    )
+    def test_benchmark_flags_are_gone(self, cache_dir, argv):
+        """The index holds trials only: no benchmark or database-file flags."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--cache-dir", cache_dir, *argv])
+        assert exit_info.value.code == 2
 
 
 class TestIterations:
@@ -127,74 +144,93 @@ class TestIterations:
         assert len(rows) == 1 and rows[0]["iteration"] == 0
 
 
+@pytest.fixture
+def bench_record():
+    """``benchmarks/record.py`` imported as a module."""
+    sys.path.insert(0, str(RECORD_SCRIPT.parent))
+    try:
+        import record
+    finally:
+        sys.path.pop(0)
+    return record
+
+
+def _write_json(path, payload):
+    path.write_text(json.dumps(payload))
+    return path
+
+
 class TestBenchmarkTrajectory:
+    """``python benchmarks/record.py CURRENT.json COMMITTED.json`` drift lines."""
+
     @pytest.fixture
-    def bench_db(self, tmp_path):
-        path = tmp_path / "BENCH_history.sqlite3"
-        db = RunHistoryDB(path)
-        db.record_benchmark("bench_demo", {"wall": 2.0}, recorded_at=100.0)
-        db.record_benchmark("bench_demo", {"wall": 1.0}, recorded_at=200.0)
-        db.close()
-        return path
+    def current(self, tmp_path):
+        return _write_json(tmp_path / "BENCH_ci.json", {"bench_demo": {"wall": 1.0}})
 
-    def test_trajectory_listing(self, bench_db, capsys):
-        assert main(["--db", str(bench_db), "--benchmarks", "--json"]) == 0
-        rows = _json_rows(capsys)
-        assert [row["wall"] for row in rows] == [2.0, 1.0]  # oldest first
-
-    def test_trajectory_diff_reports_drift_of_latest_run(self, bench_db, tmp_path, capsys):
-        committed = tmp_path / "BENCH_core.json"
-        committed.write_text(json.dumps({"bench_demo": {"wall": 2.0}}))
-        assert main(["--db", str(bench_db),
-                     "--trajectory-diff", str(committed)]) == 0
+    def test_trajectory_diff_reports_drift_of_latest_run(
+        self, bench_record, current, tmp_path, capsys
+    ):
+        committed = _write_json(tmp_path / "BENCH_core.json", {"bench_demo": {"wall": 2.0}})
+        assert bench_record.main([str(current), str(committed)]) == 0
         out = capsys.readouterr().out
-        assert "bench_demo.wall: 2 -> 1 (-50.0%)" in out
+        assert out == "bench_demo.wall: 2 -> 1 (-50.0%)\n"
 
-    def test_trajectory_diff_handles_missing_baseline(self, bench_db, tmp_path):
-        db = RunHistoryDB(bench_db)
-        lines = trajectory_diff(db, tmp_path / "absent.json")
-        db.close()
-        assert "no committed baseline" in lines[0]
+    def test_trajectory_diff_handles_missing_baseline(self, bench_record, tmp_path):
+        lines = bench_record.drift({"bench_demo": {"wall": 1.0}}, tmp_path / "absent.json")
+        assert len(lines) == 1
+        assert lines[0].startswith(f"(no committed baseline at {tmp_path / 'absent.json'}: ")
 
-    def test_new_benchmark_without_baseline_is_flagged(self, bench_db, tmp_path):
-        committed = tmp_path / "BENCH_core.json"
-        committed.write_text(json.dumps({"bench_other": {"wall": 5.0}}))
-        db = RunHistoryDB(bench_db)
-        lines = trajectory_diff(db, committed)
-        db.close()
+    def test_new_benchmark_without_baseline_is_flagged(self, bench_record, tmp_path):
+        committed = _write_json(tmp_path / "BENCH_core.json", {"bench_other": {"wall": 5.0}})
+        lines = bench_record.drift({"bench_demo": {"wall": 1.0}}, committed)
         assert lines == ["bench_demo: new benchmark (no committed baseline)"]
 
-    def test_no_drift_when_values_match(self, bench_db, tmp_path):
-        committed = tmp_path / "BENCH_core.json"
-        committed.write_text(json.dumps({"bench_demo": {"wall": 1.0}}))
-        db = RunHistoryDB(bench_db)
-        lines = trajectory_diff(db, committed)
-        db.close()
+    def test_no_drift_when_values_match(self, bench_record, tmp_path):
+        committed = _write_json(tmp_path / "BENCH_core.json", {"bench_demo": {"wall": 1.0}})
+        lines = bench_record.drift({"bench_demo": {"wall": 1.0}}, committed)
         assert lines == ["(no drift vs committed baseline)"]
+
+    def test_nested_leaves_zero_baseline_and_bools(self, bench_record, tmp_path):
+        committed = _write_json(
+            tmp_path / "BENCH_core.json",
+            {"b": {"n": {"x": 4, "zero": 0}, "ok": True, "label": "a", "gone": 1}},
+        )
+        current = {"b": {"n": {"x": 5, "zero": 3}, "ok": False, "label": "b"}}
+        assert bench_record.drift(current, committed) == [
+            "b.n.x: 4 -> 5 (+25.0%)",
+            "b.n.zero: 0 -> 3",
+        ]
+
+    def test_script_needs_two_paths(self, bench_record, capsys):
+        assert bench_record.main(["only_one.json"]) == 2
+        assert "usage" in capsys.readouterr().err
+
+    def test_script_runs_without_the_package(self, current, tmp_path):
+        """The drift script imports nothing from ``repro``."""
+        committed = _write_json(tmp_path / "BENCH_core.json", {"bench_demo": {"wall": 2.0}})
+        probe = (
+            "import runpy, sys\n"
+            f"sys.argv = ['record.py', {str(current)!r}, {str(committed)!r}]\n"
+            "try:\n"
+            f"    runpy.run_path({str(RECORD_SCRIPT)!r}, run_name='__main__')\n"
+            "except SystemExit as stop:\n"
+            "    assert stop.code == 0, stop.code\n"
+            "assert not [m for m in sys.modules if m.split('.')[0] == 'repro']\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "bench_demo.wall: 2 -> 1 (-50.0%)\n"
 
 
 class TestRecordIntegration:
-    def test_record_feeds_the_trajectory_db(self, tmp_path, monkeypatch, capsys):
-        """benchmarks/record.py appends a trajectory row on every record()."""
-        import sys
-        from pathlib import Path
-
-        bench_dir = Path(__file__).resolve().parents[2] / "benchmarks"
-        sys.path.insert(0, str(bench_dir))
-        try:
-            import record as bench_record
-        finally:
-            sys.path.pop(0)
+    def test_record_writes_only_the_json(self, bench_record, tmp_path, monkeypatch):
+        """record() keeps the latest numbers in the JSON file and nothing else."""
         monkeypatch.setenv("REPRO_BENCH_RECORD_FILE", str(tmp_path / "B.json"))
-        monkeypatch.setenv("REPRO_BENCH_DB", str(tmp_path / "B.sqlite3"))
         bench_record.record("bench_demo", {"wall_s": 3.0, "nested": {"n": 7}})
         bench_record.record("bench_demo", {"wall_s": 2.0, "nested": {"n": 7}})
-        assert main(["--db", str(tmp_path / "B.sqlite3"),
-                     "--benchmarks", "bench_demo", "--json"]) == 0
-        rows = _json_rows(capsys)
-        assert [row["wall_s"] for row in rows] == [3.0, 2.0]
-        assert rows[0]["nested.n"] == 7  # numeric leaves are flattened
-        # The JSON file still holds only the latest numbers.
-        assert json.loads((tmp_path / "B.json").read_text())["bench_demo"][
-            "wall_s"
-        ] == 2.0
+        assert json.loads((tmp_path / "B.json").read_text()) == {
+            "bench_demo": {"nested": {"n": 7}, "wall_s": 2.0}
+        }
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["B.json"]

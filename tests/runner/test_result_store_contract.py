@@ -26,9 +26,25 @@ from repro.runner.results import (
     ResultCache,
     RunHistoryDB,
 )
+from repro.runner.results.history_db import _INDEXES, _TABLES
 
 PROTOCOL = EvaluationProtocol(
     n_iterations=3, eval_every=3, n_seeds=1, dataset_scale=0.15
+)
+
+
+#: Schema generation 1: the trial tables (unchanged since) plus the table
+#: of benchmark headline numbers that generation 2 no longer creates.
+_GENERATION_1_SCHEMA = (
+    *_TABLES.values(),
+    *_INDEXES,
+    """CREATE TABLE benchmark_runs (
+        id          INTEGER PRIMARY KEY AUTOINCREMENT,
+        benchmark   TEXT NOT NULL,
+        recorded_at REAL NOT NULL,
+        values_json TEXT NOT NULL
+    )""",
+    "CREATE INDEX idx_bench_name_time ON benchmark_runs (benchmark, recorded_at)",
 )
 
 
@@ -288,14 +304,46 @@ class TestIndexedStore:
         assert {row["key"] for row in store.db.query()} == {good.key}
         assert store.n_quarantined() == 1
 
-    def test_clear_drops_index_rows_but_keeps_benchmark_trajectory(self, tmp_path):
+    def test_clear_drops_index_rows(self, tmp_path):
         store = IndexedResultStore(tmp_path)
         store.put(_spec(1), _history(1))
-        store.db.record_benchmark("bench_demo", {"wall": 1.0})
-        store.clear()
-        counts = store.db.counts()
-        assert counts["trials"] == 0 and counts["iterations"] == 0
-        assert counts["benchmark_runs"] == 1
+        assert store.db.counts() == {"trials": 1, "iterations": 2}
+        assert store.clear() == 1
+        assert store.db.counts() == {"trials": 0, "iterations": 0}
+
+    def test_opens_an_index_written_with_the_benchmark_table(self, tmp_path):
+        """A generation-1 index (which also held benchmark headline rows)
+        still opens: put, query, counts and reindex work, and the old table
+        is left as it was."""
+        legacy = sqlite3.connect(str(tmp_path / "results.sqlite3"))
+        for statement in _GENERATION_1_SCHEMA:
+            legacy.execute(statement)
+        legacy.execute(
+            "INSERT INTO benchmark_runs (benchmark, recorded_at, values_json)"
+            " VALUES ('bench_demo', 100.0, '{\"wall\": 1.0}')"
+        )
+        legacy.execute("PRAGMA user_version=1")
+        legacy.commit()
+        legacy.close()
+
+        store = IndexedResultStore(tmp_path)
+        first, second = _spec(1), _spec(2)
+        store.put(first, _history(1))
+        store.put(second, _history(2))
+        assert [row["key"] for row in store.db.query(seed=2)] == [second.key]
+        assert store.db.counts() == {"trials": 2, "iterations": 4}
+        assert store.reindex() == 2
+        assert store.db.counts() == {"trials": 2, "iterations": 4}
+        store.db.close()
+
+        reopened = sqlite3.connect(str(tmp_path / "results.sqlite3"))
+        try:
+            assert reopened.execute(
+                "SELECT benchmark, values_json FROM benchmark_runs"
+            ).fetchall() == [("bench_demo", '{"wall": 1.0}')]
+            assert reopened.execute("PRAGMA user_version").fetchone() == (2,)
+        finally:
+            reopened.close()
 
     def test_has_key_binds_the_key_as_a_parameter(self, tmp_path):
         store = IndexedResultStore(tmp_path)

@@ -248,7 +248,7 @@ class TestDrain:
         assert supervisor.drained()
         assert supervisor.spawned_total == 2
         assert set(supervisor.reaped.values()) == {0}
-        assert broker.counts() == {"tasks": 0, "leases": 0, "failed": 0, "corrupt": 0}
+        assert broker.counts() == {"tasks": 0, "shards": 0, "leases": 0, "failed": 0, "corrupt": 0}
         cache = ResultCache(cache_dir)
         assert {spec.key for spec in specs} <= cache.keys_present(specs)
 

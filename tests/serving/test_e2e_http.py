@@ -16,6 +16,8 @@ The acceptance contract of the serving layer, pinned over a real socket:
 
 from __future__ import annotations
 
+import http.client
+import json
 import threading
 
 from repro.runner import run_trial
@@ -207,3 +209,30 @@ def test_request_validation_and_unknown_routes(harness_factory):
 
     status, payload, _ = client.get("/healthz")
     assert (status, payload) == (200, {"status": "ok"})
+
+
+def test_overflowing_numbers_are_answered_400(harness_factory):
+    """A JSON number that overflows to infinity gets a response, not a dropped
+    connection, and enqueues nothing."""
+    harness = harness_factory()
+    lfs = json.dumps(LFS)
+    connection = http.client.HTTPConnection(*harness._address, timeout=30)
+    try:
+        for path, body in [
+            ("/label", f'{{"dataset": "youtube", "lfs": {lfs}, "seed": 1e309}}'),
+            ("/label", f'{{"dataset": "youtube", "lfs": {lfs}, "eval_every": 1e309}}'),
+            ("/label", f'{{"dataset": "youtube", "lfs": {lfs}, "scale": NaN}}'),
+            ("/sessions", '{"dataset": "youtube", "seed": 1e309}'),
+            ("/sessions", '{"dataset": "youtube", "scale": 1e309}'),
+        ]:
+            connection.request(
+                "POST", path, body=body.encode("utf-8"),
+                headers={"Content-Type": "application/json"},
+            )
+            response = connection.getresponse()
+            assert response.status == 400, (path, body)
+            assert "error" in json.loads(response.read())
+    finally:
+        connection.close()
+    _, stats, _ = harness.client.get("/stats")
+    assert stats["requests"]["enqueued"] == 0

@@ -117,5 +117,5 @@ def test_dead_workers_claim_is_reoffered_and_completed_once(harness_factory):
     assert not dead.lease_path.exists()
     assert len(harness.service.store) == 1
     assert harness.service.broker.counts() == {
-        "tasks": 0, "leases": 0, "failed": 0, "corrupt": 0,
+        "tasks": 0, "shards": 0, "leases": 0, "failed": 0, "corrupt": 0,
     }

@@ -93,6 +93,47 @@ class TestConfigOverrides:
         assert service.list_sessions()[1]["sessions"] == []
 
 
+INF = float("inf")  # what a JSON body's 1e309 parses to
+NAN = float("nan")
+
+
+class TestNonFiniteNumbers:
+    """Numeric fields that overflow or are not finite answer 400 up front."""
+
+    @pytest.mark.parametrize(
+        "field",
+        [{"seed": INF}, {"eval_every": INF}, {"scale": NAN}, {"scale": INF},
+         {"end_model_C": 0}, {"end_model_C": NAN}],
+        ids=["seed-inf", "eval_every-inf", "scale-nan", "scale-inf",
+             "end_model_C-zero", "end_model_C-nan"],
+    )
+    def test_label_request_is_rejected_before_enqueue(self, make_service, field):
+        service = make_service()
+        before = _counters(service)
+        status, payload, _ = service.submit({**BODY, **field})
+        assert status == 400
+        assert "error" in payload
+        assert _counters(service) == before
+        assert service.stats()[1]["requests"]["enqueued"] == 0
+
+    @pytest.mark.parametrize(
+        "field",
+        [{"seed": INF}, {"scale": INF}, {"scale": NAN},
+         {"end_model_C": NAN}, {"end_model_C": 0}],
+        ids=["seed-inf", "scale-inf", "scale-nan", "end_model_C-nan",
+             "end_model_C-zero"],
+    )
+    def test_session_is_rejected(self, make_service, field):
+        service = make_service()
+        status, payload, _ = service.create_session(
+            {"dataset": "youtube", "scale": 0.15, **field}
+        )
+        assert status == 400
+        assert "error" in payload
+        assert service.list_sessions()[1]["sessions"] == []
+        assert service.stats()[1]["requests"]["enqueued"] == 0
+
+
 class TestAdmissionRelease:
     def test_status_of_a_landed_result_releases_capacity(self, make_service):
         service = make_service(max_inflight=1)
