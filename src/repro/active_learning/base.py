@@ -48,8 +48,6 @@ class QueryContext:
     queried_labels:
         Pseudo-labels collected for the queried instances (``-1`` when the
         user's response produced no label).
-    iteration:
-        Zero-based iteration number.
     rng:
         Seeded generator for any randomised tie-breaking.
     """
@@ -60,7 +58,6 @@ class QueryContext:
     lm_proba: np.ndarray | None = None
     queried_indices: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
     queried_labels: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
-    iteration: int = 0
     rng: np.random.Generator = field(default_factory=ensure_rng)
 
     def __post_init__(self):

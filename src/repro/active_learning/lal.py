@@ -23,35 +23,24 @@ from __future__ import annotations
 import numpy as np
 
 from repro.active_learning.base import BaseSampler, QueryContext, prediction_entropy
+from repro.active_learning.uncertainty import UncertaintySampler
 from repro.labeling.lf import ABSTAIN
 from repro.models.logistic_regression import LogisticRegression
 
+#: Monte-Carlo leave-one-out episodes that fit the utility regressor at each
+#: selection step.
+N_EPISODES = 12
+#: L2 regularisation of the utility regressor.
+RIDGE = 1.0
+#: Labelled instances (with two classes present) needed before the learned
+#: regressor replaces plain uncertainty.
+MIN_LABELED = 8
+
 
 class LALSampler(BaseSampler):
-    """Regression-based expected-error-reduction sampler.
-
-    Parameters
-    ----------
-    n_episodes:
-        Number of Monte-Carlo leave-one-out episodes used to fit the utility
-        regressor at each selection step.
-    ridge:
-        L2 regularisation of the utility regressor.
-    min_labeled:
-        Minimum number of labelled instances (with both classes present)
-        before the learned regressor is used instead of plain uncertainty.
-    """
+    """Regression-based expected-error-reduction sampler."""
 
     name = "lal"
-
-    def __init__(self, n_episodes: int = 12, ridge: float = 1.0, min_labeled: int = 8):
-        if n_episodes < 1:
-            raise ValueError("n_episodes must be >= 1")
-        if ridge <= 0:
-            raise ValueError("ridge must be positive")
-        self.n_episodes = n_episodes
-        self.ridge = ridge
-        self.min_labeled = min_labeled
 
     # -------------------------------------------------------------- selection
     def select(self, context: QueryContext) -> int:
@@ -61,15 +50,15 @@ class LALSampler(BaseSampler):
 
         usable = (
             proba is not None
-            and labeled_idx.size >= self.min_labeled
+            and labeled_idx.size >= MIN_LABELED
             and len(np.unique(labels)) >= 2
         )
         if not usable:
-            return self._uncertainty_fallback(context, proba)
+            return UncertaintySampler().select(context)
 
         weights = self._fit_utility_regressor(context, labeled_idx, labels)
         if weights is None:
-            return self._uncertainty_fallback(context, proba)
+            return UncertaintySampler().select(context)
 
         state_features = self._candidate_features(context, proba, labeled_idx, labels)
         scores = state_features @ weights
@@ -81,12 +70,6 @@ class LALSampler(BaseSampler):
             return np.array([], dtype=int), np.array([], dtype=int)
         mask = context.queried_labels != ABSTAIN
         return context.queried_indices[mask], context.queried_labels[mask]
-
-    def _uncertainty_fallback(self, context: QueryContext, proba) -> int:
-        if proba is None:
-            return int(context.rng.choice(context.candidates))
-        scores = prediction_entropy(np.asarray(proba)[context.candidates])
-        return self._argmax_with_ties(scores, context.candidates, context.rng)
 
     def _candidate_features(
         self,
@@ -128,7 +111,7 @@ class LALSampler(BaseSampler):
         episode_X, episode_y = [], []
         n_labeled = len(labeled_idx)
 
-        for _ in range(self.n_episodes):
+        for _ in range(N_EPISODES):
             held_out = int(rng.integers(n_labeled))
             train_mask = np.ones(n_labeled, dtype=bool)
             train_mask[held_out] = False
@@ -163,5 +146,5 @@ class LALSampler(BaseSampler):
             return None
         X = np.asarray(episode_X)
         y = np.asarray(episode_y)
-        gram = X.T @ X + self.ridge * np.eye(X.shape[1])
+        gram = X.T @ X + RIDGE * np.eye(X.shape[1])
         return np.linalg.solve(gram, X.T @ y)

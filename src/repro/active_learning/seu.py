@@ -23,24 +23,16 @@ import numpy as np
 
 from repro.active_learning.base import BaseSampler, QueryContext, prediction_entropy
 
+#: Cap on the keywords scored per candidate document (the most
+#: document-frequent are kept, ties broken by keyword), bounding the
+#: per-step cost.
+MAX_KEYWORDS_PER_DOC = 30
+
 
 class SEUSampler(BaseSampler):
-    """Expected-utility sampling over the anticipated keyword-LF space.
-
-    Parameters
-    ----------
-    max_keywords_per_doc:
-        Cap on the number of keywords scored per candidate document (the
-        most document-frequent keywords are kept, ties broken by keyword),
-        bounding the per-step cost.
-    """
+    """Expected-utility sampling over the anticipated keyword-LF space."""
 
     name = "seu"
-
-    def __init__(self, max_keywords_per_doc: int = 30):
-        if max_keywords_per_doc < 1:
-            raise ValueError("max_keywords_per_doc must be >= 1")
-        self.max_keywords_per_doc = max_keywords_per_doc
 
     def select(self, context: QueryContext) -> int:
         """Return the candidate whose anticipated LF has maximal expected utility."""
@@ -78,6 +70,6 @@ class SEUSampler(BaseSampler):
             # order is hash-randomised, and it would otherwise decide which
             # keywords survive the cap and the order their utilities sum in.
             keywords = sorted(token_sets[idx], key=lambda w: (-len(postings[w]), w))
-            keywords = keywords[: self.max_keywords_per_doc]
+            keywords = keywords[:MAX_KEYWORDS_PER_DOC]
             scores[row] = float(np.mean([keyword_utility[w] for w in keywords]))
         return scores

@@ -1,23 +1,14 @@
-"""Uncertainty-based samplers: maximum entropy and minimum margin.
+"""Uncertainty sampling: maximum predictive entropy.
 
 Uncertainty sampling [Lewis 1995] queries the instance whose current model
-prediction has the highest entropy; margin sampling queries the instance with
-the smallest gap between the top two class probabilities.  Both prefer the
-active-learning model's probabilities and fall back to the label model's
-(and finally to random choice) when no model is available yet.
+prediction has the highest entropy.  It prefers the active-learning model's
+probabilities and falls back to the label model's (and finally to random
+choice) when no model is available yet.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.active_learning.base import BaseSampler, QueryContext, prediction_entropy
-
-
-def _pick_proba(context: QueryContext) -> np.ndarray | None:
-    if context.al_proba is not None:
-        return context.al_proba
-    return context.lm_proba
 
 
 class UncertaintySampler(BaseSampler):
@@ -27,25 +18,8 @@ class UncertaintySampler(BaseSampler):
 
     def select(self, context: QueryContext) -> int:
         """Return the candidate with the highest prediction entropy."""
-        proba = _pick_proba(context)
+        proba = context.al_proba if context.al_proba is not None else context.lm_proba
         if proba is None:
             return int(context.rng.choice(context.candidates))
         scores = prediction_entropy(proba[context.candidates])
         return self._argmax_with_ties(scores, context.candidates, context.rng)
-
-
-class MarginSampler(BaseSampler):
-    """Smallest-margin sampling (top-1 minus top-2 probability)."""
-
-    name = "margin"
-
-    def select(self, context: QueryContext) -> int:
-        """Return the candidate with the smallest top-two probability margin."""
-        proba = _pick_proba(context)
-        if proba is None:
-            return int(context.rng.choice(context.candidates))
-        candidate_proba = np.asarray(proba)[context.candidates]
-        sorted_proba = np.sort(candidate_proba, axis=1)
-        margins = sorted_proba[:, -1] - sorted_proba[:, -2]
-        # Smaller margin = more informative, so maximise the negated margin.
-        return self._argmax_with_ties(-margins, context.candidates, context.rng)

@@ -49,9 +49,7 @@ _REGISTRY = {
     "nemo": NemoPipeline,
     "iws": IWSPipeline,
     "revising_lf": RevisingLFPipeline,
-    "rlf": RevisingLFPipeline,
     "uncertainty": UncertaintySamplingPipeline,
-    "us": UncertaintySamplingPipeline,
 }
 
 

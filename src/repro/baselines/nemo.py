@@ -53,7 +53,6 @@ class NemoPipeline(LabelModelPipeline):
             lm_proba=self.lm_proba,
             queried_indices=np.asarray(self.queried, dtype=int),
             queried_labels=np.full(len(self.queried), ABSTAIN, dtype=int),
-            iteration=self.iteration,
             rng=self.rng,
         )
         query = self.sampler.select(context)

@@ -50,7 +50,6 @@ class UncertaintySamplingPipeline(InteractivePipeline):
             al_proba=self._proba,
             queried_indices=np.asarray(self.labeled_indices, dtype=int),
             queried_labels=np.asarray(self.labels, dtype=int),
-            iteration=self.iteration,
             rng=self.rng,
         )
         query = self.sampler.select(context)

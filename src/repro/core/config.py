@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from repro.active_learning import SAMPLER_NAMES
+from repro.label_models import LABEL_MODEL_NAMES
 
 
 @dataclass
@@ -17,16 +20,18 @@ class ActiveDPConfig:
     Attributes
     ----------
     sampler:
-        Name of the query-selection strategy (``"adp"``, ``"uncertainty"``,
-        ``"passive"``, ``"lal"``, ``"seu"``, ...), resolved through
-        :func:`repro.active_learning.get_sampler`.
+        Name of the query-selection strategy, one of Table 4's five:
+        ``"passive"``, ``"uncertainty"``, ``"lal"``, ``"seu"`` or ``"adp"``,
+        resolved through :func:`repro.active_learning.get_sampler`.
+        ``"adp"`` is built with ``alpha``; the others take no parameters.
     alpha:
         ADP trade-off factor between the AL model's and the label model's
         entropy.  The paper uses 0.5 for textual and 0.99 for tabular
         datasets.
     label_model:
-        Label-model registry name (``"metal"``, ``"generative"``,
-        ``"majority_vote"``).
+        Label-model registry name: ``"metal"``, ``"generative"`` or
+        ``"majority_vote"``, resolved through
+        :func:`repro.label_models.get_label_model`.
     use_labelpick:
         Enable the LabelPick LF-selection step (Section 3.4); disabling it is
         the "Baseline"/"ConFusion" ablation of Table 3.
@@ -58,9 +63,17 @@ class ActiveDPConfig:
     glasso_alpha: float = 0.01
     al_model_C: float = 1.0
     min_labelpick_queries: int = 8
-    sampler_kwargs: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.sampler not in SAMPLER_NAMES:
+            raise ValueError(
+                f"sampler must be one of {list(SAMPLER_NAMES)}, got {self.sampler!r}"
+            )
+        if self.label_model not in LABEL_MODEL_NAMES:
+            raise ValueError(
+                f"label_model must be one of {list(LABEL_MODEL_NAMES)}, "
+                f"got {self.label_model!r}"
+            )
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
         if self.glasso_alpha < 0:

@@ -195,7 +195,6 @@ class ActiveDP:
             lm_proba=state.lm_proba_train,
             queried_indices=np.asarray(state.queried, dtype=int),
             queried_labels=self._queried_pseudo_labels(),
-            iteration=state.iteration,
             rng=self.rng,
         )
         return self.sampler.select(context)
@@ -338,13 +337,9 @@ class ActiveDP:
 
     # ------------------------------------------------------------- internals
     def _build_sampler(self, config: ActiveDPConfig) -> BaseSampler:
-        if isinstance(config.sampler, BaseSampler):
-            return config.sampler
-        name = str(config.sampler).lower()
-        kwargs = dict(config.sampler_kwargs)
-        if name == "adp" and "alpha" not in kwargs:
-            kwargs["alpha"] = config.alpha
-        return get_sampler(name, **kwargs)
+        if config.sampler == "adp":
+            return ADPSampler(alpha=config.alpha)
+        return get_sampler(config.sampler)
 
     def _record_pseudo_label(self, lf: LabelFunction, query_index: int, column=None) -> int:
         """Record ``lf``'s output on *query_index* as a pseudo-label."""

@@ -22,6 +22,7 @@ __all__ = [
     "BaseLabelModel",
     "EMLabelModel",
     "EM_LABEL_MODELS",
+    "LABEL_MODEL_NAMES",
     "LabelModelWarmStart",
     "MajorityVoteLabelModel",
     "GenerativeLabelModel",
@@ -34,6 +35,9 @@ _REGISTRY = {
     "generative": GenerativeLabelModel,
     "metal": MeTaLLabelModel,
 }
+
+#: Registry names, the values ``ActiveDPConfig.label_model`` accepts.
+LABEL_MODEL_NAMES = tuple(_REGISTRY)
 
 #: Registry names of the EM-fitted models — the ones that accept the
 #: ``early_stop`` knob (majority vote has no numeric inner loop to

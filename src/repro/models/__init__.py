@@ -2,12 +2,11 @@
 
 The paper uses scikit-learn's logistic regression as both the active-learning
 model and the downstream (end) model; this package provides an equivalent
-implementation built only on NumPy/SciPy, plus the helper estimators, metrics
+implementation built only on NumPy/SciPy, plus the metrics, feature scaling
 and data-splitting utilities needed by the rest of the library.
 """
 
 from repro.models.base import BaseClassifier
-from repro.models.decision_stump import DecisionStump
 from repro.models.logistic_regression import LogisticRegression
 from repro.models.metrics import (
     accuracy_score,
@@ -19,14 +18,11 @@ from repro.models.metrics import (
     recall_score,
 )
 from repro.models.model_selection import train_valid_test_split
-from repro.models.naive_bayes import GaussianNaiveBayes
 from repro.models.preprocessing import StandardScaler
 
 __all__ = [
     "BaseClassifier",
     "LogisticRegression",
-    "GaussianNaiveBayes",
-    "DecisionStump",
     "StandardScaler",
     "accuracy_score",
     "precision_score",

@@ -12,7 +12,6 @@ spec would produce (:func:`canonical_json` pins the encoding).
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 from repro.core.config import ActiveDPConfig
@@ -26,34 +25,46 @@ class RequestError(ValueError):
     """A request body the service must reject (rendered as HTTP 400)."""
 
 
+def json_int(body: dict, name: str, default: int) -> int:
+    """``body[name]`` (or *default*) if it is a JSON integer.
+
+    Shared by ``POST /label`` and ``POST /sessions``.  A bool, float or
+    string is a :class:`RequestError`, not coerced: ``1.9``, ``true`` and
+    ``"1"`` would otherwise all name the trial of ``1``.
+    """
+    value = body.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise RequestError(f"'{name}' must be a JSON integer, got {value!r}")
+    return value
+
+
 def check_config_overrides(config_overrides) -> None:
-    """Reject ``config_overrides`` that are not an object of ActiveDP config fields.
+    """Reject ``config_overrides`` that do not make a valid ActiveDP config.
 
     Shared by ``POST /label`` and ``POST /sessions``, so an unknown key (a
-    typo, or a field the config no longer has) is a 400 at the door rather
-    than a ``TypeError`` from ``dataclasses.replace`` on a worker.
+    typo, or a field the config no longer has) or a value the config
+    rejects (an unregistered sampler, an ``alpha`` outside ``[0, 1]``) is a
+    400 at the door rather than a job failure on a worker.
     """
     if config_overrides is None:
         return
     if not isinstance(config_overrides, dict):
         raise RequestError("'config_overrides' must be an object when given")
-    fields = {field.name for field in dataclasses.fields(ActiveDPConfig)}
-    unknown = sorted(set(config_overrides) - fields)
-    if unknown:
-        raise RequestError(
-            f"unknown config_overrides field(s): {unknown}; "
-            f"valid fields: {sorted(fields)}"
-        )
+    try:
+        ActiveDPConfig(**config_overrides)
+    except (TypeError, ValueError) as error:
+        raise RequestError(f"invalid config_overrides: {error}") from error
 
 
 def parse_label_request(body: dict) -> TrialSpec:
     """Canonicalise a label-request body into a content-hashed trial spec.
 
     Required fields: ``dataset`` (registry name) and ``lfs`` (non-empty
-    list of wire-schema LF dicts).  Optional: ``seed`` (default 0),
-    ``scale`` (dataset scale, default 1.0), ``eval_every`` (default: one
-    evaluation at the end), ``end_model_C`` (default 1.0) and
-    ``config_overrides`` (plain-JSON ActiveDP config fields).  Equivalent
+    list of wire-schema LF dicts).  Optional: ``seed`` (JSON integer,
+    default 0), ``scale`` (dataset scale, default 1.0), ``eval_every``
+    (JSON integer, default: one evaluation at the end), ``end_model_C``
+    (default 1.0) and ``config_overrides`` (plain-JSON ActiveDP config
+    fields that must make a valid config).  Equivalent
     requests normalise to identical specs and therefore share one content
     key — the dedup/cache unit of the whole serving path.  Dataset names
     are case-insensitive in the registry, so they are lower-cased here:
@@ -75,10 +86,10 @@ def parse_label_request(body: dict) -> TrialSpec:
         canonical_lfs = canonical_wire_lfs(lfs)
     except WireFormatError as error:
         raise RequestError(str(error)) from error
+    seed = json_int(body, "seed", 0)
+    eval_every = json_int(body, "eval_every", len(canonical_lfs))
     try:
-        seed = int(body.get("seed", 0))
         scale = float(body.get("scale", 1.0))
-        eval_every = int(body.get("eval_every", len(canonical_lfs)))
         end_model_C = float(body.get("end_model_C", 1.0))
     except (TypeError, ValueError, OverflowError) as error:
         raise RequestError(f"invalid numeric field: {error}") from error

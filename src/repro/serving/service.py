@@ -43,6 +43,7 @@ from repro.serving.admission import AdmissionController
 from repro.serving.schemas import (
     RequestError,
     check_config_overrides,
+    json_int,
     label_payload,
     parse_label_request,
 )
@@ -241,13 +242,14 @@ class LabelingService:
             return 400, {"error": f"unknown session field(s): {sorted(unknown)}"}, {}
         config_overrides = body.get("config_overrides")
         try:
+            seed = json_int(body, "seed", 0)
             check_config_overrides(config_overrides)
         except RequestError as error:
             return 400, {"error": str(error)}, {}
         try:
             info = self.sessions.create(
                 dataset,
-                seed=int(body.get("seed", 0)),
+                seed=seed,
                 scale=float(body.get("scale", 1.0)),
                 config_overrides=config_overrides,
                 end_model_C=float(body.get("end_model_C", 1.0)),

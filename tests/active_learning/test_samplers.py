@@ -6,22 +6,17 @@ import pytest
 from repro.active_learning import (
     ADPSampler,
     BaseSampler,
-    CoreSetSampler,
-    DensityWeightedSampler,
     LALSampler,
-    MarginSampler,
     PassiveSampler,
-    QueryByCommitteeSampler,
     QueryContext,
     SEUSampler,
     UncertaintySampler,
     get_sampler,
     prediction_entropy,
 )
-from repro.labeling import ABSTAIN
+from repro.experiments.samplers import TABLE4_SAMPLERS
 
-ALL_SAMPLER_NAMES = ["passive", "uncertainty", "margin", "qbc", "coreset",
-                     "density", "lal", "seu", "adp"]
+ALL_SAMPLER_NAMES = list(TABLE4_SAMPLERS.values())
 
 
 def _context(dataset, rng, al_proba=None, lm_proba=None, queried=(), labels=()):
@@ -67,6 +62,13 @@ class TestRegistry:
         with pytest.raises(ValueError):
             get_sampler("bogus")
 
+    def test_registry_is_table4_under_one_name_each(self):
+        for name in TABLE4_SAMPLERS.values():
+            assert isinstance(get_sampler(name), BaseSampler)
+        for name in ("us", "qbc", "margin", "ADP"):
+            with pytest.raises(ValueError):
+                get_sampler(name)
+
 
 @pytest.mark.parametrize("name", ALL_SAMPLER_NAMES)
 class TestSelectionContract:
@@ -98,14 +100,6 @@ class TestUncertaintySampler:
         proba = _peaked_proba(len(train), uncertain_index=23)
         context = _context(train, rng, lm_proba=proba)
         assert UncertaintySampler().select(context) == 23
-
-
-class TestMarginSampler:
-    def test_picks_smallest_margin(self, tiny_text_split, rng):
-        train = tiny_text_split.train
-        proba = _peaked_proba(len(train), uncertain_index=9)
-        context = _context(train, rng, al_proba=proba)
-        assert MarginSampler().select(context) == 9
 
 
 class TestADPSampler:
@@ -142,31 +136,6 @@ class TestADPSampler:
         assert ADPSampler().select(context) in context.candidates
 
 
-class TestCoreSetSampler:
-    def test_avoids_already_queried_neighbourhood(self, rng):
-        from repro.datasets.base import Dataset
-        features = np.vstack([np.zeros((5, 2)), np.full((1, 2), 10.0)])
-        dataset = Dataset(features, np.zeros(6, dtype=int), n_classes=2)
-        context = _context(dataset, rng, queried=[0], labels=[0])
-        assert CoreSetSampler().select(context) == 5
-
-
-class TestQueryByCommittee:
-    def test_random_before_two_classes_observed(self, tiny_text_split, rng):
-        context = _context(tiny_text_split.train, rng, queried=[0], labels=[1])
-        assert QueryByCommitteeSampler().select(context) in context.candidates
-
-    def test_invalid_members_raise(self):
-        with pytest.raises(ValueError):
-            QueryByCommitteeSampler(n_lr_members=0)
-
-
-class TestDensitySampler:
-    def test_invalid_beta_raises(self):
-        with pytest.raises(ValueError):
-            DensityWeightedSampler(beta=-1)
-
-
 class TestSEUSampler:
     def test_prefers_docs_with_high_coverage_keywords(self, tiny_text_split, rng):
         train = tiny_text_split.train
@@ -197,14 +166,15 @@ class TestSEUSampler:
 
         code = (
             "import hashlib, numpy as np\n"
-            "from repro.active_learning import QueryContext, SEUSampler\n"
+            "from repro.active_learning import QueryContext, SEUSampler, seu\n"
             "from repro.datasets import load_dataset\n"
             "train = load_dataset('youtube', scale=1.0, random_state=0).train\n"
             "proba = np.random.default_rng(1).dirichlet([1, 1], size=len(train))\n"
             "context = QueryContext(dataset=train, candidates=np.arange(len(train)),\n"
             "                       lm_proba=proba, rng=np.random.default_rng(0))\n"
-            "for cap in (30, 5):\n"
-            "    scores = SEUSampler(max_keywords_per_doc=cap).scores(context)\n"
+            "for cap in (seu.MAX_KEYWORDS_PER_DOC, 5):\n"
+            "    seu.MAX_KEYWORDS_PER_DOC = cap\n"
+            "    scores = SEUSampler().scores(context)\n"
             "    print(hashlib.sha256(scores.tobytes()).hexdigest())\n"
         )
         outputs = set()
@@ -231,14 +201,8 @@ class TestLALSampler:
         queried = list(range(12))
         labels = [train.labels[i] for i in queried]
         context = _context(train, rng, al_proba=proba, queried=queried, labels=labels)
-        choice = LALSampler(n_episodes=6, min_labeled=8).select(context)
+        choice = LALSampler().select(context)
         assert choice in context.candidates
-
-    def test_invalid_parameters_raise(self):
-        with pytest.raises(ValueError):
-            LALSampler(n_episodes=0)
-        with pytest.raises(ValueError):
-            LALSampler(ridge=0.0)
 
 
 class TestQueryContext:

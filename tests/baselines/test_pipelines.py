@@ -22,9 +22,11 @@ class TestRegistry:
     def test_pipeline_names(self):
         assert set(ALL_PIPELINES) == {"activedp", "nemo", "iws", "revising_lf", "uncertainty"}
 
-    def test_get_pipeline_aliases(self, tiny_text_split):
-        assert isinstance(get_pipeline("us", tiny_text_split), UncertaintySamplingPipeline)
-        assert isinstance(get_pipeline("rlf", tiny_text_split), RevisingLFPipeline)
+    def test_get_pipeline_has_no_aliases(self, tiny_text_split):
+        # One name per framework, so one trial has one content key.
+        for alias in ("us", "rlf"):
+            with pytest.raises(ValueError):
+                get_pipeline(alias, tiny_text_split)
 
     def test_unknown_pipeline_raises(self, tiny_text_split):
         with pytest.raises(ValueError):

@@ -34,6 +34,13 @@ class TestActiveDPConfig:
             {"glasso_alpha": -0.1},
             {"al_model_C": 0.0},
             {"min_labelpick_queries": 1},
+            {"sampler": "nope"},
+            {"sampler": "us"},
+            {"sampler": "qbc"},
+            {"sampler": "ADP"},
+            {"sampler": 7},
+            {"label_model": "snorkel"},
+            {"label_model": "MeTaL"},
         ],
     )
     def test_invalid_values_raise(self, kwargs):

@@ -236,3 +236,31 @@ def test_overflowing_numbers_are_answered_400(harness_factory):
         connection.close()
     _, stats, _ = harness.client.get("/stats")
     assert stats["requests"]["enqueued"] == 0
+
+
+def test_invalid_values_are_answered_400_before_enqueue(harness_factory):
+    """A config value the config rejects, or a request integer that is not a
+    JSON integer, is a 400 at the door: no enqueue, no session, no job
+    failure on a worker."""
+    harness = harness_factory()
+    client = harness.client
+    bad_overrides = [
+        {"config_overrides": {"alpha": 7}},
+        {"config_overrides": {"sampler": "nope"}},
+        {"config_overrides": {"sampler_kwargs": {"beta": -1}}},
+    ]
+    bad_integers = [{"seed": 1.9}, {"seed": True}, {"seed": "1"}]
+    for field in bad_overrides + bad_integers + [{"eval_every": 1.5}]:
+        status, payload, _ = client.post("/label", {**_body(), **field})
+        assert status == 400, field
+        assert "error" in payload
+    for field in bad_overrides + bad_integers:
+        status, payload, _ = client.post(
+            "/sessions", {"dataset": "youtube", "scale": 0.15, **field}
+        )
+        assert status == 400, field
+        assert "error" in payload
+    _, stats, _ = client.get("/stats")
+    assert stats["requests"]["enqueued"] == 0
+    assert stats["jobs"] == {"pending": 0, "done": 0, "failed": 0}
+    assert client.get("/sessions")[1]["sessions"] == []

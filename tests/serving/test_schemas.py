@@ -82,6 +82,14 @@ class TestParseLabelRequest:
             {"dataset": "youtube", "lfs": "keyword"},
             {"dataset": "youtube", "lfs": [{"type": "nope"}]},
             {"dataset": "youtube", "lfs": LFS, "seed": "many"},
+            {"dataset": "youtube", "lfs": LFS, "seed": "1"},
+            {"dataset": "youtube", "lfs": LFS, "seed": 1.9},
+            {"dataset": "youtube", "lfs": LFS, "seed": True},
+            {"dataset": "youtube", "lfs": LFS, "eval_every": 1.0},
+            {"dataset": "youtube", "lfs": LFS, "config_overrides": {"alpha": 7}},
+            {"dataset": "youtube", "lfs": LFS, "config_overrides": {"sampler": "nope"}},
+            {"dataset": "youtube", "lfs": LFS,
+             "config_overrides": {"sampler_kwargs": {"beta": -1}}},
             {"dataset": "youtube", "lfs": LFS, "config_overrides": [1]},
             {"dataset": "youtube", "lfs": LFS, "config_overrides": {"backend": "numpy"}},
             {"dataset": "youtube", "lfs": LFS, "surprise": True},

@@ -92,20 +92,46 @@ class TestConfigOverrides:
         assert sorted(overrides)[0] in payload["error"]
         assert service.list_sessions()[1]["sessions"] == []
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"alpha": 7}, {"sampler": "nope"}, {"sampler": "us"},
+         {"label_model": "snorkel"}, {"sampler_kwargs": {"beta": -1}}],
+        ids=["alpha-7", "sampler-nope", "sampler-us", "label_model-snorkel",
+             "sampler_kwargs"],
+    )
+    def test_values_the_config_rejects_answer_400(self, make_service, overrides):
+        service = make_service()
+        before = _counters(service)
+        status, payload, _ = service.submit({**BODY, "config_overrides": overrides})
+        assert status == 400
+        assert sorted(overrides)[0] in payload["error"]
+        assert _counters(service) == before
+        status, payload, _ = service.create_session(
+            {"dataset": "youtube", "scale": 0.15, "config_overrides": overrides}
+        )
+        assert status == 400
+        assert sorted(overrides)[0] in payload["error"]
+        assert service.list_sessions()[1]["sessions"] == []
+
 
 INF = float("inf")  # what a JSON body's 1e309 parses to
 NAN = float("nan")
 
 
 class TestNonFiniteNumbers:
-    """Numeric fields that overflow or are not finite answer 400 up front."""
+    """Numeric fields that overflow or are not finite, and integer fields
+    that are not JSON integers, answer 400 up front."""
 
     @pytest.mark.parametrize(
         "field",
         [{"seed": INF}, {"eval_every": INF}, {"scale": NAN}, {"scale": INF},
-         {"end_model_C": 0}, {"end_model_C": NAN}],
+         {"end_model_C": 0}, {"end_model_C": NAN},
+         {"seed": 1.9}, {"seed": 1.0}, {"seed": True}, {"seed": "1"},
+         {"eval_every": 1.5}, {"eval_every": False}, {"eval_every": "2"}],
         ids=["seed-inf", "eval_every-inf", "scale-nan", "scale-inf",
-             "end_model_C-zero", "end_model_C-nan"],
+             "end_model_C-zero", "end_model_C-nan",
+             "seed-float", "seed-integral-float", "seed-bool", "seed-str",
+             "eval_every-float", "eval_every-bool", "eval_every-str"],
     )
     def test_label_request_is_rejected_before_enqueue(self, make_service, field):
         service = make_service()
@@ -119,9 +145,10 @@ class TestNonFiniteNumbers:
     @pytest.mark.parametrize(
         "field",
         [{"seed": INF}, {"scale": INF}, {"scale": NAN},
-         {"end_model_C": NAN}, {"end_model_C": 0}],
+         {"end_model_C": NAN}, {"end_model_C": 0},
+         {"seed": 1.9}, {"seed": True}, {"seed": "1"}],
         ids=["seed-inf", "scale-inf", "scale-nan", "end_model_C-nan",
-             "end_model_C-zero"],
+             "end_model_C-zero", "seed-float", "seed-bool", "seed-str"],
     )
     def test_session_is_rejected(self, make_service, field):
         service = make_service()
