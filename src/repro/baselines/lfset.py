@@ -18,7 +18,9 @@ per-LF diagnostics and end-model test predictions, all as plain JSON-able
 Python (see :func:`export_labeling_artifacts`, which interactive serving
 sessions share so a streamed session and a batch replay of the same LFs
 report identical payloads).  The two also share the one replay step,
-:func:`replay_lf`.
+:func:`replay_lf`.  The trial loop always evaluates the last iteration, so
+the export reuses that checkpoint's aggregation and end model instead of
+computing both a second time.
 """
 
 from __future__ import annotations
@@ -26,14 +28,20 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.activedp import ActiveDPBackedPipeline
-from repro.core.evaluation import fit_end_model
+from repro.core.confusion import AggregatedLabels
+from repro.core.evaluation import Evaluation, fit_end_model, score_checkpoint
 from repro.core.framework import ActiveDP
 from repro.core.results import IterationRecord
 from repro.datasets.base import DataSplit
 from repro.labeling.analysis import LFAnalysis
 from repro.labeling.lf import LabelFunction
 from repro.labeling.wire import lf_from_wire
+from repro.models.logistic_regression import LogisticRegression
 from repro.utils.rng import RandomState
+
+#: One ConFusion aggregation of the pool and the end model fitted on its
+#: accepted rows (``None`` without any).
+LabelingFit = tuple[AggregatedLabels, LogisticRegression | None]
 
 
 def replay_lf(framework: ActiveDP, lf: LabelFunction) -> bool:
@@ -49,8 +57,20 @@ def replay_lf(framework: ActiveDP, lf: LabelFunction) -> bool:
     return duplicate
 
 
+def fit_labeling(framework: ActiveDP, data_split: DataSplit, C: float) -> LabelingFit:
+    """Aggregate *framework*'s labels once and fit the end model (inverse C) on them."""
+    aggregated = framework.aggregate_labels()
+    indices = np.flatnonzero(aggregated.accepted)
+    return aggregated, fit_end_model(
+        data_split.train, indices, aggregated.labels[indices], C=C
+    )
+
+
 def export_labeling_artifacts(
-    framework: ActiveDP, data_split: DataSplit, end_model_C: float = 1.0
+    framework: ActiveDP,
+    data_split: DataSplit,
+    end_model_C: float = 1.0,
+    fitted: LabelingFit | None = None,
 ) -> dict:
     """Final serving payload of an ActiveDP run, as plain JSON-able Python.
 
@@ -66,8 +86,12 @@ def export_labeling_artifacts(
     * ``end_model`` — downstream logistic-regression test-set predictions
       and accuracy (``None`` while no labels exist to train on), fitted on
       the accepted rows of the one aggregation above.
+
+    *fitted* is :func:`fit_labeling`'s result on the framework's current
+    state with ``C=end_model_C``, when the caller already holds it;
+    ``None`` computes it here.
     """
-    aggregated = framework.aggregate_labels()
+    aggregated, model = fitted or fit_labeling(framework, data_split, end_model_C)
     labels = {
         "values": [int(value) for value in aggregated.labels],
         "accepted": [bool(flag) for flag in aggregated.accepted],
@@ -96,8 +120,6 @@ def export_labeling_artifacts(
                 }
             )
     end_model = None
-    indices = np.flatnonzero(aggregated.accepted)
-    model = fit_end_model(data_split.train, indices, aggregated.labels[indices], C=end_model_C)
     if model is not None:
         test = data_split.test
         predictions = model.predict(test.features)
@@ -121,6 +143,10 @@ class LFSetPipeline(ActiveDPBackedPipeline):
     end_model_C:
         Inverse regularisation of the exported end model (part of the
         content hash via ``pipeline_kwargs``).
+
+    Each :meth:`evaluate` keeps its aggregation and end model, keyed by
+    the iteration and C; :meth:`export_artifacts` reuses them when both
+    match its own state and ``end_model_C``, and fits its own otherwise.
     """
 
     name = "lfset"
@@ -138,6 +164,8 @@ class LFSetPipeline(ActiveDPBackedPipeline):
         super().__init__(data_split, random_state, config_overrides)
         self.lfs = [lf_from_wire(payload) for payload in lfs]
         self.end_model_C = float(end_model_C)
+        # The last checkpoint's fit, keyed by (iteration, C).
+        self._checkpoint: dict[tuple[int, float], LabelingFit] = {}
 
     def step(self) -> IterationRecord:
         """Replay the next LF from the list (if any remain)."""
@@ -148,8 +176,17 @@ class LFSetPipeline(ActiveDPBackedPipeline):
         self.iteration += 1
         return self.framework.record_iteration(-1, lf)
 
+    def evaluate(self, C: float = 1.0) -> Evaluation:
+        """One checkpoint (the base class's numbers), kept for :meth:`export_artifacts`."""
+        fitted = fit_labeling(self.framework, self.data, C)
+        self._checkpoint = {(self.iteration, float(C)): fitted}
+        aggregated, model = fitted
+        indices = np.flatnonzero(aggregated.accepted)
+        return score_checkpoint(self.data, indices, aggregated.labels[indices], model)
+
     def export_artifacts(self) -> dict:
         """The request's product: labels, per-LF diagnostics, predictions."""
+        fitted = self._checkpoint.get((self.iteration, self.end_model_C))
         return export_labeling_artifacts(
-            self.framework, self.data, end_model_C=self.end_model_C
+            self.framework, self.data, end_model_C=self.end_model_C, fitted=fitted
         )

@@ -53,6 +53,11 @@ def score_labels(train, indices, labels) -> dict:
 def evaluate_labels(data_split, indices, labels, C: float = 1.0) -> Evaluation:
     """Every checkpoint number from one set of generated labels."""
     model = fit_end_model(data_split.train, indices, labels, C=C)
+    return score_checkpoint(data_split, indices, labels, model)
+
+
+def score_checkpoint(data_split, indices, labels, model) -> Evaluation:
+    """Every checkpoint number from generated labels and the end model fitted on them."""
     quality = score_labels(data_split.train, indices, labels)
     return Evaluation(
         score_end_model(model, data_split.test, data_split.valid),

@@ -397,7 +397,7 @@ class ActiveDP:
         # model was fitted on this exact matrix — EM from a converged fit is a
         # no-op, skip it entirely (only forced refits land here unchanged).
         reuse = model is not None and state.lm_fit_selection == selected
-        if reuse and state.lm_proba_train is not None and state.lm_proba_valid is not None:
+        if reuse and state.lm_proba_train is not None:
             # The cached probabilities were computed from this exact model and
             # matrix; recomputing them would reproduce them bit for bit.
             return
@@ -425,9 +425,9 @@ class ActiveDP:
             final_loss = getattr(model, "final_loss_", None)
             if final_loss is not None:
                 state.lm_final_loss = float(final_loss)
-        state.lm_proba_valid = model.predict_proba(
-            state.valid_matrix.columns(selected)
-        )
+            # Only threshold tuning reads the validation posterior, and only
+            # once an AL model exists: :meth:`_lm_proba_valid` predicts it then.
+            state.lm_proba_valid = None
 
     def _label_model_warm_start(self, selected: list[int]):
         """Warm-start payload for fitting the *selected* columns, or ``None``.
@@ -500,7 +500,7 @@ class ActiveDP:
         if not self.config.use_confusion or state.al_proba_valid is None:
             state.threshold = None
             return
-        lm_proba_valid = state.lm_proba_valid
+        lm_proba_valid = self._lm_proba_valid()
         if lm_proba_valid is None:
             # No label model (empty selection): no fitted class prior exists,
             # and the covered mask below is all-False, so the uniform rows
@@ -515,6 +515,21 @@ class ActiveDP:
             lm_covered_valid,
             self.valid.labels,
         )
+
+    def _lm_proba_valid(self) -> np.ndarray | None:
+        """The label model's validation posterior, predicted on first read after a fit.
+
+        ``None`` while no label model exists.  The model and the columns it
+        was fitted on (``lm_fit_selection``) are unchanged until the next
+        fit, which clears the cache, so the prediction is the one the fit
+        itself would have made.
+        """
+        state = self.state
+        if state.lm_proba_valid is None and state.label_model is not None:
+            state.lm_proba_valid = state.label_model.predict_proba(
+                state.valid_matrix.columns(state.lm_fit_selection)
+            )
+        return state.lm_proba_valid
 
     def _lm_covered(self, matrix: np.ndarray) -> np.ndarray:
         """Mask of instances with at least one activated *selected* LF."""

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.graphical.covariance import RunningCovariance, shrink_covariance
-from repro.graphical.glasso import GraphicalLassoResult, graphical_lasso
+from repro.graphical.glasso import GraphicalLassoResult, graphical_lasso, is_finite
 from repro.graphical.markov_blanket import markov_blanket
 from repro.labeling.lf import ABSTAIN, LabelFunction
 
@@ -301,6 +301,7 @@ class LabelPick:
         their new positions (brand-new or re-ordered-away variables keep the
         cold initialisation).  The optimisation problem itself is unchanged,
         so the selection agrees with the cold path up to solver tolerance.
+        A non-finite estimate is never carried: the next fit starts cold.
         """
         if state.covariance is None:
             state.covariance = RunningCovariance()
@@ -340,8 +341,9 @@ class LabelPick:
             warm_start=state.glasso_result,
             warm_start_map=warm_start_map,
         )
-        state.glasso_result = result
-        state.glasso_survivors = list(survivors)
+        carried = is_finite(result)
+        state.glasso_result = result if carried else None
+        state.glasso_survivors = list(survivors) if carried else None
         state.n_fits += 1
         state.n_sweeps += result.n_iter
         if result.warm_started:

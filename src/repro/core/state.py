@@ -76,8 +76,14 @@ class TrainingState:
         ``n_warm_fits`` counters track graphical-lasso fits).
     threshold:
         ConFusion confidence threshold (``None`` before the AL model exists).
-    lm_proba_train, lm_proba_valid, al_proba_train, al_proba_valid:
+    lm_proba_train, al_proba_train, al_proba_valid:
         Cached model predictions, invalidated by refits only.
+    lm_proba_valid:
+        The label model's posterior on the validation split.  A label-model
+        fit leaves it ``None``; ConFusion's threshold tuning, its only
+        reader, predicts it on first read once an AL model exists, and it
+        stays until the next fit.  A run without pseudo-labels (an LF-set
+        replay) never fills it.
     iteration:
         Number of completed iterations.
     rng:

@@ -91,8 +91,12 @@ def graphical_lasso(
         (requires matching dimensions).  Mapped pairs seed their covariance
         and precision entries from the previous estimate; pairs involving a
         new variable keep the cold covariance and a zero precision entry.
-        An inapplicable payload (wrong dimensions, out-of-range map)
-        degrades to a cold start, never raises.
+        An inapplicable payload (wrong dimensions, out-of-range map, a
+        non-finite mapped entry, an indefinite seeded covariance) degrades
+        to a cold start, never raises.  Block descent from a warm start can
+        still diverge; a warm-started solve that ends non-finite is
+        discarded (its overflow warnings with it) and the problem is solved
+        cold.  A finite warm solve is kept, converged or not.
     """
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
@@ -108,30 +112,26 @@ def graphical_lasso(
         precision = np.array([[1.0 / max(emp_cov[0, 0], 1e-12)]])
         return GraphicalLassoResult(emp_cov.copy(), precision, 0, True)
 
-    covariance = emp_cov.copy()
-    # Keep the diagonal slightly inflated so every sub-block stays invertible.
-    covariance.flat[:: p + 1] = emp_cov.flat[:: p + 1] + alpha
-    seed = _warm_start_pairs(p, warm_start, warm_start_map)
-    warm_started = seed is not None
-    if warm_started:
-        new_pairs, previous_pairs = seed
-        covariance[new_pairs] = np.asarray(warm_start.covariance)[previous_pairs]
-        # The diagonal is a fixed constraint of the glasso solution
-        # (W_jj = S_jj + alpha), so it always comes from the *new* data.
-        covariance.flat[:: p + 1] = emp_cov.flat[:: p + 1] + alpha
-        # A previous estimate's off-diagonal block combined with the new
-        # diagonal can be indefinite (the block coordinate descent diverges
-        # on an indefinite iterate); only a positive-definite seed is usable.
-        if np.linalg.eigvalsh(covariance).min() <= 1e-10:
-            covariance = emp_cov.copy()
-            covariance.flat[:: p + 1] = emp_cov.flat[:: p + 1] + alpha
-            warm_started = False
-    # Unconnected variables seed their lasso from zero; a warm start keeps
-    # the previous precision's sparsity on the mapped pairs.
+    seed = _warm_start_seed(emp_cov, alpha, warm_start, warm_start_map)
+    if seed is not None:
+        # Discarded attempts must not leak their overflow warnings.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            result = _solve(emp_cov, alpha, max_iter, tol, *seed, warm_started=True)
+        if is_finite(result):
+            return result
+    covariance = _cold_covariance(emp_cov, alpha)
+    # Unconnected variables seed their lasso from zero.
     precision = np.diag(1.0 / np.maximum(np.diag(covariance), 1e-12))
-    if warm_started:
-        precision[new_pairs] = np.asarray(warm_start.precision)[previous_pairs]
+    return _solve(emp_cov, alpha, max_iter, tol, covariance, precision, warm_started=False)
 
+
+def is_finite(result: GraphicalLassoResult) -> bool:
+    """Whether both estimates of *result* are finite (usable as a warm start)."""
+    return bool(np.isfinite(result.covariance).all() and np.isfinite(result.precision).all())
+
+
+def _solve(emp_cov, alpha, max_iter, tol, covariance, precision, warm_started):
+    """Block descent from the given iterates, as a :class:`GraphicalLassoResult`."""
     covariance, precision, n_iter, converged, final_change = glasso_block_sweeps(
         covariance,
         precision,
@@ -140,11 +140,51 @@ def graphical_lasso(
         max_iter=max_iter,
         tol=tol,
     )
-
     precision = 0.5 * (precision + precision.T)
     return GraphicalLassoResult(
         covariance, precision, n_iter, converged, warm_started, final_change
     )
+
+
+def _cold_covariance(emp_cov: np.ndarray, alpha: float) -> np.ndarray:
+    """The cold covariance iterate: the data's, diagonal inflated by *alpha*."""
+    covariance = emp_cov.copy()
+    # Keep the diagonal slightly inflated so every sub-block stays invertible.
+    covariance.flat[:: covariance.shape[0] + 1] += alpha
+    return covariance
+
+
+def _warm_start_seed(
+    emp_cov: np.ndarray,
+    alpha: float,
+    warm_start: GraphicalLassoResult | None,
+    warm_start_map: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Warm ``(covariance, precision)`` iterates, or ``None`` to start cold."""
+    p = emp_cov.shape[0]
+    pairs = _warm_start_pairs(p, warm_start, warm_start_map)
+    if pairs is None:
+        return None
+    new_pairs, previous_pairs = pairs
+    carried_covariance = np.asarray(warm_start.covariance)[previous_pairs]
+    carried_precision = np.asarray(warm_start.precision)[previous_pairs]
+    if not (np.isfinite(carried_covariance).all() and np.isfinite(carried_precision).all()):
+        return None
+    covariance = _cold_covariance(emp_cov, alpha)
+    covariance[new_pairs] = carried_covariance
+    # The diagonal is a fixed constraint of the glasso solution
+    # (W_jj = S_jj + alpha), so it always comes from the *new* data.
+    covariance.flat[:: p + 1] = emp_cov.flat[:: p + 1] + alpha
+    # A previous estimate's off-diagonal block combined with the new
+    # diagonal can be indefinite (the block coordinate descent diverges
+    # on an indefinite iterate); only a positive-definite seed is usable.
+    if np.linalg.eigvalsh(covariance).min() <= 1e-10:
+        return None
+    # New variables seed their lasso from zero; the mapped pairs keep the
+    # previous precision's sparsity.
+    precision = np.diag(1.0 / np.maximum(np.diag(covariance), 1e-12))
+    precision[new_pairs] = carried_precision
+    return covariance, precision
 
 
 def _warm_start_pairs(

@@ -11,7 +11,9 @@ used as content addresses for the on-disk result cache
 The hash covers every input that determines the trial's outcome — framework,
 dataset, seed, protocol parameters and pipeline keyword arguments (configs
 are dataclasses and are canonicalised field by field) — plus a cache format
-version so stale entries are ignored after incompatible changes.
+version so stale entries are ignored after incompatible changes.  Inputs
+that cannot change the outcome are left out: ActiveDP ``config_overrides``
+entries that restate a default (:func:`keyed_pipeline_kwargs`).
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+from repro.core.config import ActiveDPConfig
+from repro.datasets.registry import DATASET_PROFILES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     # Only needed for annotations: importing repro.experiments at runtime
@@ -113,6 +118,37 @@ def canonical_value(obj):
     return text
 
 
+def keyed_pipeline_kwargs(dataset: str, pipeline_kwargs: dict | None) -> dict | None:
+    """*pipeline_kwargs* as the content key reads them.
+
+    ``config_overrides`` entries equal to the value
+    ``ActiveDPConfig.for_dataset_kind`` gives the dataset's kind are
+    dropped, and so is the dict once empty (or ``None``), and empty kwargs
+    read as ``None``: a grid row or a label request that restates a
+    default names the trial it runs, not a second one.  The pipeline itself
+    still receives the raw kwargs, which resolve to the same config.  An
+    unregistered dataset's overrides are kept as given.
+    """
+    if not pipeline_kwargs:
+        return None
+    if "config_overrides" not in pipeline_kwargs:
+        return pipeline_kwargs
+    profile = DATASET_PROFILES.get(dataset.lower())
+    overrides = pipeline_kwargs["config_overrides"]
+    if profile is None or not (overrides is None or isinstance(overrides, dict)):
+        return pipeline_kwargs
+    defaults = dataclasses.asdict(ActiveDPConfig.for_dataset_kind(profile.kind))
+    kept = {
+        name: value
+        for name, value in (overrides or {}).items()
+        if name not in defaults or canonical_value(value) != canonical_value(defaults[name])
+    }
+    keyed = {name: value for name, value in pipeline_kwargs.items() if name != "config_overrides"}
+    if kept:
+        keyed["config_overrides"] = kept
+    return keyed or None
+
+
 def _digest_canonical(canonical) -> str:
     """SHA-256 hex digest of an already-canonicalised payload.
 
@@ -176,7 +212,8 @@ class TrialSpec:
         projection: they decide *which* trials a grid expands to, not the
         outcome of this one, so growing a grid from 1 to 5 seeds keeps the
         shared trials' cache entries valid (``spawn_seeds`` is
-        prefix-stable).
+        prefix-stable), and the kwargs are read through
+        :func:`keyed_pipeline_kwargs`.
         """
         protocol = canonical_value(self.protocol)
         protocol.pop("n_seeds", None)
@@ -188,7 +225,9 @@ class TrialSpec:
                 "dataset": self.dataset,
                 "seed": self.seed,
                 "protocol": protocol,
-                "pipeline_kwargs": canonical_value(self.pipeline_kwargs),
+                "pipeline_kwargs": canonical_value(
+                    keyed_pipeline_kwargs(self.dataset, self.pipeline_kwargs)
+                ),
             }
         )
 

@@ -2,14 +2,21 @@
 
 A checkpoint reads the generated labels once: ``run_trial_on_split``
 aggregates (or calls ``generate_labels``) exactly once per evaluation point,
-and a label payload aggregates once.  Every ActiveDP-backed surface builds
-its framework through :func:`bind_activedp`, which consumes one draw.
+and a label payload aggregates once.  A served ``lfset`` trial's export
+reuses its last checkpoint's aggregation and end model, and ActiveDP
+predicts the label model's validation posterior only for threshold tuning;
+both match the oracle in ``reference_two_fit``, which does each eagerly.
+Every ActiveDP-backed surface builds its framework through
+:func:`bind_activedp`, which consumes one draw.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from reference_two_fit import EagerValidActiveDP, two_fit_pipelines
 
 from repro.baselines import IWSPipeline, NemoPipeline, RevisingLFPipeline, get_pipeline
 from repro.baselines.activedp import bind_activedp
@@ -19,7 +26,9 @@ from repro.core.framework import ActiveDP
 from repro.datasets import load_dataset
 from repro.experiments import EvaluationProtocol
 from repro.labeling.wire import lf_from_wire
-from repro.runner.executor import run_trial_on_split
+from repro.models.logistic_regression import LogisticRegression
+from repro.runner.executor import run_trial, run_trial_on_split
+from repro.serving.schemas import canonical_json, label_payload, parse_label_request
 from repro.serving.sessions import LabelingSession
 from repro.utils.rng import ensure_rng
 
@@ -79,6 +88,125 @@ class TestOneReadPerCheckpoint:
         payload = session.label_payload()
         assert payload["end_model"] is not None
         assert len(calls) == 1
+
+
+def _served(**fields):
+    """A serve-shaped cold request (youtube@0.15, seed 7) as a trial spec."""
+    return parse_label_request(
+        {"dataset": "youtube", "lfs": LFS, "seed": 7, "scale": 0.15, **fields}
+    )
+
+
+def _records(history) -> list[dict]:
+    return [dataclasses.asdict(record) for record in history.records]
+
+
+class TestOneFitPerServedTrial:
+    @pytest.mark.parametrize("fields", [{}, {"eval_every": 2}, {"end_model_C": 0.5}])
+    def test_cold_request_fits_and_aggregates_once_at_the_end(self, monkeypatch, fields):
+        # No queries, so no AL model: every LogisticRegression fit is an end model.
+        spec = _served(**fields)
+        checkpoints = len(spec.protocol.evaluation_iterations())
+        fits = _count_calls(monkeypatch, LogisticRegression, "fit")
+        aggregations = _count_calls(monkeypatch, ActiveDP, "aggregate_labels")
+        history = run_trial(spec)
+        assert history.artifacts["end_model"] is not None
+        assert len(fits) == len(aggregations) == checkpoints
+
+    def test_export_with_another_C_fits_its_own_model(self, monkeypatch):
+        split = load_dataset("youtube", scale=0.15, random_state=7)
+        protocol = EvaluationProtocol(n_iterations=len(LFS), eval_every=len(LFS), end_model_C=2.0)
+        kwargs = {"lfs": LFS, "end_model_C": 1.0}
+        fits = _count_calls(monkeypatch, LogisticRegression, "fit")
+        history = run_trial_on_split("lfset", split, protocol, 7, kwargs)
+        assert len(fits) == 2
+        pipeline = LFSetPipeline(split, random_state=7, **kwargs)
+        pipeline.run(len(LFS))
+        assert history.artifacts == pipeline.export_artifacts()
+
+    def test_export_after_more_steps_fits_its_own_model(self, monkeypatch):
+        split = load_dataset("youtube", scale=0.15, random_state=7)
+        pipeline = LFSetPipeline(split, random_state=7, lfs=LFS)
+        pipeline.run(len(LFS) - 1)
+        pipeline.evaluate()
+        pipeline.step()
+        fits = _count_calls(monkeypatch, LogisticRegression, "fit")
+        artifacts = pipeline.export_artifacts()
+        assert len(fits) == 1
+        fresh = LFSetPipeline(split, random_state=7, lfs=LFS)
+        fresh.run(len(LFS))
+        assert artifacts == fresh.export_artifacts()
+
+    @pytest.mark.parametrize("fields", [{}, {"eval_every": 1}, {"end_model_C": 0.5}])
+    def test_served_payload_matches_the_two_fit_oracle(self, fields):
+        spec = _served(**fields)
+        history = run_trial(spec)
+        with two_fit_pipelines():
+            expected = run_trial(spec)
+        assert _records(history) == _records(expected)
+        assert canonical_json(label_payload(spec, history)) == canonical_json(
+            label_payload(spec, expected)
+        )
+
+    def test_a_replay_never_predicts_the_validation_posterior(self):
+        pipeline = LFSetPipeline(load_dataset("youtube", scale=0.15, random_state=7),
+                                 random_state=7, lfs=LFS)
+        pipeline.run(len(LFS))
+        state = pipeline.framework.state
+        assert state.label_model is not None and state.al_model is None
+        assert state.lm_proba_valid is None
+
+
+class TestLazyValidationPosterior:
+    @pytest.mark.parametrize(
+        "dataset,scale,seed", [("youtube", 0.3, 3), ("census", 0.3, 5)]
+    )
+    def test_activedp_trial_matches_the_eager_oracle(self, dataset, scale, seed):
+        split = load_dataset(dataset, scale=scale, random_state=seed)
+        protocol = EvaluationProtocol(n_iterations=30, eval_every=5)
+        history = run_trial_on_split("activedp", split, protocol, seed)
+        with two_fit_pipelines():
+            expected = run_trial_on_split("activedp", split, protocol, seed)
+        assert any(record.threshold is not None for record in history.records)
+        assert [r.threshold for r in history.records] == [
+            r.threshold for r in expected.records
+        ]
+        assert _records(history) == _records(expected)
+
+    def test_the_posterior_read_is_the_eager_one(self, tiny_text_split):
+        shipped = get_pipeline("activedp", tiny_text_split, random_state=0)
+        with two_fit_pipelines():
+            eager = get_pipeline("activedp", tiny_text_split, random_state=0)
+        assert isinstance(eager.framework, EagerValidActiveDP)
+        for _ in range(15):
+            shipped.step()
+            eager.step()
+            if shipped.framework.state.lm_proba_valid is not None:
+                np.testing.assert_array_equal(
+                    shipped.framework.state.lm_proba_valid,
+                    eager.framework.state.lm_proba_valid,
+                )
+        assert shipped.framework.state.lm_proba_valid is not None
+
+    def test_evicted_then_resumed_session_is_byte_identical(self):
+        straight = LabelingSession("a", "youtube", seed=7, scale=0.15)
+        for lf in LFS:
+            straight.add_lf(lf)
+        interrupted = LabelingSession("a", "youtube", seed=7, scale=0.15)
+        for lf in LFS[:2]:
+            interrupted.add_lf(lf)
+        resumed = LabelingSession.resume(interrupted.suspended_payload())
+        for lf in LFS[2:]:
+            resumed.add_lf(lf)
+        assert canonical_json(resumed.label_payload()) == canonical_json(
+            straight.label_payload()
+        )
+        with two_fit_pipelines():
+            oracle = LabelingSession("a", "youtube", seed=7, scale=0.15)
+            for lf in LFS:
+                oracle.add_lf(lf)
+            expected = oracle.label_payload()
+        assert canonical_json(resumed.label_payload()) == canonical_json(expected)
 
 
 class TestOneEvaluation:

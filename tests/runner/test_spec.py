@@ -54,6 +54,52 @@ class TestKey:
         assert first.key == second.key
 
 
+class TestDefaultOverrides:
+    """A ``config_overrides`` entry that restates a default names no new trial."""
+
+    PROTOCOL = EvaluationProtocol(n_iterations=30, eval_every=5)
+
+    def _key(self, dataset="youtube", **pipeline_kwargs):
+        return TrialSpec("activedp", dataset, 3, self.PROTOCOL, pipeline_kwargs or None).key
+
+    def test_restated_default_sampler_keeps_the_plain_key(self):
+        plain = self._key()
+        assert plain.startswith("c9d20cbd")
+        assert self._key(config_overrides={"sampler": "adp"}) == plain
+
+    def test_empty_or_absent_overrides_are_one_key(self):
+        plain = self._key()
+        assert self._key(config_overrides={}) == plain
+        assert self._key(config_overrides=None) == plain
+        assert TrialSpec("activedp", "youtube", 3, self.PROTOCOL, {}).key == plain
+
+    def test_defaults_follow_the_dataset_kind(self):
+        # alpha defaults to 0.5 on text and 0.99 on tabular data.
+        assert self._key(config_overrides={"alpha": 0.5}) == self._key()
+        assert self._key(config_overrides={"alpha": 0.99}) != self._key()
+        assert self._key("census", config_overrides={"alpha": 0.99}) == self._key("census")
+        assert self._key("census", config_overrides={"alpha": 0.5}) != self._key("census")
+
+    def test_only_the_default_entries_are_dropped(self):
+        mixed = self._key(config_overrides={"sampler": "adp", "glasso_alpha": 0.02})
+        assert mixed == self._key(config_overrides={"glasso_alpha": 0.02})
+        assert mixed != self._key()
+
+    def test_non_default_override_changes_the_key(self):
+        assert self._key(config_overrides={"sampler": "seu"}) != self._key()
+        assert self._key(config_overrides={"use_labelpick": False}) != self._key()
+
+    def test_unregistered_dataset_keeps_its_overrides(self):
+        plain = self._key("no-such-dataset")
+        assert self._key("no-such-dataset", config_overrides={"sampler": "adp"}) != plain
+
+    def test_the_pipeline_still_receives_the_raw_kwargs(self):
+        kwargs = {"config_overrides": {"sampler": "adp"}}
+        spec = TrialSpec("activedp", "youtube", 3, self.PROTOCOL, kwargs)
+        assert spec.key == self._key()
+        assert spec.pipeline_kwargs == {"config_overrides": {"sampler": "adp"}}
+
+
 class TestValidation:
     @pytest.mark.parametrize(
         "overrides", [{"framework": ""}, {"dataset": ""}, {"seed": -1}]

@@ -46,6 +46,15 @@ class TestParseLabelRequest:
         assert mixed.key == lower.key
         assert mixed.dataset == "youtube"
 
+    def test_restated_default_config_is_one_trial(self):
+        # A served request that restates the default sampler must hit the
+        # warm cache of the same request sent without it.
+        plain = parse_label_request({"dataset": "youtube", "lfs": LFS})
+        restated = parse_label_request(
+            {"dataset": "youtube", "lfs": LFS, "config_overrides": {"sampler": "adp"}}
+        )
+        assert restated.key == plain.key
+
     def test_distinct_knobs_get_distinct_keys(self):
         base = parse_label_request({"dataset": "youtube", "lfs": LFS})
         for variation in (
