@@ -33,7 +33,9 @@ def run_table5_label_noise(
             key=(noise_rate, dataset),
             framework="activedp",
             dataset=dataset,
-            pipeline_kwargs={"noise_rate": noise_rate},
+            # The 0% row is Figure 3's plain ActiveDP trial: passing no rate
+            # gives it that trial's content key, so a grid runs it once.
+            pipeline_kwargs={"noise_rate": noise_rate} if noise_rate else None,
         )
         for noise_rate in noise_rates
         for dataset in datasets

@@ -24,6 +24,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+try:
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
+
 #: Largest integer a packed block key may reach: one bit below int64's range.
 _KEY_LIMIT = 2**62
 
@@ -190,14 +195,14 @@ def _metal_e_step(fired, not_fired, vote_masks, log_priors, accuracies, propensi
     """Shared E-step: posteriors and per-row log marginal likelihoods."""
     n_classes = vote_masks.shape[0]
     wrong_share = 1.0 / max(n_classes - 1, 1)
-    acc = np.clip(accuracies, 1e-6, 1 - 1e-6)
-    propensity = np.clip(propensities, 1e-6, 1 - 1e-6)
+    acc = _clip(accuracies, 1e-6, 1 - 1e-6)
+    propensity = _clip(propensities, 1e-6, 1 - 1e-6)
     log_acc = np.log(acc)
     log_wrong = np.log((1.0 - acc) * wrong_share)
 
-    n_instances = fired.shape[0]
-    log_proba = np.tile(log_priors, (n_instances, 1))
-    log_proba = log_proba + not_fired @ np.log(1.0 - propensity)
+    # Adding the priors by broadcasting is the tiled sum: IEEE addition
+    # commutes exactly.
+    log_proba = not_fired @ np.log(1.0 - propensity) + log_priors
     log_proba = log_proba + fired @ (np.log(propensity) + log_wrong[:, None])
     agree_minus_wrong = log_acc - log_wrong
     agree = np.stack(
@@ -221,15 +226,16 @@ def metal_step(
     """
     class_mass = mass.sum(axis=0) + 1e-12
     fired_mass = fired.T @ mass
-    propensities = np.clip(
+    propensities = _clip(
         (fired_mass + smoothing * 0.1) / (class_mass[None, :] + smoothing * 0.2),
         1e-4,
         1.0 - 1e-4,
     )
-    agree_weight = np.take_along_axis(mass, vote_index, axis=1)
+    # Each pattern's mass on the class each LF votes for.
+    agree_weight = mass[np.arange(mass.shape[0])[:, None], vote_index]
     expected_correct = (fired * agree_weight).sum(axis=0)
     total = fired_mass.sum(axis=1)
-    accuracies = np.clip(
+    accuracies = _clip(
         (expected_correct + smoothing * prior_accuracy) / (total + smoothing),
         low,
         high,

@@ -31,46 +31,72 @@ def feature_sign(gram, linear, alpha: float, start, max_steps: int, exclude: int
     ``Q``, ``b`` and ``alpha`` by a power of two scales every step exactly,
     which a Cholesky factor's square roots would not.
     """
-    gram = np.asarray(gram, dtype=float)
-    linear = np.asarray(linear, dtype=float)
     weights = np.array(start, dtype=float)
+    found = _feature_sign(
+        np.asarray(gram, dtype=float), np.asarray(linear, dtype=float),
+        alpha, weights, max_steps, exclude,
+    )
+    return None if found is None else found[0]
+
+
+def _feature_sign(gram, linear, alpha, weights, max_steps, exclude):
+    """:func:`feature_sign` on float arrays, overwriting the seed *weights*.
+
+    Returns ``(weights, product)`` or ``None``.  ``product`` is
+    ``gram[:, S] @ w_S`` from the last KKT check when the final support
+    ``S`` is in index order, so it is bit for bit the product
+    ``gram[:, flatnonzero(w)] @ w[flatnonzero(w)]`` a caller would form;
+    otherwise it is ``None``.  Each step gathers ``gram[:, S]`` once: its
+    ``S`` rows are the LU block (the same values in the same C layout as
+    ``gram[S[:, None], S]``) and the whole gather is the residual's product.
+    """
     weights[exclude] = 0.0
-    support = np.flatnonzero(weights)
+    support = weights.nonzero()[0]
     signs = np.sign(weights[support])
+    # A support from nonzero() is in index order; appending a violator below
+    # the last index breaks that (dropping coordinates never restores it
+    # here, which only costs the caller a recomputed product).
+    ordered = True
     for _ in range(max_steps):
-        block = gram[support[:, None], support]
-        solution = np.zeros(0)
+        columns = gram[:, support]
+        block = columns[support]
+        target = linear[support]
         if support.size:
-            _, _, solution, info = dgesv(block, linear[support] - alpha * signs)
+            _, _, solution, info = dgesv(block, target - alpha * signs)
             if info != 0 or not np.isfinite(solution).all():
                 return None
+        else:
+            solution = np.zeros(0)
         flipped = np.sign(solution) != signs
         if flipped.any():
             current = weights[support]
-            crossing = np.flatnonzero(flipped & (current != 0.0))
+            crossing = (flipped & (current != 0.0)).nonzero()[0]
             fractions = current[crossing] / (current[crossing] - solution[crossing])
-            candidates = np.vstack(
-                [solution, current + fractions[:, None] * (solution - current)]
+            candidates = np.concatenate(
+                (solution[None], current + fractions[:, None] * (solution - current))
             )
             candidates[np.arange(1, crossing.size + 1), crossing] = 0.0
             objective = (
                 0.5 * np.einsum("ij,ij->i", candidates @ block, candidates)
-                - candidates @ linear[support]
+                - candidates @ target
                 + alpha * np.abs(candidates).sum(axis=1)
             )
-            weights[support] = candidates[np.argmin(objective)]
+            weights[support] = candidates[objective.argmin()]
             support = support[weights[support] != 0.0]
             signs = np.sign(weights[support])
             continue
         weights[support] = solution
-        residual = linear - gram[:, support] @ solution
+        product = columns @ solution
+        residual = linear - product
         residual[support] = 0.0
         residual[exclude] = 0.0
-        violator = int(np.argmax(np.abs(residual)))
+        violator = int(np.abs(residual).argmax())
         if abs(residual[violator]) <= alpha:
-            return weights
-        support = np.append(support, violator)
-        signs = np.append(signs, np.sign(residual[violator]))
+            return weights, product if ordered else None
+        if support.size and violator < support[-1]:
+            ordered = False
+        support = np.concatenate((support, (violator,)))
+        signs = np.concatenate((signs, (np.sign(residual[violator]),)))
     return None
 
 
@@ -181,7 +207,11 @@ def glasso_block_sweeps(
     precision = np.asarray(precision, dtype=float)
     emp_cov = np.asarray(emp_cov, dtype=float)
     p = int(covariance.shape[0])
-    rest_indices = [np.delete(np.arange(p), j) for j in range(p)]
+    # Row j of emp_rows is emp_cov's column j, contiguous; row j of rests is
+    # every index but j.
+    emp_rows = np.ascontiguousarray(emp_cov.T)
+    steps = np.arange(p - 1)
+    rests = steps + (steps >= np.arange(p)[:, None])
 
     converged = False
     n_iter = 0
@@ -189,39 +219,44 @@ def glasso_block_sweeps(
     for n_iter in range(1, max_iter + 1):
         previous = covariance.copy()
         for j in range(p):
-            rest = rest_indices[j]
+            rest = rests[j]
             # Warm start from the carried precision (Friedman, Hastie and
             # Tibshirani): beta = -theta_12 / theta_22, which after the
             # first sweep is the previous sweep's solution for this column.
-            start = np.zeros(p)
             if precision[j, j] > 0.0:
                 start = -precision[:, j] / precision[j, j]
-            full = None
+            else:
+                start = np.zeros(p)
+            found = None
             if lasso_max_iter > 0:
-                full = feature_sign(
-                    covariance, emp_cov[:, j], alpha, start, 2 * p + 4, exclude=j
+                found = _feature_sign(
+                    covariance, emp_rows[j], alpha, start.copy(), 2 * p + 4, exclude=j
                 )
-            if full is None:
+            if found is None:
                 sub_cov = covariance[rest[:, None], rest[None, :]]
                 beta = lasso_cd(
-                    sub_cov, emp_cov[rest, j], alpha, max_iter=lasso_max_iter,
+                    sub_cov, emp_rows[j][rest], alpha, max_iter=lasso_max_iter,
                     tol=lasso_tol, initial=start[rest],
                 )
                 column = sub_cov @ beta
             else:
-                support = np.flatnonzero(full)
+                full, product = found
+                if product is None:
+                    support = full.nonzero()[0]
+                    product = covariance[:, support] @ full[support]
                 beta = full[rest]
-                column = (covariance[:, support] @ full[support])[rest]
+                column = product[rest]
             covariance[rest, j] = column
             covariance[j, rest] = column
 
             # Recover the corresponding precision entries (standard glasso
             # update): theta_jj = 1 / (w_jj - w_12^T beta).
-            denom = covariance[j, j] - covariance[rest, j] @ beta
+            denom = covariance[j, j] - column @ beta
             denom = max(denom, 1e-12)
             precision[j, j] = 1.0 / denom
-            precision[rest, j] = -beta / denom
-            precision[j, rest] = precision[rest, j]
+            entries = -beta / denom
+            precision[rest, j] = entries
+            precision[j, rest] = entries
         change = np.mean(np.abs(covariance - previous))
         final_change = float(change)
         threshold = tol * max(float(np.mean(np.abs(previous))), 1e-12)

@@ -14,8 +14,11 @@ from repro.experiments import (
     run_table5_label_noise,
     table2_dataset_statistics,
 )
+import repro.experiments.figure3 as figure3_module
+import repro.experiments.noise as noise_module
 from repro.experiments.ablation import ABLATION_VARIANTS
 from repro.experiments.samplers import TABLE4_SAMPLERS
+from repro.runner.engine import expand_jobs
 
 FAST = EvaluationProtocol(n_iterations=3, eval_every=3, n_seeds=1, dataset_scale=0.15)
 
@@ -69,6 +72,38 @@ class TestTableRunners:
         results = run_table5_label_noise(FAST, datasets=["youtube"], noise_rates=(0.0, 0.15))
         assert set(results) == {0.0, 0.15}
         assert "youtube" in results[0.0]
+
+
+class TestOneKeyPerTrial:
+    """Grid rows that run the same trial share one content key."""
+
+    @staticmethod
+    def _keys(monkeypatch, module, driver, **kwargs):
+        """``{job key: trial keys}`` of the grid *driver* hands the engine."""
+        grids = []
+
+        def captured(jobs, protocol, execution=None):
+            grids.append(expand_jobs(jobs, protocol))
+            return {}
+
+        monkeypatch.setattr(module, "run_experiment_grid", captured)
+        driver(FAST, datasets=["youtube"], **kwargs)
+        (expanded,) = grids
+        keys = {}
+        for job, spec in expanded:
+            keys.setdefault(job.key, []).append(spec.key)
+        return keys
+
+    def test_the_noise_free_row_is_figure3s_activedp_trial(self, monkeypatch):
+        figure3 = self._keys(
+            monkeypatch, figure3_module, run_figure3, frameworks=["activedp"]
+        )
+        noise = self._keys(
+            monkeypatch, noise_module, run_table5_label_noise, noise_rates=(0.0, 0.05)
+        )
+
+        assert noise[(0.0, "youtube")] == figure3[("youtube", "activedp")]
+        assert noise[(0.05, "youtube")] != figure3[("youtube", "activedp")]
 
 
 class TestReporting:

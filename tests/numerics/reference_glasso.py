@@ -1,15 +1,24 @@
-"""The historical graphical-lasso solver, kept as a test oracle.
+"""Two earlier graphical-lasso solvers, kept as test oracles.
 
-A verbatim copy of ``repro.numerics.glasso``'s plain coordinate-descent
-``lasso_cd`` (every column's lasso restarting from zero, one ``gram[j] @
-weights`` product per coordinate update) and ``glasso_block_sweeps``.  The
-production solver must select the same Markov blankets as this one; the
-tests and ``benchmarks/bench_glasso_replay.py`` replay calls through both.
+The historical solver is a verbatim copy of ``repro.numerics.glasso``'s
+plain coordinate-descent ``lasso_cd`` (every column's lasso restarting from
+zero, one ``gram[j] @ weights`` product per coordinate update) and
+``glasso_block_sweeps``.  The production solver must select the same Markov
+blankets as this one.
+
+The feature-sign oracle (:func:`feature_sign`, :func:`feature_sign_sweeps`,
+:func:`graphical_lasso_feature_sign`) is the production active-set solver
+as it stood before its per-solve interpreter work was trimmed.  The
+production solver must match it bit for bit.  The tests and
+``benchmarks/bench_glasso_replay.py`` replay calls through all three.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.lapack import dgesv
+
+from repro.numerics.glasso import lasso_cd as production_lasso_cd
 
 
 def _soft_threshold(value, threshold):
@@ -207,6 +216,177 @@ def _seed_covariance(covariance, warm_start, warm_start_map) -> bool:
         np.ix_(column_map[mapped], column_map[mapped])
     ]
     return True
+
+
+# ----------------------------------------------------- feature-sign oracle
+# A verbatim copy of ``repro.numerics.glasso``'s feature-sign search and the
+# block sweeps around it, from before their interpreter work was trimmed (one
+# column gather per LU solve, the KKT product reused as the column update).
+# The production sweeps must match these bit for bit: same covariance, same
+# precision, same sweep count and final change on every call.  The
+# ``lasso_cd`` fallback was not touched, so the copy calls the production one.
+
+
+def feature_sign(gram, linear, alpha: float, start, max_steps: int, exclude: int):
+    """Minimise ``0.5 w^T Q w - b^T w + alpha * ||w||_1`` by feature-sign search.
+
+    The active-set method of Lee, Battle, Raina and Ng (*Efficient sparse
+    coding algorithms*, NIPS 2007), with ``w[exclude]`` held at zero.  From
+    the support and signs of *start*, each step solves the stationarity
+    conditions on the support ``S`` exactly,
+    ``Q[S, S] w_S = b_S - alpha * sign_S``.  If a sign flips, a discrete line
+    search moves to the lowest objective among the solution and every zero
+    crossing on the way to it, drops the zeroed coordinates and solves
+    again.  Otherwise the point satisfies the KKT conditions when
+    ``|b - Q w| <= alpha`` off the support; if not, the largest violator
+    joins the support with the sign of its residual.
+
+    Returns the KKT point as a new array, or ``None`` when a support solve is
+    singular or non-finite or *max_steps* solves do not reach a KKT point.
+    *start* is not modified.  The solve is an LU factorisation: scaling
+    ``Q``, ``b`` and ``alpha`` by a power of two scales every step exactly,
+    which a Cholesky factor's square roots would not.
+    """
+    gram = np.asarray(gram, dtype=float)
+    linear = np.asarray(linear, dtype=float)
+    weights = np.array(start, dtype=float)
+    weights[exclude] = 0.0
+    support = np.flatnonzero(weights)
+    signs = np.sign(weights[support])
+    for _ in range(max_steps):
+        block = gram[support[:, None], support]
+        solution = np.zeros(0)
+        if support.size:
+            _, _, solution, info = dgesv(block, linear[support] - alpha * signs)
+            if info != 0 or not np.isfinite(solution).all():
+                return None
+        flipped = np.sign(solution) != signs
+        if flipped.any():
+            current = weights[support]
+            crossing = np.flatnonzero(flipped & (current != 0.0))
+            fractions = current[crossing] / (current[crossing] - solution[crossing])
+            candidates = np.vstack(
+                [solution, current + fractions[:, None] * (solution - current)]
+            )
+            candidates[np.arange(1, crossing.size + 1), crossing] = 0.0
+            objective = (
+                0.5 * np.einsum("ij,ij->i", candidates @ block, candidates)
+                - candidates @ linear[support]
+                + alpha * np.abs(candidates).sum(axis=1)
+            )
+            weights[support] = candidates[np.argmin(objective)]
+            support = support[weights[support] != 0.0]
+            signs = np.sign(weights[support])
+            continue
+        weights[support] = solution
+        residual = linear - gram[:, support] @ solution
+        residual[support] = 0.0
+        residual[exclude] = 0.0
+        violator = int(np.argmax(np.abs(residual)))
+        if abs(residual[violator]) <= alpha:
+            return weights
+        support = np.append(support, violator)
+        signs = np.append(signs, np.sign(residual[violator]))
+    return None
+
+
+def feature_sign_sweeps(
+    covariance,
+    precision,
+    emp_cov,
+    alpha: float,
+    max_iter: int,
+    tol: float,
+    lasso_max_iter: int = 200,
+    lasso_tol: float = 1e-6,
+):
+    """Run the outer block coordinate-descent loop of the graphical lasso.
+
+    Each sweep updates every row/column of the covariance iterate by a lasso
+    regression on the remaining block and recovers the matching precision
+    entries.  Convergence is declared when the mean absolute change of the
+    covariance between sweeps falls below *tol* times the iterate's own
+    scale (its mean absolute entry), which makes the stopping rule
+    invariant to the covariance's units and lets warm-started
+    near-solutions stop after a single sweep.
+
+    Column j's lasso starts from ``-precision[rest, j] / precision[j, j]``,
+    so the *precision* passed in seeds the first sweep and every later
+    sweep resumes from the previous one's solution.  It is solved by
+    :func:`feature_sign` on the full covariance with variable j held at
+    zero; only when that search gives up does :func:`lasso_cd` solve it on
+    the explicit ``rest`` x ``rest`` block.  With ``lasso_max_iter == 0``
+    every lasso keeps its seed.
+
+    Returns ``(covariance, precision, n_iter, converged, final_change)``;
+    ``final_change`` is the last sweep's mean absolute covariance change
+    (``None`` when ``max_iter == 0``).
+    """
+    covariance = np.asarray(covariance, dtype=float)
+    precision = np.asarray(precision, dtype=float)
+    emp_cov = np.asarray(emp_cov, dtype=float)
+    p = int(covariance.shape[0])
+    rest_indices = [np.delete(np.arange(p), j) for j in range(p)]
+
+    converged = False
+    n_iter = 0
+    final_change = None
+    for n_iter in range(1, max_iter + 1):
+        previous = covariance.copy()
+        for j in range(p):
+            rest = rest_indices[j]
+            # Warm start from the carried precision (Friedman, Hastie and
+            # Tibshirani): beta = -theta_12 / theta_22, which after the
+            # first sweep is the previous sweep's solution for this column.
+            start = np.zeros(p)
+            if precision[j, j] > 0.0:
+                start = -precision[:, j] / precision[j, j]
+            full = None
+            if lasso_max_iter > 0:
+                full = feature_sign(
+                    covariance, emp_cov[:, j], alpha, start, 2 * p + 4, exclude=j
+                )
+            if full is None:
+                sub_cov = covariance[rest[:, None], rest[None, :]]
+                beta = production_lasso_cd(
+                    sub_cov, emp_cov[rest, j], alpha, max_iter=lasso_max_iter,
+                    tol=lasso_tol, initial=start[rest],
+                )
+                column = sub_cov @ beta
+            else:
+                support = np.flatnonzero(full)
+                beta = full[rest]
+                column = (covariance[:, support] @ full[support])[rest]
+            covariance[rest, j] = column
+            covariance[j, rest] = column
+
+            # Recover the corresponding precision entries (standard glasso
+            # update): theta_jj = 1 / (w_jj - w_12^T beta).
+            denom = covariance[j, j] - covariance[rest, j] @ beta
+            denom = max(denom, 1e-12)
+            precision[j, j] = 1.0 / denom
+            precision[rest, j] = -beta / denom
+            precision[j, rest] = precision[rest, j]
+        change = np.mean(np.abs(covariance - previous))
+        final_change = float(change)
+        threshold = tol * max(float(np.mean(np.abs(previous))), 1e-12)
+        if change < threshold:
+            converged = True
+            break
+
+    return covariance, precision, n_iter, converged, final_change
+
+
+def graphical_lasso_feature_sign(*args, **kwargs):
+    """``repro.graphical.glasso.graphical_lasso`` run on :func:`feature_sign_sweeps`."""
+    import repro.graphical.glasso as glasso
+
+    sweeps = glasso.glasso_block_sweeps
+    glasso.glasso_block_sweeps = feature_sign_sweeps
+    try:
+        return glasso.graphical_lasso(*args, **kwargs)
+    finally:
+        glasso.glasso_block_sweeps = sweeps
 
 
 def record_glasso_calls(seed: int, scale: float, iterations: int) -> list[tuple[tuple, dict]]:

@@ -14,6 +14,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "label_models"))
 
 import reference_em  # noqa: E402
+import reference_metal_steps as frozen  # noqa: E402
 from reference_em import (  # noqa: E402
     generative_masks,
     generative_posterior,
@@ -159,6 +160,55 @@ class TestPatternStepsMatchOracle:
         assert em.mean_abs_change(new, old, counts) == pytest.approx(
             np.mean(np.abs(new[inverse] - old[inverse])), rel=1e-12
         )
+
+
+class TestMetalStepsMatchFrozenBits:
+    """The MeTaL pattern steps give the frozen copy's bits (``reference_metal_steps``)."""
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_step_and_posterior(self, seed, n_classes):
+        rng = np.random.default_rng(seed)
+        matrix = _noisy_matrix(rng, 90, 7, n_classes)
+        patterns, inverse, counts = em.vote_patterns(matrix, n_classes)
+        masks = em.metal_masks(patterns, n_classes, ABSTAIN)
+        never_fired = ~masks[0].any(axis=0)
+        mass = em.pattern_sums(
+            rng.dirichlet(np.ones(n_classes), size=matrix.shape[0]), inverse, len(counts)
+        )
+        log_priors = np.log(rng.dirichlet(np.ones(n_classes)))
+        arguments = (*masks, never_fired, mass, counts, log_priors, 1.0, 0.7, 0.55, 0.98)
+
+        result = em.metal_step(*arguments)
+        expected = frozen.metal_step(*arguments)
+
+        for value, frozen_value in zip(result, expected):
+            assert np.array_equal(value, frozen_value)
+        posterior = (patterns, ABSTAIN, result[0], result[1], np.exp(log_priors), n_classes)
+        assert np.array_equal(
+            em.metal_posterior(*posterior), frozen.metal_posterior(*posterior)
+        )
+
+    def test_cold_and_warm_fits(self):
+        matrix = _noisy_matrix(np.random.default_rng(5), 300, 9, N_CLASSES)
+        # The warm fit carries the first six LFs and adds three.
+        column_map = [0, 1, 2, 3, 4, 5, -1, -1, -1]
+        with frozen.frozen_metal_steps():
+            expected = MeTaLLabelModel(random_state=0, early_stop=True)
+            expected_proba = expected.fit_predict_proba(matrix[:, :6])
+            expected_warm = expected.fit_predict_proba(
+                matrix, warm_start=expected.export_warm_start(column_map)
+            )
+        model = MeTaLLabelModel(random_state=0, early_stop=True)
+        proba = model.fit_predict_proba(matrix[:, :6])
+        warm = model.fit_predict_proba(matrix, warm_start=model.export_warm_start(column_map))
+
+        assert np.array_equal(proba, expected_proba)
+        assert np.array_equal(warm, expected_warm)
+        assert model.warm_started_ and model.n_iter_ == expected.n_iter_
+        assert model.final_loss_ == expected.final_loss_
+        assert np.array_equal(model.accuracies_, expected.accuracies_)
+        assert np.array_equal(model.propensities_, expected.propensities_)
 
 
 class TestRelativeLossStop:

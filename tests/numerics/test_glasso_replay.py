@@ -6,7 +6,8 @@ is recorded, then replayed through the historical solver (the oracle in
 label's Markov blanket, so that is what must be identical on every call;
 the precisions agree to the solvers' own tolerance (both stop once a lasso
 sweep moves no weight by 1e-6, which ``1 / denom`` scales up to ~1e-5 on
-precision entries of order 10).
+precision entries of order 10).  Against the feature-sign oracle in the same
+module, the production solver's estimates must be identical bit for bit.
 """
 
 import numpy as np
@@ -47,3 +48,18 @@ def test_every_call_selects_the_historical_blanket(calls):
             result.precision, expected.precision, rtol=1e-5, atol=1e-5,
             err_msg=f"call {number}",
         )
+
+
+def test_every_call_matches_the_feature_sign_oracle_bit_for_bit(calls):
+    for number, (args, kwargs) in enumerate(calls):
+        result = graphical_lasso(*args, **kwargs)
+        expected = reference.graphical_lasso_feature_sign(*args, **kwargs)
+
+        assert np.array_equal(result.covariance, expected.covariance), f"call {number}"
+        assert np.array_equal(result.precision, expected.precision), f"call {number}"
+        assert (
+            result.n_iter, result.converged, result.warm_started, result.final_change
+        ) == (
+            expected.n_iter, expected.converged, expected.warm_started,
+            expected.final_change,
+        ), f"call {number}"

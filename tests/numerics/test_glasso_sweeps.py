@@ -306,7 +306,7 @@ class TestFeatureSign:
             attempts.append(args)
             return None
 
-        monkeypatch.setattr(glasso_module, "feature_sign", gives_up)
+        monkeypatch.setattr(glasso_module, "_feature_sign", gives_up)
         covariance, precision, n_iter, converged, _ = _sweep(emp_cov, 0.05, **options)
 
         assert len(attempts) == 7 * n_iter
@@ -314,6 +314,70 @@ class TestFeatureSign:
         np.testing.assert_allclose(covariance, expected[0], atol=1e-8)
         np.testing.assert_allclose(precision, expected[1], atol=1e-8)
         np.testing.assert_array_equal(precision != 0, expected[1] != 0)
+
+
+class TestFeatureSignOracleBits:
+    """The sweeps give the frozen feature-sign oracle's bits, whichever product they use."""
+
+    @pytest.fixture
+    def products(self, monkeypatch):
+        """Whether each column lasso handed its KKT product to the sweep."""
+        handed = []
+        search = glasso_module._feature_sign
+
+        def spy(*args, **kwargs):
+            found = search(*args, **kwargs)
+            if found is not None:
+                handed.append(found[1] is not None)
+            return found
+
+        monkeypatch.setattr(glasso_module, "_feature_sign", spy)
+        return handed
+
+    @staticmethod
+    def _assert_same_bits(emp_cov, alpha, start=None):
+        p = emp_cov.shape[0]
+        seed = np.eye(p) if start is None else start
+        covariance = emp_cov + alpha * np.eye(p)
+        result = glasso_block_sweeps(covariance.copy(), seed.copy(), emp_cov, alpha, 50, 1e-8)
+        expected = reference.feature_sign_sweeps(
+            covariance.copy(), seed.copy(), emp_cov, alpha, 50, 1e-8
+        )
+        np.testing.assert_array_equal(result[0], expected[0])
+        np.testing.assert_array_equal(result[1], expected[1])
+        assert result[2:] == expected[2:]
+
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_problems(self, seed, warm, products):
+        rng = np.random.default_rng(seed)
+        emp_cov = _spd(rng, 9)
+        start = np.linalg.inv(emp_cov + 0.1 * np.eye(9)) if warm else None
+
+        self._assert_same_bits(emp_cov, 0.02, start)
+
+        assert products
+
+    def test_an_in_order_support_reuses_the_kkt_product(self, products):
+        # One correlated pair: every support has at most one variable.
+        emp_cov = np.eye(5)
+        emp_cov[0, 4] = emp_cov[4, 0] = 0.5
+
+        self._assert_same_bits(emp_cov, 0.05)
+
+        assert products and all(products)
+
+    def test_an_out_of_order_support_recomputes_the_column(self, products):
+        # Column 0 is solved first, from zero: it adds variable 5 (the
+        # largest violator) before variable 1, so its final support [5, 1] is
+        # not in index order.
+        emp_cov = np.eye(6)
+        emp_cov[0, 5] = emp_cov[5, 0] = 0.6
+        emp_cov[0, 1] = emp_cov[1, 0] = 0.3
+
+        self._assert_same_bits(emp_cov, 0.05)
+
+        assert False in products
 
 
 class TestGlassoBlockSweeps:
