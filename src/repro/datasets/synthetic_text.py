@@ -290,16 +290,17 @@ def generate_text_dataset(
         columns = column_of[np.concatenate(parts)] if parts else np.zeros(0, dtype=np.intp)
         known = columns >= 0
         cells = rows[known] * n_vocab + columns[known]
-        # Counted as floats, which ``weight_counts`` takes without a copy:
-        # an int count matrix would be one more documents x vocabulary
-        # array held at the corpus's memory peak.
-        counts = np.bincount(
-            cells, weights=np.ones(cells.size), minlength=len(parts) * n_vocab
-        ).reshape(len(parts), n_vocab)
+        # Counted as floats into one owned buffer, which the vectorizer
+        # weighs in place into the split's features: at the corpus's memory
+        # peak that buffer is the only documents x vocabulary array, next
+        # to one block of squared rows for the norms.  It owns its data, so
+        # ``Dataset`` can freeze it read-only.
+        counts = np.zeros((len(parts), n_vocab))
+        np.add.at(counts.reshape(-1), cells, 1.0)
         return TextDataset(
             [" ".join(doc_words[i]) for i in indices],
             [token_sets[i] for i in indices],
-            vectorizer.weight_counts(counts),
+            vectorizer._weigh_in_place(counts),
             labels[indices],
             config.n_classes,
             name=f"{config.name}/{split_name}",

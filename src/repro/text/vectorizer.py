@@ -3,6 +3,8 @@
 Dense NumPy output is used throughout: the synthetic benchmark corpora keep
 vocabularies small (a few thousand terms), so dense matrices stay well within
 memory while keeping the downstream linear algebra simple and fast.
+Features are weighed in place in the buffer the terms were counted in, so a
+split's weighting holds one documents x vocabulary array, not three.
 """
 
 from __future__ import annotations
@@ -13,6 +15,26 @@ import numpy as np
 
 from repro.text.tokenizer import tokenize
 from repro.text.vocabulary import Vocabulary
+
+#: Rows squared at once by :func:`_row_norms`: bounds its temporary to
+#: ``NORM_BLOCK_ROWS`` x vocabulary floats.
+NORM_BLOCK_ROWS = 512
+
+
+def _row_norms(matrix: np.ndarray) -> np.ndarray:
+    """Return the L2 norm of each row of a real 2-D *matrix*.
+
+    ``np.linalg.norm(matrix, axis=1)`` on a real array is
+    ``sqrt(add.reduce(matrix * matrix, axis=1))`` (``conj()`` of a real
+    array is the array), and ``add.reduce`` sums each row on its own, so
+    squaring one block of rows at a time gives the same bits with a
+    temporary of one block instead of two full copies.
+    """
+    norms = np.empty(len(matrix))
+    for start in range(0, len(matrix), NORM_BLOCK_ROWS):
+        block = matrix[start : start + NORM_BLOCK_ROWS]
+        norms[start : start + len(block)] = np.add.reduce(block * block, axis=1)
+    return np.sqrt(norms, out=norms)
 
 
 class CountVectorizer:
@@ -63,17 +85,24 @@ class CountVectorizer:
             for token in self.tokenizer(doc):
                 if token in vocab:
                     counts[row, vocab.index(token)] += 1.0
-        return self.weight_counts(counts)
+        return self._weigh_in_place(counts)
 
     def weight_counts(self, counts: np.ndarray) -> np.ndarray:
         """Turn a raw ``(n_documents, n_terms)`` term-count matrix into features.
 
-        Columns follow :attr:`vocabulary_`'s index order.  :meth:`transform`
-        counts tokens and then calls this, so callers that count terms some
+        Columns follow :attr:`vocabulary_`'s index order.  *counts* is never
+        modified: the features are weighed in a fresh float copy, which is
+        returned and owns its data.  :meth:`transform` weighs the count
+        matrix it builds by the same step, so callers that count terms some
         other way get the same features.
         """
-        counts = np.asarray(counts, dtype=float)
-        return np.minimum(counts, 1.0) if self.binary else counts
+        return self._weigh_in_place(np.array(counts, dtype=float))
+
+    def _weigh_in_place(self, counts: np.ndarray) -> np.ndarray:
+        """Weigh a float count matrix the caller owns in place and return it."""
+        if self.binary:
+            np.minimum(counts, 1.0, out=counts)
+        return counts
 
     def fit_transform(self, documents: Sequence[str]) -> np.ndarray:
         """Fit the vocabulary and return the count matrix for *documents*."""
@@ -104,15 +133,15 @@ class TfidfVectorizer(CountVectorizer):
         self.idf_ = np.log((1.0 + n_docs) / (1.0 + df)) + 1.0
         return self
 
-    def weight_counts(self, counts: np.ndarray) -> np.ndarray:
-        """Return the L2-normalised TF-IDF matrix for a term-count matrix."""
-        counts = super().weight_counts(counts)
+    def _weigh_in_place(self, counts: np.ndarray) -> np.ndarray:
+        """Turn *counts* into its L2-normalised TF-IDF matrix in place."""
         if not hasattr(self, "idf_"):
             raise RuntimeError("TfidfVectorizer is not fitted yet; call fit() first")
-        tfidf = counts * self.idf_
-        norms = np.linalg.norm(tfidf, axis=1, keepdims=True)
+        counts = super()._weigh_in_place(counts)
+        np.multiply(counts, self.idf_, out=counts)
+        norms = _row_norms(counts)
         norms[norms == 0.0] = 1.0
-        return tfidf / norms
+        return np.divide(counts, norms[:, None], out=counts)
 
     def fit_transform(self, documents: Sequence[str]) -> np.ndarray:
         """Fit IDF weights and return the TF-IDF matrix for *documents*."""
