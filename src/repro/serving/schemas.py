@@ -38,6 +38,23 @@ def json_int(body: dict, name: str, default: int) -> int:
     return value
 
 
+def json_number(body: dict, name: str, default: float) -> float:
+    """``body[name]`` (or *default*) as a float if it is a JSON number.
+
+    Shared by ``POST /label`` and ``POST /sessions``.  A bool or a string
+    is a :class:`RequestError`, not coerced: ``"0.5"`` would otherwise name
+    the trial of ``0.5``, and ``true`` the trial of ``1.0``.  So is an
+    integer too large for a float.
+    """
+    value = body.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise RequestError(f"'{name}' must be a JSON number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as error:
+        raise RequestError(f"'{name}' is out of range: {error}") from error
+
+
 def check_config_overrides(config_overrides) -> None:
     """Reject ``config_overrides`` that do not make a valid ActiveDP config.
 
@@ -61,9 +78,10 @@ def parse_label_request(body: dict) -> TrialSpec:
 
     Required fields: ``dataset`` (registry name) and ``lfs`` (non-empty
     list of wire-schema LF dicts).  Optional: ``seed`` (JSON integer,
-    default 0), ``scale`` (dataset scale, default 1.0), ``eval_every``
-    (JSON integer, default: one evaluation at the end), ``end_model_C``
-    (default 1.0) and ``config_overrides`` (plain-JSON ActiveDP config
+    default 0), ``scale`` (JSON number, dataset scale, default 1.0),
+    ``eval_every`` (JSON integer of at least 1, default: one evaluation at
+    the end), ``end_model_C`` (JSON number, default 1.0) and
+    ``config_overrides`` (plain-JSON ActiveDP config
     fields that must make a valid config).  Equivalent
     requests normalise to identical specs and therefore share one content
     key — the dedup/cache unit of the whole serving path.  Dataset names
@@ -88,11 +106,10 @@ def parse_label_request(body: dict) -> TrialSpec:
         raise RequestError(str(error)) from error
     seed = json_int(body, "seed", 0)
     eval_every = json_int(body, "eval_every", len(canonical_lfs))
-    try:
-        scale = float(body.get("scale", 1.0))
-        end_model_C = float(body.get("end_model_C", 1.0))
-    except (TypeError, ValueError, OverflowError) as error:
-        raise RequestError(f"invalid numeric field: {error}") from error
+    if eval_every < 1:
+        raise RequestError(f"'eval_every' must be at least 1, got {eval_every}")
+    scale = json_number(body, "scale", 1.0)
+    end_model_C = json_number(body, "end_model_C", 1.0)
     config_overrides = body.get("config_overrides")
     check_config_overrides(config_overrides)
     known = {
@@ -105,7 +122,7 @@ def parse_label_request(body: dict) -> TrialSpec:
     try:
         protocol = EvaluationProtocol(
             n_iterations=len(canonical_lfs),
-            eval_every=max(1, min(eval_every, len(canonical_lfs))),
+            eval_every=min(eval_every, len(canonical_lfs)),
             n_seeds=1,
             dataset_scale=scale,
             end_model_C=end_model_C,

@@ -16,7 +16,9 @@ Routes
 
 ==========  ===============================  =====================================
 ``POST``    ``/label``                       submit a label request (200/202/429)
-``GET``     ``/label/<key>``                 poll a job by content key
+``GET``     ``/label/<key>``                 poll a job by content key; a pending
+                                             job's poll is held up to one watcher
+                                             tick (200/202/404/500)
 ``GET``     ``/sessions``                    list sessions
 ``POST``    ``/sessions``                    open an interactive session
 ``POST``    ``/sessions/<id>/lfs``           stream one LF into a session

@@ -13,6 +13,11 @@ per tick and maps it onto them: results that landed complete their jobs,
 failure logs fail them, and the round itself polices expired worker leases
 and re-enqueues lost tasks.
 
+A poll of a pending job (``GET /label/<key>``) is held until its result
+blob lands, the job fails, or one watcher tick passes, so a client learns
+of a result within a few milliseconds of its publication rather than at
+its own next poll.
+
 Every public request method returns ``(http_status, payload, headers)`` so
 the stdlib HTTP layer (:mod:`repro.serving.server`) is a thin translation
 shim — and so the whole request surface is testable without a socket.
@@ -34,6 +39,7 @@ gone, and such a request is cold.
 from __future__ import annotations
 
 import threading
+import time
 from pathlib import Path
 
 from repro.runner.brokers import DEFAULT_LEASE_TTL, SpoolBroker
@@ -44,6 +50,7 @@ from repro.serving.schemas import (
     RequestError,
     check_config_overrides,
     json_int,
+    json_number,
     label_payload,
     parse_label_request,
 )
@@ -52,6 +59,10 @@ from repro.serving.sessions import (
     SessionManager,
     UnknownSessionError,
 )
+
+
+#: How often a held ``GET /label/<key>`` stats its result blob, in seconds.
+HOLD_PROBE_S = 0.002
 
 
 class _Job:
@@ -208,15 +219,20 @@ class LabelingService:
         """Handle ``GET /label/<key>``: poll one job (or probe the store).
 
         200 with the label payload when done, 202 while pending, 500 with
-        the worker's failure log when failed, 404 for unknown keys.
+        the worker's failure log when failed, 404 for unknown keys.  A poll
+        of a pending job is held until its result blob lands, the job
+        fails, or one watcher tick (``poll_interval``) passes, and answers
+        202 only after that; ``close()`` and ``drain()`` end a hold at once.
+        Unknown keys and results that already landed never wait.
         """
-        with self._lock:
-            job = self._jobs.get(key)
-        if job is not None and job.status == "failed":
-            return 500, {"key": key, "status": "failed", "error": job.error}, {}
+        if self._job_state(key)[0] == "pending":
+            self._hold(key)
+        state, error = self._job_state(key)
+        if state == "failed":
+            return 500, {"key": key, "status": "failed", "error": error}, {}
         history = self.store.get(key)
         if history is None:
-            if job is None:
+            if state is None:
                 return 404, {"key": key, "error": "unknown label key"}, {}
             return 202, {"key": key, "status": "pending"}, {}
         self._finish(key, "done")
@@ -243,6 +259,8 @@ class LabelingService:
         config_overrides = body.get("config_overrides")
         try:
             seed = json_int(body, "seed", 0)
+            scale = json_number(body, "scale", 1.0)
+            end_model_C = json_number(body, "end_model_C", 1.0)
             check_config_overrides(config_overrides)
         except RequestError as error:
             return 400, {"error": str(error)}, {}
@@ -250,9 +268,9 @@ class LabelingService:
             info = self.sessions.create(
                 dataset,
                 seed=seed,
-                scale=float(body.get("scale", 1.0)),
+                scale=scale,
                 config_overrides=config_overrides,
-                end_model_C=float(body.get("end_model_C", 1.0)),
+                end_model_C=end_model_C,
             )
         except (KeyError, TypeError, ValueError, OverflowError) as error:
             return 400, {"error": str(error)}, {}
@@ -372,6 +390,29 @@ class LabelingService:
             return 400, {"error": str(error)}, {}
         except (TypeError, ValueError) as error:
             return 400, {"error": str(error)}, {}
+
+    def _job_state(self, key: str) -> tuple[str | None, dict | None]:
+        """``(status, error)`` of *key*'s job, or ``(None, None)`` if unknown."""
+        with self._lock:
+            job = self._jobs.get(key)
+            if job is None:
+                return None, None
+            return job.status, job.error
+
+    def _hold(self, key: str) -> None:
+        """Wait until *key*'s blob exists, its job leaves pending, one
+        watcher tick passes or the service stops.
+
+        One ``stat`` of the blob path per :data:`HOLD_PROBE_S`; the blob is
+        read afterwards, once, by the caller.
+        """
+        path = self.store.path_for(key)
+        deadline = time.monotonic() + self.poll_interval
+        while not path.exists():
+            if self._job_state(key)[0] != "pending" or time.monotonic() >= deadline:
+                return
+            if self._stop.wait(HOLD_PROBE_S):
+                return
 
     def _watch_loop(self) -> None:
         """Watcher thread body: tick until stopped."""

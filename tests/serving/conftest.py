@@ -12,6 +12,7 @@ from __future__ import annotations
 import http.client
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -128,15 +129,17 @@ class ServingHarness:
             thread.join(timeout=timeout)
 
     def poll_until_done(self, key: str, timeout: float = 60.0):
-        """Poll ``GET /label/<key>`` until a terminal status; returns the last reply."""
-        deadline = threading.Event()
-        waited = 0.0
-        while waited < timeout:
+        """Poll ``GET /label/<key>`` until a terminal status; returns the last reply.
+
+        *timeout* is wall time: a pending poll is itself held for up to a
+        watcher tick, so the sleeps between polls undercount it.
+        """
+        deadline = time.monotonic() + timeout
+        while time.monotonic() < deadline:
             status, payload, headers = self.client.get(f"/label/{key}")
             if status != 202:
                 return status, payload, headers
-            deadline.wait(0.1)
-            waited += 0.1
+            time.sleep(0.1)
         raise AssertionError(f"label job {key} still pending after {timeout}s")
 
     def shutdown(self) -> None:

@@ -36,6 +36,11 @@ class TestParseLabelRequest:
             }
         )
         assert base.key == explicit.key
+        # A JSON integer is a JSON number: `1` and `1.0` are one trial.
+        integral = parse_label_request(
+            {"dataset": "youtube", "lfs": LFS, "scale": 1, "end_model_C": 1}
+        )
+        assert integral.key == base.key
 
     def test_dataset_name_case_is_one_trial(self):
         # The registry resolves names case-insensitively, so the spellings

@@ -1,5 +1,5 @@
 """Service bookkeeping without HTTP: request validation, admission release,
-and the watcher's swallowed-error counter.
+held polls and the watcher's swallowed-error counter.
 
 These drive :class:`~repro.serving.LabelingService` directly (its request
 methods return ``(status, payload, headers)``), with a watcher that never
@@ -9,13 +9,16 @@ known sequence of calls.
 
 from __future__ import annotations
 
+import json
+import sys
 import threading
+import time
 
 import pytest
 
 from repro.runner import run_trial
 from repro.serving import LabelingService
-from repro.serving.schemas import parse_label_request
+from repro.serving.schemas import canonical_json, label_payload, parse_label_request
 
 LFS = [
     {"type": "keyword", "keyword": "check", "label": 1},
@@ -127,11 +130,17 @@ class TestNonFiniteNumbers:
         [{"seed": INF}, {"eval_every": INF}, {"scale": NAN}, {"scale": INF},
          {"end_model_C": 0}, {"end_model_C": NAN},
          {"seed": 1.9}, {"seed": 1.0}, {"seed": True}, {"seed": "1"},
-         {"eval_every": 1.5}, {"eval_every": False}, {"eval_every": "2"}],
+         {"eval_every": 1.5}, {"eval_every": False}, {"eval_every": "2"},
+         {"eval_every": 0}, {"eval_every": -3},
+         {"scale": "0.5"}, {"scale": True},
+         {"end_model_C": "1.0"}, {"end_model_C": True}, {"end_model_C": 10**400}],
         ids=["seed-inf", "eval_every-inf", "scale-nan", "scale-inf",
              "end_model_C-zero", "end_model_C-nan",
              "seed-float", "seed-integral-float", "seed-bool", "seed-str",
-             "eval_every-float", "eval_every-bool", "eval_every-str"],
+             "eval_every-float", "eval_every-bool", "eval_every-str",
+             "eval_every-zero", "eval_every-negative",
+             "scale-str", "scale-bool",
+             "end_model_C-str", "end_model_C-bool", "end_model_C-huge-int"],
     )
     def test_label_request_is_rejected_before_enqueue(self, make_service, field):
         service = make_service()
@@ -146,9 +155,12 @@ class TestNonFiniteNumbers:
         "field",
         [{"seed": INF}, {"scale": INF}, {"scale": NAN},
          {"end_model_C": NAN}, {"end_model_C": 0},
-         {"seed": 1.9}, {"seed": True}, {"seed": "1"}],
+         {"seed": 1.9}, {"seed": True}, {"seed": "1"},
+         {"scale": "0.5"}, {"scale": True},
+         {"end_model_C": "1.0"}, {"end_model_C": True}],
         ids=["seed-inf", "scale-inf", "scale-nan", "end_model_C-nan",
-             "end_model_C-zero", "seed-float", "seed-bool", "seed-str"],
+             "end_model_C-zero", "seed-float", "seed-bool", "seed-str",
+             "scale-str", "scale-bool", "end_model_C-str", "end_model_C-bool"],
     )
     def test_session_is_rejected(self, make_service, field):
         service = make_service()
@@ -180,6 +192,134 @@ class TestAdmissionRelease:
         # The released slot is usable at once.
         status, _, _ = service.submit({**BODY, "seed": 1})
         assert status == 202
+
+
+class TestHeldPoll:
+    """``GET /label/<key>`` holds a pending job for up to one watcher tick.
+
+    Each test lands the result or the failure itself (no worker runs), so
+    every hold has one known outcome.
+    """
+
+    @staticmethod
+    def _later(delay, action):
+        timer = threading.Timer(delay, action)
+        timer.start()
+        return timer
+
+    def test_result_landing_during_a_hold_answers_200_with_its_bytes(self, make_service):
+        service = make_service(poll_interval=5.0)
+        spec = parse_label_request(BODY)
+        history = run_trial(spec)
+        assert service.submit(BODY)[0] == 202
+
+        timer = self._later(0.1, lambda: service.store.put(spec, history))
+        started = time.monotonic()
+        status, payload, _ = service.status(spec.key)
+        elapsed = time.monotonic() - started
+        timer.join()
+
+        assert status == 200
+        assert canonical_json(payload) == canonical_json(label_payload(spec, history))
+        assert 0.09 <= elapsed < 2.5
+        _, stats, _ = service.stats()
+        assert stats["jobs"] == {"pending": 0, "done": 1, "failed": 0}
+        assert stats["admission"]["inflight"] == 0
+
+    def test_a_hold_without_a_result_answers_202_after_one_tick(self, make_service):
+        service = make_service(poll_interval=0.3)
+        _, payload, _ = service.submit(BODY)
+        started = time.monotonic()
+        status, polled, _ = service.status(payload["key"])
+        elapsed = time.monotonic() - started
+        assert (status, polled) == (202, {"key": payload["key"], "status": "pending"})
+        assert 0.3 <= elapsed < 2.0
+
+    def test_close_ends_a_hold_at_once(self, make_service):
+        service = make_service()  # the hold's tick is an hour long
+        _, payload, _ = service.submit(BODY)
+        timer = self._later(0.1, service.close)
+        started = time.monotonic()
+        status, _, _ = service.status(payload["key"])
+        elapsed = time.monotonic() - started
+        timer.join()
+        assert status == 202
+        assert elapsed < 2.0
+
+    def test_failure_recorded_during_a_hold_answers_500(self, make_service):
+        service = make_service(poll_interval=5.0)
+        _, payload, _ = service.submit(BODY)
+
+        def fail_on_a_worker():
+            lease = service.broker.lease_next("w1")
+            service.broker.fail(lease, "w1", RuntimeError("boom"), "traceback")
+            service._watch_once()
+
+        timer = self._later(0.1, fail_on_a_worker)
+        started = time.monotonic()
+        status, failed, _ = service.status(payload["key"])
+        elapsed = time.monotonic() - started
+        timer.join()
+        assert status == 500
+        assert failed["status"] == "failed"
+        assert "boom" in json.dumps(failed["error"])
+        assert 0.09 <= elapsed < 2.5
+
+    def test_many_held_polls_each_get_their_result_once_accounted(self, make_service):
+        """More holders than cores, on a short switch interval: every poll
+        answers its own job's bytes, and each job completes exactly once."""
+        service = make_service(poll_interval=5.0)
+        specs, histories = [], []
+        for seed in range(3):
+            spec = parse_label_request({**BODY, "seed": seed})
+            specs.append(spec)
+            histories.append(run_trial(spec))
+            assert service.submit({**BODY, "seed": seed})[0] == 202
+
+        answers = []
+
+        def poll(spec):
+            answers.append((spec, service.status(spec.key)))
+
+        def land():
+            for spec, history in zip(specs, histories):
+                time.sleep(0.02)
+                service.store.put(spec, history)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=poll, args=(spec,)) for spec in specs for _ in range(3)
+            ]
+            threads.append(threading.Thread(target=land))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+
+        expected = {
+            spec.key: canonical_json(label_payload(spec, history))
+            for spec, history in zip(specs, histories)
+        }
+        assert len(answers) == 9
+        for spec, (status, payload, _) in answers:
+            assert status == 200
+            assert canonical_json(payload) == expected[spec.key]
+        _, stats, _ = service.stats()
+        assert stats["jobs"] == {"pending": 0, "done": 3, "failed": 0}
+        assert stats["requests"]["completed"] == 3
+        assert stats["admission"]["inflight"] == 0
+
+    def test_unknown_key_answers_404_without_waiting(self, make_service):
+        service = make_service()  # a hold would last an hour
+        started = time.monotonic()
+        status, _, _ = service.status("0" * 64)
+        assert status == 404
+        assert time.monotonic() - started < 1.0
 
 
 class TestRacingSubmits:
